@@ -15,7 +15,6 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from .domain import MEASURES, SCALINGS, SimilarityParams
 from .evaluation import (
@@ -45,34 +44,6 @@ from .similarity import (
 from .synth import SynthConfig, generate, write_log
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved configuration of a grid run."""
-
-    dataset_dir: str
-    measure: str
-    ells: tuple[int, ...]
-    lambdas: tuple[float, ...]
-    scalings: tuple[str, ...]
-    rho: float
-    w: float
-    n_neighbors: int
-    top_k: int
-    rank_by: str
-    out_dir: str
-    workers: int
-
-    def __post_init__(self) -> None:
-        if self.measure not in MEASURES:
-            raise ValueError(f"unknown measure {self.measure!r}")
-        if not self.ells or any(ell < 1 for ell in self.ells):
-            raise ValueError(f"ells must be positive integers, got {self.ells}")
-        if any(not 0.0 <= lam <= 1.0 for lam in self.lambdas):
-            raise ValueError(f"lambdas must lie in [0, 1], got {self.lambdas}")
-        if any(s not in SCALINGS for s in self.scalings):
-            raise ValueError(f"scalings must be among {SCALINGS}, got {self.scalings}")
 
 
 def _read_config(path: str | None) -> dict[str, str]:
@@ -250,32 +221,25 @@ def cmd_grid(args: argparse.Namespace, config: dict[str, str]) -> int:
         "workers": (int, 1),
     }
     opt = _resolve(args, config, optspec)
-    experiment = ExperimentConfig(
-        dataset_dir=opt["dataset"], measure=opt["measure"], ells=opt["ells"],
-        lambdas=opt["lambdas"], scalings=opt["scalings"], rho=opt["rho"], w=opt["w"],
-        n_neighbors=opt["n_neighbors"], top_k=opt["topk"], rank_by=opt["rank_by"],
-        out_dir=opt["out"], workers=opt["workers"],
-    )
-    dataset = load_dataset(experiment.dataset_dir)
     grid = expand_grid(
-        experiment.measure, ells=experiment.ells,
-        lambdas=experiment.lambdas or None, scalings=experiment.scalings or None,
-        rho=experiment.rho, w=experiment.w, n_neighbors=experiment.n_neighbors,
+        opt["measure"], ells=opt["ells"], lambdas=opt["lambdas"] or None,
+        scalings=opt["scalings"] or None, rho=opt["rho"], w=opt["w"],
+        n_neighbors=opt["n_neighbors"],
     )
+    dataset = load_dataset(opt["dataset"])
     result = grid_search(
-        dataset, grid, top_k=experiment.top_k, rank_by=experiment.rank_by,
-        workers=experiment.workers,
+        dataset, grid, top_k=opt["topk"], rank_by=opt["rank_by"], workers=opt["workers"],
     )
     rows = list(result.validation) + [result.test]
-    os.makedirs(experiment.out_dir, exist_ok=True)
-    write_report_tsv(rows, os.path.join(experiment.out_dir, "report.tsv"))
-    write_report_json(rows, os.path.join(experiment.out_dir, "report.json"))
-    _write_snapshot(opt, os.path.join(experiment.out_dir, "run_config.json"))
+    os.makedirs(opt["out"], exist_ok=True)
+    write_report_tsv(rows, os.path.join(opt["out"], "report.tsv"))
+    write_report_json(rows, os.path.join(opt["out"], "report.json"))
+    _write_snapshot(opt, os.path.join(opt["out"], "run_config.json"))
     best = result.best_params
     print(
         f"selected {result.best_measure} ell={best.ell} lam={best.lam} scaling={best.scaling}: "
-        f"test ndcg@{experiment.top_k}={result.test.ndcg:.4f} "
-        f"1-call@{experiment.top_k}={result.test.one_call:.4f}"
+        f"test ndcg@{opt['topk']}={result.test.ndcg:.4f} "
+        f"1-call@{opt['topk']}={result.test.one_call:.4f}"
     )
     return 0
 

@@ -13,7 +13,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .domain import SimilarityParams, UserSequence, make_session_window
+from .domain import MEASURES, SimilarityParams, UserSequence, make_session_window
 from .ingest import Dataset
 from .predictor import positive_scores
 from .similarity import NeighborIndex, build_neighbor_index, count_pairs
@@ -210,6 +210,10 @@ def expand_grid(
     Position-independent measures ignore lam and scaling, so only ell varies
     for bis and cosine; pas sweeps lam x scaling, pas_uni sweeps scaling.
     """
+    if measure not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
+    if not ells:
+        raise ValueError("empty grid: no ell values")
     if measure in ("bis", "cosine"):
         lambdas = (0.0,)
         scalings = ("h_a",)

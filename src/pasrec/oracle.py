@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from decimal import Decimal
 
 from .domain import SessionWindow, SimilarityParams, UserSequence, make_session_window
 
@@ -22,6 +23,11 @@ def _scale(x: float, scaling: str, w: float) -> float:
     if scaling == "h_c":
         return w * math.floor(x / w)
     raise ValueError(f"unknown scaling {scaling!r}")
+
+
+def _reverse_limit(rho: float, ell: int) -> Decimal:
+    # -rho*ell in decimal arithmetic: 0.58 * 50 is 29 here, not 28.999999999999996
+    return -Decimal(repr(rho)) * ell
 
 
 def _union_size(sequences: Sequence[UserSequence], item_a: str, item_b: str) -> int:
@@ -38,12 +44,13 @@ def oracle_bis(
     Counts users whose position gap p(i_to) - p(i_from) lies in
     [-rho*ell, ell], divided by the size of the user-set union.
     """
+    lo = _reverse_limit(rho, ell)
     count = 0
     for seq in sequences:
         pos = seq.position
         if i_from in pos and i_to in pos:
             gap = pos[i_to] - pos[i_from]
-            if -rho * ell <= gap <= ell:
+            if lo <= gap <= ell:
                 count += 1
     union = _union_size(sequences, i_from, i_to)
     return count / union if union else 0.0
@@ -66,12 +73,13 @@ def oracle_pas(
     if not 1 <= t <= k:
         raise ValueError(f"window position t={t} outside 1..{k}")
     threshold = _scale(k - t, params.scaling, params.w)
+    lo = _reverse_limit(params.rho, params.ell)
     total = 0.0
     for seq in sequences:
         pos = seq.position
         if i_from in pos and i_to in pos:
             gap = pos[i_to] - pos[i_from]
-            delta_bis = 1.0 if -params.rho * params.ell <= gap <= params.ell else 0.0
+            delta_bis = 1.0 if lo <= gap <= params.ell else 0.0
             delta_pos = 1.0 if threshold < gap <= params.ell else 0.0
             total += (1.0 - params.lam) * delta_bis + params.lam * delta_pos
     union = _union_size(sequences, i_from, i_to)

@@ -6,6 +6,16 @@ p(i_to) - p(i_from) across users, plus user-set cardinalities. The corpus is
 scanned once; every measure, at every hyperparameter setting, is then a cheap
 aggregation over the per-pair histograms.
 
+One routine, ``_numerators``, does every such aggregation: it counts the
+users whose gap lies in [low, ell] for a list of integer lower bounds, reading
+the stored histogram of either direction through a sign. The scalar
+functions, neighbor selection, the stored t = 1..k vectors and the sparsity
+profile all take their numerators from it, and nothing derived is cached on
+the store. Both bounds are exact integers before a histogram is read: the
+reverse bound is -floor(rho*ell) with rho*ell in decimal arithmetic (0.58 * 50
+is 29, where floats give 28.999999999999996), and gap > h(k-t) is
+gap >= floor(h(k-t)) + 1.
+
 Measures:
   bis      users with gap in [-rho*ell, ell], over the user-set union
   pas_uni  users with gap in (h(k-t), ell], over the union (position-aware)
@@ -14,15 +24,17 @@ Measures:
 """
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 import math
-from bisect import bisect_right
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from collections.abc import Sequence
+from fractions import Fraction
 
-from .domain import MEASURES, SimilarityParams, UserSequence
+from .domain import MEASURES, SCALINGS, SimilarityParams, UserSequence
 
 log = logging.getLogger(__name__)
 
@@ -63,13 +75,44 @@ def _combine(n_bis: int, n_uni: int, lam: float, union: int) -> float:
     return ((1.0 - lam) * n_bis + lam * n_uni) / union
 
 
+def _bis_low(rho: float, ell: int) -> int:
+    """Smallest gap inside [-rho*ell, ell]: -floor(rho*ell), with rho read as
+    the decimal it prints as, so 0.58 * 50 is exactly 29."""
+    return -math.floor(Fraction(repr(rho)) * ell)
+
+
+def _uni_low(k: int, t: int, scaling: str, w: float) -> int:
+    """Smallest integer gap above the threshold h(k - t)."""
+    return math.floor(scale(k - t, scaling, w)) + 1
+
+
+def _numerators(
+    hist: dict[int, int], sign: int, ell: int, lows: Sequence[int]
+) -> list[int]:
+    """For each bound in ``lows``, the users whose directed gap lies in
+    [low, ell]; ``hist`` maps a gap g to its users and the directed gap is
+    sign * g, so a canonical histogram serves both directions uncopied.
+
+    This is the only fold over a gap histogram: a bis numerator is the count
+    at _bis_low, a pas_uni numerator the count at _uni_low.
+    """
+    least = min(lows)
+    counts = [0] * len(lows)
+    for g, c in hist.items():
+        d = sign * g
+        if least <= d <= ell:
+            for j, low in enumerate(lows):
+                if d >= low:
+                    counts[j] += c
+    return counts
+
+
 def bis_similarity(pair: PairStats, ell: int, rho: float) -> float:
     """Bidirectional similarity: gap in [-rho*ell, ell], over the union."""
     if pair.union_users == 0:
         return 0.0
-    lo = -rho * ell
-    count = sum(c for g, c in pair.gap_counts.items() if lo <= g <= ell)
-    return count / pair.union_users
+    (n_bis,) = _numerators(pair.gap_counts, 1, ell, (_bis_low(rho, ell),))
+    return n_bis / pair.union_users
 
 
 def pas_uni_similarity(
@@ -83,9 +126,8 @@ def pas_uni_similarity(
         raise ValueError(f"window position t={t} outside 1..{k}")
     if pair.union_users == 0:
         return 0.0
-    threshold = scale(k - t, scaling, w)
-    count = sum(c for g, c in pair.gap_counts.items() if threshold < g <= ell)
-    return count / pair.union_users
+    (n_uni,) = _numerators(pair.gap_counts, 1, ell, (_uni_low(k, t, scaling, w),))
+    return n_uni / pair.union_users
 
 
 def pas_similarity(pair: PairStats, params: SimilarityParams, t: int) -> float:
@@ -99,15 +141,8 @@ def pas_similarity(pair: PairStats, params: SimilarityParams, t: int) -> float:
         raise ValueError(f"window position t={t} outside 1..{k}")
     if pair.union_users == 0:
         return 0.0
-    lo = -params.rho * params.ell
-    threshold = scale(k - t, params.scaling, params.w)
-    n_bis = 0
-    n_uni = 0
-    for g, c in pair.gap_counts.items():
-        if lo <= g <= params.ell:
-            n_bis += c
-        if threshold < g <= params.ell:
-            n_uni += c
+    lows = (_bis_low(params.rho, params.ell), _uni_low(k, t, params.scaling, params.w))
+    n_bis, n_uni = _numerators(pair.gap_counts, 1, params.ell, lows)
     return _combine(n_bis, n_uni, params.lam, pair.union_users)
 
 
@@ -136,7 +171,6 @@ class PairStore:
         co: dict[tuple[int, int], int],
         gaps: dict[tuple[int, int], dict[int, int]],
         ell_max: int,
-        n_sequences: int,
     ) -> None:
         self.items = items
         self.item_index = {item: idx for idx, item in enumerate(items)}
@@ -144,9 +178,6 @@ class PairStore:
         self.co = co
         self.gaps = gaps
         self.ell_max = ell_max
-        self.n_sequences = n_sequences
-        self._bis_numerator_cache: dict[tuple[int, float], dict[tuple[int, int], tuple[int, int]]] = {}
-        self._uni_numerator_cache: dict[int, dict[tuple[int, int], tuple[int, int]]] = {}
 
     @property
     def n_items(self) -> int:
@@ -179,48 +210,6 @@ class PairStore:
             co_users=self.co.get(key, 0),
             union_users=self._union(a, b),
         )
-
-    def bis_numerators(self, ell: int, rho: float) -> dict[tuple[int, int], tuple[int, int]]:
-        """Per canonical pair (a, b): bidirectional numerators for both
-        directions (a->b, b->a), computed in one pass and cached per (ell, rho).
-        """
-        cache_key = (ell, rho)
-        cached = self._bis_numerator_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        lo = -rho * ell
-        result: dict[tuple[int, int], tuple[int, int]] = {}
-        for key, hist in self.gaps.items():
-            fwd = 0
-            rev = 0
-            for g, c in hist.items():
-                if lo <= g <= ell:
-                    fwd += c
-                if lo <= -g <= ell:
-                    rev += c
-            result[key] = (fwd, rev)
-        self._bis_numerator_cache[cache_key] = result
-        return result
-
-    def uni_numerators_at_k(self, ell: int) -> dict[tuple[int, int], tuple[int, int]]:
-        """Per canonical pair: position-aware numerators at t = k (threshold 0,
-        i.e. gaps in (0, ell]) for both directions, cached per ell.
-        """
-        cached = self._uni_numerator_cache.get(ell)
-        if cached is not None:
-            return cached
-        result: dict[tuple[int, int], tuple[int, int]] = {}
-        for key, hist in self.gaps.items():
-            fwd = 0
-            rev = 0
-            for g, c in hist.items():
-                if 0 < g <= ell:
-                    fwd += c
-                elif 0 < -g <= ell:
-                    rev += c
-            result[key] = (fwd, rev)
-        self._uni_numerator_cache[ell] = result
-        return result
 
 
 def _count_chunk(
@@ -299,7 +288,7 @@ def count_pairs(
         "counted %d sequences: %d items, %d co-occurring pairs, %d within gap band %d",
         len(sequences), len(items), len(co), len(gaps), ell_max,
     )
-    return PairStore(items, item_users, co, gaps, ell_max, len(sequences))
+    return PairStore(items, item_users, co, gaps, ell_max)
 
 
 class NeighborIndex:
@@ -397,21 +386,6 @@ class NeighborIndex:
         return cls(measure, params, items, entries, rank_by=rank_by)
 
 
-def _uni_numerators(hist_items: list[tuple[int, int]], params: SimilarityParams) -> list[int]:
-    """Position-aware numerators for t = 1..k via prefix sums over positive gaps."""
-    positive = sorted((g, c) for g, c in hist_items if 0 < g <= params.ell)
-    gs = [g for g, _ in positive]
-    prefix = [0]
-    for _, c in positive:
-        prefix.append(prefix[-1] + c)
-    total = prefix[-1]
-    out = []
-    for t in range(1, params.k + 1):
-        threshold = scale(params.k - t, params.scaling, params.w)
-        out.append(total - prefix[bisect_right(gs, threshold)])
-    return out
-
-
 def build_neighbor_index(
     store: PairStore,
     params: SimilarityParams,
@@ -426,6 +400,9 @@ def build_neighbor_index(
     pas, the t=k position-aware value for pas_uni, cosine for cosine;
     rank_by="max_t" switches pas to its t=k value). Ties break toward the
     smaller item identifier.
+
+    Each stored pair is folded once per direction to rank; only the selected
+    entries are folded again for their t = 1..k vectors.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
@@ -434,66 +411,52 @@ def build_neighbor_index(
     if store.ell_max < params.ell:
         raise ValueError(f"store gap band {store.ell_max} narrower than ell={params.ell}")
 
-    n_items = store.n_items
-    adjacency: list[list[int]] = [[] for _ in range(n_items)]
-    pair_keys = store.co if measure == "cosine" else store.gaps
-    for a, b in pair_keys:
-        adjacency[b].append(a)
-        adjacency[a].append(b)
+    ell = params.ell
+    users = store.item_users
+    bis_low = _bis_low(params.rho, ell)
+    uni_lows = [_uni_low(params.k, t, params.scaling, params.w) for t in range(1, params.k + 1)]
+    lam = 1.0 if measure == "pas_uni" else params.lam
+    # pas_uni, and pas ranked by its largest value, rank at t = k
+    rank_by_uni = measure == "pas_uni" or (measure == "pas" and rank_by == "max_t")
+    rank_lows = (bis_low, uni_lows[-1]) if rank_by_uni else (bis_low,)
 
-    bis_nums = None if measure == "cosine" else store.bis_numerators(params.ell, params.rho)
-    rank_needs_uni = measure == "pas_uni" or (measure == "pas" and rank_by == "max_t")
-    uni_nums = store.uni_numerators_at_k(params.ell) if rank_needs_uni else None
+    # per target: negated scores and their candidates, so that ascending
+    # (-score, candidate) order is the ranking; arrays keep them unboxed
+    negs = [array("d") for _ in range(store.n_items)]
+    cands = [array("l") for _ in range(store.n_items)]
+    if measure == "cosine":
+        for (a, b), co in store.co.items():
+            neg = -(co / math.sqrt(users[a] * users[b]))
+            negs[b].append(neg)
+            cands[b].append(a)
+            negs[a].append(neg)
+            cands[a].append(b)
+    else:
+        for (a, b), hist in store.gaps.items():
+            union = store._union(a, b)
+            for cand, target, sign in ((a, b, 1), (b, a, -1)):
+                nums = _numerators(hist, sign, ell, rank_lows)
+                score = _combine(nums[0], nums[1], lam, union) if rank_by_uni else nums[0] / union
+                negs[target].append(-score)
+                cands[target].append(cand)
 
+    lows = [bis_low, *uni_lows] if measure in ("pas", "pas_uni") else [bis_low]
     entries: list[list[tuple[int, float, tuple[float, ...]]]] = []
-    for target in range(n_items):
-        candidates = sorted(adjacency[target])
-        scored: list[tuple[float, int]] = []
-        for cand in candidates:
-            key = (cand, target) if cand < target else (target, cand)
-            union = store._union(cand, target)
-            if measure == "cosine":
-                co = store.co[key]
-                score = co / math.sqrt(store.item_users[cand] * store.item_users[target])
-            else:
-                fwd, rev = bis_nums[key]
-                n_bis = fwd if cand < target else rev
-                if rank_needs_uni:
-                    # pas_uni, or pas ranked by its largest (t = k) value
-                    uni_fwd, uni_rev = uni_nums[key]
-                    n_uni = uni_fwd if cand < target else uni_rev
-                    lam = 1.0 if measure == "pas_uni" else params.lam
-                    score = _combine(n_bis, n_uni, lam, union)
-                else:
-                    score = n_bis / union
-            scored.append((score, cand))
-        scored.sort(key=lambda pair: (-pair[0], pair[1]))
-        top = scored[: params.n_neighbors]
-
+    for target in range(store.n_items):
         row: list[tuple[int, float, tuple[float, ...]]] = []
-        for _, cand in top:
-            key = (cand, target) if cand < target else (target, cand)
-            union = store._union(cand, target)
+        for neg, cand in heapq.nsmallest(params.n_neighbors, zip(negs[target], cands[target])):
             if measure == "cosine":
-                value = store.co[key] / math.sqrt(store.item_users[cand] * store.item_users[target])
-                vector: tuple[float, ...] = ()
-            else:
-                fwd, rev = bis_nums[key]
-                n_bis = fwd if cand < target else rev
-                value = n_bis / union
-                if measure == "bis":
-                    vector = ()
-                else:
-                    stats = store.pair_stats(store.items[cand], store.items[target])
-                    lam = 1.0 if measure == "pas_uni" else params.lam
-                    uni = _uni_numerators(list(stats.gap_counts.items()), params)
-                    vector = tuple(_combine(n_bis, n, lam, union) for n in uni)
-            row.append((cand, value, vector))
+                row.append((cand, -neg, ()))
+                continue
+            key, sign = ((cand, target), 1) if cand < target else ((target, cand), -1)
+            union = store._union(cand, target)
+            n_bis, *n_uni = _numerators(store.gaps[key], sign, ell, lows)
+            row.append((cand, n_bis / union, tuple(_combine(n_bis, n, lam, union) for n in n_uni)))
         entries.append(row)
 
     log.info(
         "built %s index: %d items, %d neighbor entries",
-        measure, n_items, sum(len(row) for row in entries),
+        measure, store.n_items, sum(len(row) for row in entries),
     )
     return NeighborIndex(measure, params, store.items, entries, rank_by=rank_by)
 
@@ -511,17 +474,20 @@ def average_uni_by_gap(
     params = SimilarityParams(ell=ell, rho=0.2, lam=1.0, scaling="h_a", w=w,
                               n_neighbors=n_neighbors)
     index = build_neighbor_index(store, params, "pas_uni")
-    pair_stats = [
-        store.pair_stats(store.items[nbr], store.items[target])
+    pairs = [
+        (store.gaps[min(nbr, target), max(nbr, target)], 1 if nbr < target else -1,
+         store._union(nbr, target))
         for target, row in enumerate(index.entries)
         for nbr, _value, _vector in row
     ]
     profile: dict[str, list[float]] = {}
-    for scaling in ("h_a", "h_b", "h_c"):
-        means = []
-        for gap in range(ell):
-            t = ell - gap
-            values = [pas_uni_similarity(stats, ell, ell, t, scaling, w) for stats in pair_stats]
-            means.append(math.fsum(values) / len(values) if values else 0.0)
-        profile[scaling] = means
+    for scaling in SCALINGS:
+        lows = [_uni_low(ell, t, scaling, w) for t in range(1, ell + 1)]
+        # values[i][t - 1]: pair i at window position t
+        values = [[n / union for n in _numerators(hist, sign, ell, lows)]
+                  for hist, sign, union in pairs]
+        profile[scaling] = [
+            math.fsum(v[ell - gap - 1] for v in values) / len(values) if values else 0.0
+            for gap in range(ell)
+        ]
     return profile

@@ -248,6 +248,16 @@ class TestConfigFile:
         assert run("--config", str(config), "synth", "--out", str(tmp_path / "x")) == 1
         assert "key = value" in capsys.readouterr().err
 
+    def test_unknown_measure_in_config_fails_before_reading(self, tmp_path, capsys):
+        # config values bypass argparse choices; the dataset is never opened
+        config = tmp_path / "grid.conf"
+        config.write_text("measure = foo\n")
+        assert run(
+            "--config", str(config), "grid", "--dataset", str(tmp_path / "absent"),
+            "--out", str(tmp_path / "g"),
+        ) == 1
+        assert "unknown measure" in capsys.readouterr().err
+
     def test_missing_required_option_fails(self, tmp_path, capsys):
         assert run("prepare", "--out", str(tmp_path / "d")) == 1
         assert "missing required" in capsys.readouterr().err
