@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .domain import MEASURES, SimilarityParams, UserSequence, make_session_window
 from .ingest import Dataset
-from .predictor import positive_scores
+from .predictor import positive_scores, rank_of_target
 from .similarity import NeighborIndex, build_neighbor_index, count_pairs
 
 log = logging.getLogger(__name__)
@@ -61,36 +61,6 @@ class EvalResult:
     elapsed: float = field(default=0.0, compare=False)
 
 
-def _rank_of_target(
-    scores: dict[str, float],
-    target: str,
-    excluded: frozenset[str],
-    universe_pos: dict[str, int],
-) -> int:
-    """Rank of ``target`` among the candidates (universe minus excluded),
-    ordering by score descending, then item identifier ascending. Candidates
-    absent from ``scores`` score 0, so they never need materializing.
-    """
-    target_score = scores.get(target, 0.0)
-    ahead = 0
-    if target_score > 0.0:
-        for item, s in scores.items():
-            if item == target or item in excluded:
-                continue
-            if s > target_score or (s == target_score and item < target):
-                ahead += 1
-        return ahead + 1
-    target_pos = universe_pos[target]
-    smaller_zero = target_pos - sum(1 for item in excluded if universe_pos[item] < target_pos)
-    for item, s in scores.items():
-        if item == target or item in excluded or s <= 0.0:
-            continue
-        ahead += 1
-        if universe_pos[item] < target_pos:
-            smaller_zero -= 1
-    return ahead + smaller_zero + 1
-
-
 def _eval_tasks(dataset: Dataset, split: str):
     """Per-user (user, history items, target, excluded) tuples in a canonical
     user order. For the test split the validation item rejoins the history:
@@ -122,7 +92,7 @@ def _rank_chunk(
             continue
         window = make_session_window(UserSequence.from_items(_user, history), k)
         scores = positive_scores(window, index)
-        ranks.append(_rank_of_target(scores, target, excluded, universe_pos))
+        ranks.append(rank_of_target(scores, target, excluded, universe_pos))
     return ranks
 
 
@@ -132,7 +102,6 @@ def evaluate(
     split: str,
     top_k: int = 5,
     measure: str | None = None,
-    params: SimilarityParams | None = None,
     workers: int = 1,
 ) -> EvalResult:
     """Rank each eligible user's held-out item against the full catalog minus
@@ -142,10 +111,6 @@ def evaluate(
         raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
     if measure is not None and measure != index.measure:
         raise ConfigMismatchError("measure", measure, index.measure)
-    if params is not None and params != index.params:
-        for name in ("ell", "rho", "lam", "scaling", "w", "n_neighbors"):
-            if getattr(params, name) != getattr(index.params, name):
-                raise ConfigMismatchError(name, getattr(params, name), getattr(index.params, name))
     started = time.perf_counter()
     k = index.params.k
     tasks = _eval_tasks(dataset, split)

@@ -91,13 +91,18 @@ def parse_interactions(
         try:
             if len(fields) <= needed:
                 raise ValueError(f"expected at least {needed + 1} fields, got {len(fields)}")
+            user, item = fields[schema.user_col], fields[schema.item_col]
+            # the split files are tab-separated, one record per line
+            ids = user + item
+            if "\t" in ids or "\r" in ids or "\n" in ids:
+                raise ValueError(f"user or item id contains a tab or line break: {user!r}, {item!r}")
             rating = None
             if schema.rating_col is not None:
                 rating = int(fields[schema.rating_col])
             records.append(
                 InteractionRecord(
-                    user=fields[schema.user_col],
-                    item=fields[schema.item_col],
+                    user=user,
+                    item=item,
                     rating=rating,
                     timestamp=int(fields[schema.timestamp_col]),
                 )

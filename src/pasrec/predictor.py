@@ -4,6 +4,9 @@ A candidate's score is the sum of stored similarities from the window items
 that belong to its neighbor set; everything else contributes zero. Scoring
 therefore never touches the full catalog: the inverted neighbor view yields
 every candidate that can score above zero in O(window * n_neighbors).
+
+The ranking order is defined in this module only: score descending, then
+item identifier ascending, so candidates that score zero rank by identifier.
 """
 from __future__ import annotations
 
@@ -20,33 +23,6 @@ class ScoredItem:
     score: float
 
 
-def _entry_value(value: float, vector: tuple[float, ...], position: int) -> float:
-    # positional measures store one value per window position t; the
-    # position-independent measures store a single scalar
-    return vector[position - 1] if vector else value
-
-
-def score_item(window: SessionWindow, target: str, index: NeighborIndex) -> float:
-    """Predicted preference for ``target``: sum of stored similarities from
-    window items inside its neighbor set. Unknown targets score 0.
-    """
-    tgt = index.item_index.get(target)
-    if tgt is None:
-        return 0.0
-    neighbor_map = index.neighbor_maps[tgt]
-    total = 0.0
-    for item in window.items:
-        idx = index.item_index.get(item)
-        if idx is None:
-            continue
-        entry = neighbor_map.get(idx)
-        if entry is None:
-            continue
-        value, vector = entry
-        total += _entry_value(value, vector, window.window_position[item])
-    return total
-
-
 def positive_scores(window: SessionWindow, index: NeighborIndex) -> dict[str, float]:
     """Scores for every item that can score above zero for this window,
     via the inverted neighbor view. Items absent from the result score 0.
@@ -59,16 +35,16 @@ def positive_scores(window: SessionWindow, index: NeighborIndex) -> dict[str, fl
             continue
         position = window.window_position[item]
         for target, value, vector in reverse.get(idx, ()):
-            totals[target] = totals.get(target, 0.0) + _entry_value(value, vector, position)
+            # positional measures store one value per window position t; the
+            # position-independent measures store a single scalar
+            totals[target] = totals.get(target, 0.0) + (vector[position - 1] if vector else value)
     return {index.items[target]: score for target, score in totals.items()}
 
 
 def recommend_top_k(
     window: SessionWindow, candidates: set[str], index: NeighborIndex, top_k: int
 ) -> list[ScoredItem]:
-    """The top_k highest-scoring candidates, score descending, ties toward
-    the smaller item identifier.
-    """
+    """The top_k highest-scoring candidates in ranking order."""
     if not candidates:
         raise ValueError("empty candidate set")
     scored = positive_scores(window, index)
@@ -78,24 +54,37 @@ def recommend_top_k(
     )[:top_k]
     result = [ScoredItem(item, score) for item, score in ranked]
     if len(result) < top_k:
-        positive = {item for item, _ in ranked}
-        zeros = heapq.nsmallest(
-            top_k - len(result), (c for c in candidates if c not in positive and scored.get(c, 0.0) <= 0.0)
-        )
+        # every positive-scoring candidate is already in result
+        zeros = heapq.nsmallest(top_k - len(result), (c for c in candidates if scored.get(c, 0.0) <= 0.0))
         result.extend(ScoredItem(item, 0.0) for item in zeros)
     return result
 
 
-def exhaustive_top_k(
-    window: SessionWindow, candidates: set[str], index: NeighborIndex, top_k: int
-) -> list[ScoredItem]:
-    """Reference ranking that scores every candidate explicitly; used to
-    validate the inverted enumeration.
+def rank_of_target(
+    scores: dict[str, float],
+    target: str,
+    excluded: frozenset[str],
+    universe_pos: dict[str, int],
+) -> int:
+    """Rank of ``target`` among the candidates (universe minus excluded) in
+    ranking order. Candidates absent from ``scores`` score 0, so they never
+    need materializing.
     """
-    if not candidates:
-        raise ValueError("empty candidate set")
-    ranked = sorted(
-        ((item, score_item(window, item, index)) for item in candidates),
-        key=lambda pair: (-pair[1], pair[0]),
-    )
-    return [ScoredItem(item, score) for item, score in ranked[:top_k]]
+    target_score = scores.get(target, 0.0)
+    ahead = 0
+    if target_score > 0.0:
+        for item, s in scores.items():
+            if item == target or item in excluded:
+                continue
+            if s > target_score or (s == target_score and item < target):
+                ahead += 1
+        return ahead + 1
+    target_pos = universe_pos[target]
+    smaller_zero = target_pos - sum(1 for item in excluded if universe_pos[item] < target_pos)
+    for item, s in scores.items():
+        if item == target or item in excluded or s <= 0.0:
+            continue
+        ahead += 1
+        if universe_pos[item] < target_pos:
+            smaller_zero -= 1
+    return ahead + smaller_zero + 1

@@ -317,16 +317,7 @@ class NeighborIndex:
         self.item_index = {item: idx for idx, item in enumerate(items)}
         self.entries = entries
         self.rank_by = rank_by
-        self._maps: list[dict[int, tuple[float, tuple[float, ...]]]] | None = None
         self._reverse: dict[int, list[tuple[int, float, tuple[float, ...]]]] | None = None
-
-    @property
-    def neighbor_maps(self) -> list[dict[int, tuple[float, tuple[float, ...]]]]:
-        if self._maps is None:
-            self._maps = [
-                {nbr: (value, vector) for nbr, value, vector in row} for row in self.entries
-            ]
-        return self._maps
 
     @property
     def reverse(self) -> dict[int, list[tuple[int, float, tuple[float, ...]]]]:
@@ -378,11 +369,22 @@ class NeighborIndex:
             raw_params = json.loads(fh.readline().rstrip("\n").split("\t", 1)[1])
             items = tuple(json.loads(fh.readline().rstrip("\n").split("\t", 1)[1]))
             params = SimilarityParams(**raw_params)
+            n_items = len(items)
             entries: list[list[tuple[int, float, tuple[float, ...]]]] = [[] for _ in items]
-            for line in fh:
-                target_s, nbr_s, value_s, packed = line.rstrip("\n").split("\t")
-                vector = tuple(float(v) for v in packed.split(",")) if packed else ()
-                entries[int(target_s)].append((int(nbr_s), float(value_s), vector))
+            # entry lines follow the five header lines
+            for lineno, line in enumerate(fh, start=6):
+                fields = line.rstrip("\n").split("\t")
+                try:
+                    if len(fields) != 4:
+                        raise ValueError(f"expected 4 tab-separated fields, got {len(fields)}")
+                    target_s, nbr_s, value_s, packed = fields
+                    target, nbr = int(target_s), int(nbr_s)
+                    if not (0 <= target < n_items and 0 <= nbr < n_items):
+                        raise ValueError(f"item id outside [0, {n_items}): target {target}, neighbor {nbr}")
+                    vector = tuple(float(v) for v in packed.split(",")) if packed else ()
+                    entries[target].append((nbr, float(value_s), vector))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
         return cls(measure, params, items, entries, rank_by=rank_by)
 
 

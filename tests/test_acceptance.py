@@ -17,7 +17,7 @@ from pasrec.domain import SimilarityParams, make_session_window
 from pasrec.evaluation import expand_grid, grid_search, ndcg_at_k, one_call_at_k
 from pasrec.ingest import build_dataset, check_stats_consistency
 from pasrec.oracle import oracle_bis, oracle_cosine, oracle_pas, oracle_predict
-from pasrec.predictor import score_item
+from pasrec.predictor import positive_scores
 from pasrec.similarity import (
     average_uni_by_gap,
     bis_similarity,
@@ -118,7 +118,7 @@ def test_criterion_1_oracle_equivalence(oracle_instances):
             for seq in rng.sample(corpus, min(2, len(corpus))):
                 window = make_session_window(seq, params.k)
                 for target in rng.sample(items, min(3, len(items))):
-                    assert score_item(window, target, index) == pytest.approx(
+                    assert positive_scores(window, index).get(target, 0.0) == pytest.approx(
                         oracle_predict(corpus, seq.user, target, params, measure),
                         abs=TOLERANCE,
                     )

@@ -63,6 +63,13 @@ class TestPrepare:
         assert run("prepare", "--input", str(raw), "--out", str(tmp_path / "d")) == 1
         assert "no users" in capsys.readouterr().err
 
+    def test_tab_in_id_fails_with_line_number(self, tmp_path, capsys):
+        raw = tmp_path / "tab.dat"
+        raw.write_text("u1::i1::5::1\nu\t1::a::5::1\nu1::i2::5::2\n")
+        assert run("prepare", "--input", str(raw), "--out", str(tmp_path / "d")) == 1
+        err = capsys.readouterr().err
+        assert "line 2" in err and "tab or line break" in err
+
     def test_filter_all_mode(self, tmp_path):
         raw = tmp_path / "reviews.tsv"
         raw.write_text("u1\ti1\t1\nu1\ti2\t2\nu1\ti3\t3\nu2\ti1\t1\nu2\ti3\t2\nu2\ti2\t3\n")
@@ -155,6 +162,16 @@ class TestEvaluate:
             "--out", str(tmp_path / "rep"),
         ) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_out_of_range_index_entry_fails_with_location(self, tmp_path, dataset_dir, index_path, capsys):
+        with index_path.open("a") as fh:
+            fh.write("9999\t0\t0.5\t\n")
+        n_lines = len(index_path.read_text().splitlines())
+        assert run(
+            "evaluate", "--dataset", str(dataset_dir), "--index", str(index_path),
+            "--out", str(tmp_path / "rep"),
+        ) == 1
+        assert f"{index_path}:{n_lines}: item id outside" in capsys.readouterr().err
 
     def test_measure_mismatch_names_field(self, tmp_path, dataset_dir, index_path, capsys):
         assert run(

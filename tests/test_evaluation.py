@@ -7,7 +7,6 @@ from conftest import random_corpus
 from pasrec.domain import InteractionRecord, SimilarityParams, UserSequence, make_session_window
 from pasrec.evaluation import (
     ConfigMismatchError,
-    _rank_of_target,
     evaluate,
     expand_grid,
     grid_search,
@@ -16,7 +15,7 @@ from pasrec.evaluation import (
     write_report_tsv,
 )
 from pasrec.ingest import build_dataset
-from pasrec.predictor import positive_scores, score_item
+from pasrec.predictor import positive_scores, rank_of_target
 from pasrec.similarity import build_neighbor_index, count_pairs
 
 
@@ -122,15 +121,6 @@ class TestEvaluate:
         with pytest.raises(ConfigMismatchError, match="measure"):
             evaluate(hit_and_miss_dataset, index, "validation", measure="pas")
 
-    def test_params_mismatch_names_field(self, hit_and_miss_dataset):
-        store = count_pairs(hit_and_miss_dataset.sequences, ell_max=2)
-        index = build_neighbor_index(store, SimilarityParams(ell=2, lam=0.0), "bis")
-        with pytest.raises(ConfigMismatchError, match="ell"):
-            evaluate(
-                hit_and_miss_dataset, index, "validation",
-                params=SimilarityParams(ell=1, lam=0.0),
-            )
-
     def test_worker_count_does_not_change_result(self, hit_and_miss_dataset):
         dataset = hit_and_miss_dataset
         store = count_pairs(dataset.sequences, ell_max=1)
@@ -158,11 +148,11 @@ class TestRankOfTarget:
                     continue
                 scores = positive_scores(window, index)
                 full = sorted(
-                    ((score_item(window, c, index), c) for c in candidates),
+                    ((scores.get(c, 0.0), c) for c in candidates),
                     key=lambda pair: (-pair[0], pair[1]),
                 )
                 for want_rank, (_, item) in list(enumerate(full, start=1))[:10]:
-                    got = _rank_of_target(scores, item, excluded, universe_pos)
+                    got = rank_of_target(scores, item, excluded, universe_pos)
                     assert got == want_rank
 
 

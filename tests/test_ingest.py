@@ -49,6 +49,22 @@ class TestParse:
         assert [r.user for r in records] == ["1", "5"]
         assert "skipped 2" in caplog.text
 
+    @pytest.mark.parametrize(
+        "bad_line",
+        ["u\t1::a::5::1", "u::a\tb::5::1", "u\r1::a::5::1", "u::a\nb::5::1"],
+        ids=["tab-in-user", "tab-in-item", "cr-in-user", "lf-in-item"],
+    )
+    def test_tab_or_line_break_in_id_raises_with_line_number(self, bad_line):
+        with pytest.raises(ParseError, match="line 2: .*tab or line break"):
+            parse_interactions(["1::2::5::10", bad_line], ColumnSchema.movielens())
+
+    def test_tab_in_id_skipped_and_counted(self, caplog):
+        lines = ["1::2::5::10", "u\t1::a::5::1", "3::4::5::20"]
+        with caplog.at_level(logging.WARNING):
+            records = parse_interactions(lines, ColumnSchema.movielens(), on_error="skip")
+        assert [r.user for r in records] == ["1", "3"]
+        assert "skipped 1" in caplog.text
+
 
 class TestFilterPositive:
     def test_keeps_only_rating_five(self):

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import random_corpus
 from pasrec.domain import SimilarityParams, UserSequence, make_session_window
-from pasrec.predictor import exhaustive_top_k, recommend_top_k, score_item
+from pasrec.predictor import ScoredItem, positive_scores, rank_of_target, recommend_top_k
 from pasrec.similarity import NeighborIndex, build_neighbor_index, count_pairs
 
 
@@ -19,23 +19,45 @@ def handmade_index(measure, entries_for_t):
     return NeighborIndex(measure, params, items, entries)
 
 
+def score(window, target, index):
+    return positive_scores(window, index).get(target, 0.0)
+
+
+def reference_score(window, target, index):
+    """Walks the target's own neighbor row, independently of the inverted
+    view that ``positive_scores`` reads.
+    """
+    tgt = index.item_index.get(target)
+    if tgt is None:
+        return 0.0
+    row = {nbr: (value, vector) for nbr, value, vector in index.entries[tgt]}
+    total = 0.0
+    for item in window.items:
+        entry = row.get(index.item_index.get(item))
+        if entry is None:
+            continue
+        value, vector = entry
+        total += vector[window.window_position[item] - 1] if vector else value
+    return total
+
+
 class TestScoreItem:
     def test_position_aware_lookup_at_stored_position(self):
         index = handmade_index("pas", [(0, 0.3, (0.1, 0.3)), (1, 0.5, (0.2, 0.5))])
         # L(a)=1 -> 0.1, L(b)=2 -> 0.5
-        assert score_item(window_ab(), "t", index) == pytest.approx(0.6, abs=1e-15)
+        assert score(window_ab(), "t", index) == pytest.approx(0.6, abs=1e-15)
 
     def test_window_disjoint_from_neighborhood_scores_zero(self):
         index = handmade_index("pas", [])
-        assert score_item(window_ab(), "t", index) == 0.0
+        assert score(window_ab(), "t", index) == 0.0
 
     def test_position_independent_measure_ignores_window_position(self):
         index = handmade_index("bis", [(0, 0.4, ()), (1, 0.5, ())])
-        assert score_item(window_ab(), "t", index) == pytest.approx(0.9, abs=1e-15)
+        assert score(window_ab(), "t", index) == pytest.approx(0.9, abs=1e-15)
 
     def test_unknown_target_scores_zero(self):
         index = handmade_index("bis", [(0, 0.4, ())])
-        assert score_item(window_ab(), "zzz", index) == 0.0
+        assert score(window_ab(), "zzz", index) == 0.0
 
 
 class TestRecommendTopK:
@@ -85,12 +107,23 @@ class TestInvertedEnumerationEquivalence:
             params = SimilarityParams(ell=3, rho=0.2, lam=0.5, n_neighbors=4)
             index = build_neighbor_index(store, params, measure)
             items = sorted({i for s in corpus for i in s.items})
+            universe_pos = {item: pos for pos, item in enumerate(items)}
             for seq in corpus[:5]:
                 window = make_session_window(seq, params.k)
-                candidates = set(items) - set(seq.items)
+                excluded = frozenset(seq.items)
+                candidates = set(items) - excluded
                 if not candidates:
                     continue
-                ranked = recommend_top_k(window, candidates, index, 5)
-                assert ranked == exhaustive_top_k(window, candidates, index, 5)
+                scores = positive_scores(window, index)
+                want = {c: reference_score(window, c, index) for c in candidates | {"unknown"}}
+                assert {c: scores.get(c, 0.0) for c in want} == want
+                brute_force = [
+                    ScoredItem(c, want[c]) for c in sorted(candidates, key=lambda c: (-want[c], c))
+                ]
+                ranked = recommend_top_k(window, candidates, index, len(candidates))
+                assert ranked == brute_force
+                assert recommend_top_k(window, candidates, index, 5) == brute_force[:5]
+                for position, scored in enumerate(ranked, start=1):
+                    assert rank_of_target(scores, scored.item, excluded, universe_pos) == position
                 # a score sums at most k window similarities, each in [0, 1]
                 assert all(0.0 <= s.score <= params.k for s in ranked)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -203,6 +204,31 @@ class TestNeighborIndex:
             path = tmp_path / f"{measure}.tsv"
             index.save(str(path))
             assert NeighborIndex.load(str(path)) == index
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("-1\t0\t0.5\t", "outside"),
+            ("9999\t0\t0.5\t", "outside"),
+            ("0\t9999\t0.5\t", "outside"),
+            ("0\t-1\t0.5\t", "outside"),
+            ("0\t1", "expected 4 tab-separated fields, got 2"),
+            ("0\t1\t0.5\t\textra", "expected 4 tab-separated fields, got 5"),
+            ("zero\t1\t0.5\t", "invalid literal"),
+        ],
+        ids=["negative-target", "large-target", "large-neighbor", "negative-neighbor",
+             "two-fields", "five-fields", "non-integer-target"],
+    )
+    def test_load_rejects_bad_entry_with_location(self, tmp_path, toy_corpus, line, message):
+        store = count_pairs(toy_corpus, ell_max=2)
+        index = build_neighbor_index(store, SimilarityParams(ell=2, lam=0.0), "bis")
+        path = tmp_path / "index.tsv"
+        index.save(str(path))
+        lines = path.read_text().splitlines()
+        lines.insert(6, line)  # second entry line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:7: .*{message}"):
+            NeighborIndex.load(str(path))
 
     def test_rejects_foreign_artifact(self, tmp_path):
         path = tmp_path / "bogus.tsv"
