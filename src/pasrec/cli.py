@@ -155,15 +155,12 @@ def cmd_build_index(args: argparse.Namespace, config: dict[str, str]) -> int:
         "w": (float, 2.0),
         "n_neighbors": (int, 20),
         "rank_by": (str, "bis"),
-        "ell_max": (int, 0),
-        "workers": (int, 1),
     }
     opt = _resolve(args, config, optspec)
     dataset = load_dataset(opt["dataset"])
     params = _params_from(opt)
-    ell_max = opt["ell_max"] if opt["ell_max"] >= params.ell else params.ell
     started = time.perf_counter()
-    store = count_pairs(dataset.sequences, ell_max, workers=opt["workers"])
+    store = count_pairs(dataset.sequences, params.ell)
     index = build_neighbor_index(store, params, opt["measure"], rank_by=opt["rank_by"])
     index.save(opt["out"])
     elapsed = time.perf_counter() - started
@@ -251,11 +248,10 @@ def cmd_sparsity_report(args: argparse.Namespace, config: dict[str, str]) -> int
         "ell": (int, 10),
         "n_neighbors": (int, 20),
         "w": (float, 2.0),
-        "workers": (int, 1),
     }
     opt = _resolve(args, config, optspec)
     dataset = load_dataset(opt["dataset"])
-    store = count_pairs(dataset.sequences, opt["ell"], workers=opt["workers"])
+    store = count_pairs(dataset.sequences, opt["ell"])
     profile = average_uni_by_gap(store, ell=opt["ell"], n_neighbors=opt["n_neighbors"], w=opt["w"])
     os.makedirs(opt["out"], exist_ok=True)
     path = os.path.join(opt["out"], "sparsity.tsv")
@@ -324,7 +320,7 @@ def _add_common(parser: argparse.ArgumentParser, names: list[str]) -> None:
         "scaling": dict(type=str, choices=list(SCALINGS)),
         "w": dict(type=float), "n_neighbors": dict(type=int),
         "rank_by": dict(type=str, choices=["bis", "max_t"]),
-        "ell_max": dict(type=int), "workers": dict(type=int),
+        "workers": dict(type=int, help="evaluation worker processes"),
         "split": dict(type=str, choices=list(SPLITS)),
         "topk": dict(type=int),
         "ells": dict(type=_csv_ints), "lambdas": dict(type=_csv_floats),
@@ -348,16 +344,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub.add_parser("prepare", help="parse, filter, dedup, subsample, split"),
                 ["input", "out", "delimiter", "user_col", "item_col", "rating_col",
                  "timestamp_col", "filter", "max_users", "seed", "on_error"])
-    _add_common(sub.add_parser("build-index", help="build and persist a neighbor index"),
-                ["dataset", "out", "measure", "ell", "rho", "lam", "scaling", "w",
-                 "n_neighbors", "rank_by", "ell_max", "workers"])
+    build_index = sub.add_parser("build-index", help="build and persist a neighbor index")
+    _add_common(build_index, ["dataset", "out", "measure", "ell", "rho", "lam", "scaling", "w",
+                              "n_neighbors", "rank_by"])
+    build_index.add_argument("--workers", type=int, default=None,
+                             help="accepted for old command lines; no effect, counting runs in one process")
     _add_common(sub.add_parser("evaluate", help="evaluate an index on a split"),
                 ["dataset", "index", "out", "split", "topk", "measure", "workers"])
     _add_common(sub.add_parser("grid", help="validation-driven hyperparameter sweep"),
                 ["dataset", "out", "measure", "ells", "lambdas", "scalings", "rho", "w",
                  "n_neighbors", "topk", "rank_by", "workers"])
     _add_common(sub.add_parser("sparsity-report", help="average position-aware similarity by gap"),
-                ["dataset", "out", "ell", "n_neighbors", "w", "workers"])
+                ["dataset", "out", "ell", "n_neighbors", "w"])
     _add_common(sub.add_parser("synth", help="generate a synthetic interaction log"),
                 ["out", "users", "items", "min_len", "max_len", "signal",
                  "reverse_noise", "seed", "delimiter"])

@@ -221,7 +221,7 @@ def grid_search(
     if not grid:
         raise ValueError("empty grid")
     ell_max = max(params.ell for _, params in grid)
-    store = count_pairs(dataset.sequences, ell_max, workers=workers)
+    store = count_pairs(dataset.sequences, ell_max)
 
     validation_rows: list[EvalResult] = []
     best_key: tuple | None = None

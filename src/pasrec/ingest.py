@@ -12,7 +12,7 @@ import math
 import os
 import random
 from dataclasses import dataclass, asdict
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from .domain import InteractionRecord, UserSequence
 
@@ -237,20 +237,22 @@ def save_dataset(dataset: Dataset, out_dir: str) -> None:
         fh.write("\n")
 
 
+def _read_split(in_dir: str, split: str) -> Iterator[list[str]]:
+    """(user, item) fields of each line of a split file."""
+    path = os.path.join(in_dir, _SPLIT_FILES[split])
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 2:
+                raise ValueError(f"{path}:{lineno}: expected 2 tab-separated fields, got {len(fields)}")
+            yield fields
+
+
 def load_dataset(in_dir: str) -> Dataset:
     per_user: dict[str, list[str]] = {}
-    with open(os.path.join(in_dir, _SPLIT_FILES["train"]), encoding="utf-8") as fh:
-        for line in fh:
-            user, item = line.rstrip("\n").split("\t")
-            per_user.setdefault(user, []).append(item)
-    splits: dict[str, dict[str, str]] = {}
-    for split in ("valid", "test"):
-        mapping: dict[str, str] = {}
-        with open(os.path.join(in_dir, _SPLIT_FILES[split]), encoding="utf-8") as fh:
-            for line in fh:
-                user, item = line.rstrip("\n").split("\t")
-                mapping[user] = item
-        splits[split] = mapping
+    for user, item in _read_split(in_dir, "train"):
+        per_user.setdefault(user, []).append(item)
+    splits = {split: dict(_read_split(in_dir, split)) for split in ("valid", "test")}
     with open(os.path.join(in_dir, STATS_FILE), encoding="utf-8") as fh:
         payload = json.load(fh)
     payload.pop("format_version", None)

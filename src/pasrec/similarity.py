@@ -29,7 +29,6 @@ import json
 import logging
 import math
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from collections.abc import Sequence
 from fractions import Fraction
@@ -212,16 +211,28 @@ class PairStore:
         )
 
 
-def _count_chunk(
-    sequences: list[UserSequence], item_index: dict[str, int], ell_max: int
-) -> tuple[dict[int, int], dict[tuple[int, int], int], dict[tuple[int, int], dict[int, int]]]:
-    item_users: dict[int, int] = {}
+def count_pairs(sequences: Sequence[UserSequence], ell_max: int) -> PairStore:
+    """Scan the corpus once and build the pair-statistics store.
+
+    The scan visits each within-user item pair once: the co-occurrence count
+    is exact, the gap histogram is kept only for |gap| <= ell_max. It runs in
+    one process and writes straight into the dicts the store keeps, so the
+    counts exist once; a worker pool would have to pickle partial stores back
+    and merge them into a second copy, which costs more than the scan.
+    """
+    if ell_max < 1:
+        raise ValueError(f"ell_max must be >= 1, got {ell_max}")
+    sequences = list(sequences)
+    items = tuple(sorted({item for seq in sequences for item in seq.items}))
+    item_index = {item: idx for idx, item in enumerate(items)}
+
+    item_users = [0] * len(items)
     co: dict[tuple[int, int], int] = {}
     gaps: dict[tuple[int, int], dict[int, int]] = {}
     for seq in sequences:
         idxs = [item_index[item] for item in seq.items]
         for j, b in enumerate(idxs):
-            item_users[b] = item_users.get(b, 0) + 1
+            item_users[b] += 1
             for d in range(1, j + 1):
                 a = idxs[j - d]
                 if a < b:
@@ -234,55 +245,6 @@ def _count_chunk(
                     if hist is None:
                         hist = gaps[key] = {}
                     hist[gap] = hist.get(gap, 0) + 1
-    return item_users, co, gaps
-
-
-def _chunked(seq: list, n_chunks: int) -> list[list]:
-    size = math.ceil(len(seq) / n_chunks)
-    return [seq[i : i + size] for i in range(0, len(seq), size)]
-
-
-def count_pairs(
-    sequences: Sequence[UserSequence], ell_max: int, workers: int = 1
-) -> PairStore:
-    """Scan the corpus once and build the pair-statistics store.
-
-    The scan visits each within-user item pair once: the co-occurrence count
-    is exact, the gap histogram is kept only for |gap| <= ell_max. With
-    workers > 1 the user list is split into contiguous chunks counted
-    independently and merged by integer addition, so the result is identical
-    for any worker count.
-    """
-    if ell_max < 1:
-        raise ValueError(f"ell_max must be >= 1, got {ell_max}")
-    sequences = list(sequences)
-    items = tuple(sorted({item for seq in sequences for item in seq.items}))
-    item_index = {item: idx for idx, item in enumerate(items)}
-
-    if workers > 1 and len(sequences) > 1:
-        chunks = _chunked(sequences, workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(_count_chunk, chunks, [item_index] * len(chunks), [ell_max] * len(chunks))
-            )
-    else:
-        parts = [_count_chunk(sequences, item_index, ell_max)]
-
-    item_users = [0] * len(items)
-    co: dict[tuple[int, int], int] = {}
-    gaps: dict[tuple[int, int], dict[int, int]] = {}
-    for part_users, part_co, part_gaps in parts:
-        for idx, n in part_users.items():
-            item_users[idx] += n
-        for key, n in part_co.items():
-            co[key] = co.get(key, 0) + n
-        for key, hist in part_gaps.items():
-            merged = gaps.get(key)
-            if merged is None:
-                gaps[key] = dict(hist)
-            else:
-                for g, c in hist.items():
-                    merged[g] = merged.get(g, 0) + c
 
     log.info(
         "counted %d sequences: %d items, %d co-occurring pairs, %d within gap band %d",
@@ -361,14 +323,25 @@ class NeighborIndex:
     @classmethod
     def load(cls, path: str) -> "NeighborIndex":
         with open(path, encoding="utf-8") as fh:
-            magic = fh.readline().rstrip("\n").split("\t")
-            if magic[0] != f"#{cls.FORMAT}" or int(magic[1]) != cls.VERSION:
+            if fh.readline().rstrip("\n").split("\t") != [f"#{cls.FORMAT}", str(cls.VERSION)]:
                 raise ValueError(f"{path}: not a {cls.FORMAT} v{cls.VERSION} artifact")
-            measure = fh.readline().rstrip("\n").split("\t")[1]
-            rank_by = fh.readline().rstrip("\n").split("\t")[1]
-            raw_params = json.loads(fh.readline().rstrip("\n").split("\t", 1)[1])
-            items = tuple(json.loads(fh.readline().rstrip("\n").split("\t", 1)[1]))
-            params = SimilarityParams(**raw_params)
+
+            def header(lineno: int, key: str, parse):
+                line = fh.readline()
+                name, tab, value = line.rstrip("\n").partition("\t")
+                try:
+                    if not line:
+                        raise ValueError(f"file ends before the #{key} header line")
+                    if name != f"#{key}" or not tab:
+                        raise ValueError(f"expected a '#{key}<tab>value' header line")
+                    return parse(value)
+                except (ValueError, TypeError) as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+            measure = header(2, "measure", str)
+            rank_by = header(3, "rank_by", str)
+            params = header(4, "params", lambda v: SimilarityParams(**json.loads(v)))
+            items = header(5, "items", lambda v: tuple(json.loads(v)))
             n_items = len(items)
             entries: list[list[tuple[int, float, tuple[float, ...]]]] = [[] for _ in items]
             # entry lines follow the five header lines

@@ -120,6 +120,14 @@ class TestBuildIndex:
             ) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "command, flag", [("build-index", "--ell-max"), ("sparsity-report", "--workers")]
+    )
+    def test_counting_knobs_are_gone(self, tmp_path, dataset_dir, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--dataset", str(dataset_dir), "--out", str(tmp_path / "x"), flag, "2")
+        assert exc.value.code == 2
+
     def test_missing_dataset_fails(self, tmp_path, capsys):
         assert run(
             "build-index", "--dataset", str(tmp_path / "nope"), "--out", str(tmp_path / "x.idx"),
@@ -172,6 +180,14 @@ class TestEvaluate:
             "--out", str(tmp_path / "rep"),
         ) == 1
         assert f"{index_path}:{n_lines}: item id outside" in capsys.readouterr().err
+
+    def test_truncated_index_header_fails_with_location(self, tmp_path, dataset_dir, index_path, capsys):
+        index_path.write_text("#pasrec-index\t1\n")
+        assert run(
+            "evaluate", "--dataset", str(dataset_dir), "--index", str(index_path),
+            "--out", str(tmp_path / "rep"),
+        ) == 1
+        assert f"{index_path}:2: file ends before the #measure header line" in capsys.readouterr().err
 
     def test_measure_mismatch_names_field(self, tmp_path, dataset_dir, index_path, capsys):
         assert run(

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import pytest
 
@@ -188,3 +189,19 @@ class TestPersistence:
         save_dataset(dataset, str(out2))
         for name in ("train.tsv", "valid.tsv", "test.tsv", "stats.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("name", ["train.tsv", "valid.tsv", "test.tsv"])
+    @pytest.mark.parametrize(
+        "line, n_fields", [("u3\ti1\textra", 3), ("u3", 1)], ids=["three-fields", "one-field"]
+    )
+    def test_load_rejects_bad_line_with_location(self, tmp_path, name, line, n_fields):
+        records = [rec(u, i, 5, ts) for u in ("u1", "u2") for ts, i in enumerate("abcd")]
+        save_dataset(build_dataset(records), str(tmp_path))
+        path = tmp_path / name
+        with path.open("a") as fh:
+            fh.write(line + "\n")
+        n_lines = len(path.read_text().splitlines())
+        with pytest.raises(
+            ValueError, match=f"^{re.escape(str(path))}:{n_lines}: expected 2 tab-separated fields, got {n_fields}$"
+        ):
+            load_dataset(str(tmp_path))

@@ -1,11 +1,14 @@
 import math
+import os
 import random
 import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_corpus
-from pasrec.domain import SimilarityParams, UserSequence
+from pasrec.domain import MEASURES, SimilarityParams, UserSequence
 from pasrec.similarity import (
     NeighborIndex,
     PairStats,
@@ -17,6 +20,13 @@ from pasrec.similarity import (
     pas_uni_similarity,
     scale,
 )
+
+
+# users with distinct items drawn from a small catalog, so pairs recur
+corpora = st.lists(
+    st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=8, unique=True),
+    min_size=1, max_size=12,
+).map(lambda users: [UserSequence.from_items(f"u{n}", items) for n, items in enumerate(users)])
 
 
 class TestCountPairs:
@@ -57,14 +67,25 @@ class TestCountPairs:
         ba = store.pair_stats("b", "a")
         assert ba.gap_counts == {-1: 1, -2: 1, 1: 1}
 
-    def test_worker_count_does_not_change_output(self, toy_corpus):
-        corpus = toy_corpus + random_corpus(random.Random(5), max_users=20)
-        serial = count_pairs(corpus, ell_max=4, workers=1)
-        parallel = count_pairs(corpus, ell_max=4, workers=3)
-        assert serial.items == parallel.items
-        assert serial.item_users == parallel.item_users
-        assert serial.co == parallel.co
-        assert serial.gaps == parallel.gaps
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_user_order_does_not_change_store_or_index(self, data):
+        corpus = data.draw(corpora)
+        shuffled = data.draw(st.permutations(corpus))
+        ell = data.draw(st.integers(1, 5))
+        stores = [count_pairs(c, ell_max=ell) for c in (corpus, shuffled)]
+        for field in ("items", "item_users", "co", "gaps"):
+            assert getattr(stores[0], field) == getattr(stores[1], field)
+        params = SimilarityParams(ell=ell, rho=0.5, lam=0.5, scaling="h_b", n_neighbors=2)
+        with tempfile.TemporaryDirectory() as tmp:
+            for measure in MEASURES:
+                saved = []
+                for n, store in enumerate(stores):
+                    path = os.path.join(tmp, f"{measure}{n}.idx")
+                    build_neighbor_index(store, params, measure).save(path)
+                    with open(path, "rb") as fh:
+                        saved.append(fh.read())
+                assert saved[0] == saved[1]
 
     def test_unknown_items_scorable(self, toy_corpus):
         store = count_pairs(toy_corpus, ell_max=5)
@@ -230,9 +251,47 @@ class TestNeighborIndex:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:7: .*{message}"):
             NeighborIndex.load(str(path))
 
+    @pytest.mark.parametrize(
+        "keep, replace, lineno, message",
+        [
+            (1, None, 2, "file ends before the #measure header line"),
+            (3, None, 4, "file ends before the #params header line"),
+            (4, None, 5, "file ends before the #items header line"),
+            (1, "#rank_by\tbis", 2, "expected a '#measure<tab>value' header line"),
+            (2, "#rank_by bis", 3, "expected a '#rank_by<tab>value' header line"),
+            (3, '#params\t{"ell": 2,', 4, "Expecting"),
+            (3, '#params\t{"ell": 0}', 4, "ell"),
+            (3, '#params\t{"colour": 1}', 4, "colour"),
+            (4, "#items\t[0, 1", 5, "Expecting"),
+            (4, "#items\t5", 5, "not iterable"),
+        ],
+        ids=["only-magic", "cut-after-rank-by", "cut-after-params", "missing-measure",
+             "no-tab", "params-json", "params-rejected", "params-unknown-field",
+             "items-json", "items-not-a-list"],
+    )
+    def test_load_rejects_bad_header_with_location(
+        self, tmp_path, toy_corpus, keep, replace, lineno, message
+    ):
+        store = count_pairs(toy_corpus, ell_max=2)
+        index = build_neighbor_index(store, SimilarityParams(ell=2, lam=0.0), "bis")
+        path = tmp_path / "index.tsv"
+        index.save(str(path))
+        lines = path.read_text().splitlines()[:keep]
+        if replace is not None:
+            lines.append(replace)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: .*{re.escape(message)}"):
+            NeighborIndex.load(str(path))
+
     def test_rejects_foreign_artifact(self, tmp_path):
         path = tmp_path / "bogus.tsv"
         path.write_text("#something-else\t1\n")
+        with pytest.raises(ValueError, match="artifact"):
+            NeighborIndex.load(str(path))
+
+    def test_rejects_magic_line_without_version(self, tmp_path):
+        path = tmp_path / "cut.tsv"
+        path.write_text("#pasrec-index\n")
         with pytest.raises(ValueError, match="artifact"):
             NeighborIndex.load(str(path))
 
