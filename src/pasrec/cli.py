@@ -4,8 +4,8 @@ grid sweeps, the sparsity profile, and synthetic corpus generation.
 Every option can come from a key-value config file (``key = value`` lines,
 ``#`` comments) overridden by flags; each run writes the fully resolved
 configuration next to its outputs, so any artifact can be reproduced from
-what sits beside it. Outputs are deterministic given the same inputs, seed,
-and any worker count.
+what sits beside it. A config key that no command accepts is an error.
+Outputs are deterministic given the same inputs and seed.
 """
 from __future__ import annotations
 
@@ -58,7 +58,10 @@ def _read_config(path: str | None) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = line.split("=", 1)
-            config[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key not in _FLAGS and key != "workers":
+                raise ValueError(f"{path}:{lineno}: unknown option {key!r}: no command accepts it")
+            config[key] = value.strip()
     return config
 
 
@@ -72,6 +75,34 @@ def _csv_floats(text: str) -> tuple[float, ...]:
 
 def _csv_strs(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+# every option a command can take, as a flag or a config key
+_FLAGS = {
+    "input": dict(type=str, help="raw interaction log"),
+    "out": dict(type=str, help="output file or directory"),
+    "dataset": dict(type=str, help="prepared dataset directory"),
+    "index": dict(type=str, help="neighbor index artifact"),
+    "delimiter": dict(type=str, help="field delimiter"),
+    "user_col": dict(type=int), "item_col": dict(type=int),
+    "rating_col": dict(type=int, help="-1 if the log has no rating column"),
+    "timestamp_col": dict(type=int),
+    "filter": dict(type=str, choices=["rating_equals_5", "all"]),
+    "max_users": dict(type=int), "seed": dict(type=int),
+    "on_error": dict(type=str, choices=["raise", "skip"]),
+    "measure": dict(type=str, choices=list(MEASURES)),
+    "ell": dict(type=int), "rho": dict(type=float), "lam": dict(type=float),
+    "scaling": dict(type=str, choices=list(SCALINGS)),
+    "w": dict(type=float), "n_neighbors": dict(type=int),
+    "rank_by": dict(type=str, choices=["bis", "max_t"]),
+    "split": dict(type=str, choices=list(SPLITS)),
+    "topk": dict(type=int),
+    "ells": dict(type=_csv_ints), "lambdas": dict(type=_csv_floats),
+    "scalings": dict(type=_csv_strs),
+    "users": dict(type=int), "items": dict(type=int),
+    "min_len": dict(type=int), "max_len": dict(type=int),
+    "signal": dict(type=float), "reverse_noise": dict(type=float),
+}
 
 
 def _resolve(args: argparse.Namespace, config: dict[str, str], optspec: dict) -> dict:
@@ -180,7 +211,6 @@ def cmd_evaluate(args: argparse.Namespace, config: dict[str, str]) -> int:
         "split": (str, "test"),
         "topk": (int, 5),
         "measure": (str, ""),
-        "workers": (int, 1),
     }
     opt = _resolve(args, config, optspec)
     if opt["split"] not in SPLITS:
@@ -192,7 +222,7 @@ def cmd_evaluate(args: argparse.Namespace, config: dict[str, str]) -> int:
         raise ValueError(f"index covers {len(unknown)} items absent from the dataset; wrong dataset?")
     result = evaluate(
         dataset, index, opt["split"], top_k=opt["topk"],
-        measure=opt["measure"] or None, workers=opt["workers"],
+        measure=opt["measure"] or None,
     )
     os.makedirs(opt["out"], exist_ok=True)
     write_report_tsv([result], os.path.join(opt["out"], "report.tsv"))
@@ -215,7 +245,6 @@ def cmd_grid(args: argparse.Namespace, config: dict[str, str]) -> int:
         "n_neighbors": (int, 20),
         "topk": (int, 5),
         "rank_by": (str, "bis"),
-        "workers": (int, 1),
     }
     opt = _resolve(args, config, optspec)
     grid = expand_grid(
@@ -224,9 +253,7 @@ def cmd_grid(args: argparse.Namespace, config: dict[str, str]) -> int:
         n_neighbors=opt["n_neighbors"],
     )
     dataset = load_dataset(opt["dataset"])
-    result = grid_search(
-        dataset, grid, top_k=opt["topk"], rank_by=opt["rank_by"], workers=opt["workers"],
-    )
+    result = grid_search(dataset, grid, top_k=opt["topk"], rank_by=opt["rank_by"])
     rows = list(result.validation) + [result.test]
     os.makedirs(opt["out"], exist_ok=True)
     write_report_tsv(rows, os.path.join(opt["out"], "report.tsv"))
@@ -303,34 +330,8 @@ _COMMANDS = {
 
 
 def _add_common(parser: argparse.ArgumentParser, names: list[str]) -> None:
-    flags = {
-        "input": dict(type=str, help="raw interaction log"),
-        "out": dict(type=str, help="output file or directory"),
-        "dataset": dict(type=str, help="prepared dataset directory"),
-        "index": dict(type=str, help="neighbor index artifact"),
-        "delimiter": dict(type=str, help="field delimiter"),
-        "user_col": dict(type=int), "item_col": dict(type=int),
-        "rating_col": dict(type=int, help="-1 if the log has no rating column"),
-        "timestamp_col": dict(type=int),
-        "filter": dict(type=str, choices=["rating_equals_5", "all"]),
-        "max_users": dict(type=int), "seed": dict(type=int),
-        "on_error": dict(type=str, choices=["raise", "skip"]),
-        "measure": dict(type=str, choices=list(MEASURES)),
-        "ell": dict(type=int), "rho": dict(type=float), "lam": dict(type=float),
-        "scaling": dict(type=str, choices=list(SCALINGS)),
-        "w": dict(type=float), "n_neighbors": dict(type=int),
-        "rank_by": dict(type=str, choices=["bis", "max_t"]),
-        "workers": dict(type=int, help="evaluation worker processes"),
-        "split": dict(type=str, choices=list(SPLITS)),
-        "topk": dict(type=int),
-        "ells": dict(type=_csv_ints), "lambdas": dict(type=_csv_floats),
-        "scalings": dict(type=_csv_strs),
-        "users": dict(type=int), "items": dict(type=int),
-        "min_len": dict(type=int), "max_len": dict(type=int),
-        "signal": dict(type=float), "reverse_noise": dict(type=float),
-    }
     for name in names:
-        kwargs = dict(flags[name])
+        kwargs = dict(_FLAGS[name])
         kwargs.setdefault("default", None)
         parser.add_argument("--" + name.replace("_", "-"), dest=name, **kwargs)
 
@@ -344,16 +345,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub.add_parser("prepare", help="parse, filter, dedup, subsample, split"),
                 ["input", "out", "delimiter", "user_col", "item_col", "rating_col",
                  "timestamp_col", "filter", "max_users", "seed", "on_error"])
-    build_index = sub.add_parser("build-index", help="build and persist a neighbor index")
-    _add_common(build_index, ["dataset", "out", "measure", "ell", "rho", "lam", "scaling", "w",
-                              "n_neighbors", "rank_by"])
-    build_index.add_argument("--workers", type=int, default=None,
-                             help="accepted for old command lines; no effect, counting runs in one process")
-    _add_common(sub.add_parser("evaluate", help="evaluate an index on a split"),
-                ["dataset", "index", "out", "split", "topk", "measure", "workers"])
-    _add_common(sub.add_parser("grid", help="validation-driven hyperparameter sweep"),
-                ["dataset", "out", "measure", "ells", "lambdas", "scalings", "rho", "w",
-                 "n_neighbors", "topk", "rank_by", "workers"])
+    build_index_parser = sub.add_parser("build-index", help="build and persist a neighbor index")
+    _add_common(build_index_parser, ["dataset", "out", "measure", "ell", "rho", "lam", "scaling",
+                                     "w", "n_neighbors", "rank_by"])
+    evaluate_parser = sub.add_parser("evaluate", help="evaluate an index on a split")
+    _add_common(evaluate_parser, ["dataset", "index", "out", "split", "topk", "measure"])
+    grid_parser = sub.add_parser("grid", help="validation-driven hyperparameter sweep")
+    _add_common(grid_parser, ["dataset", "out", "measure", "ells", "lambdas", "scalings", "rho",
+                              "w", "n_neighbors", "topk", "rank_by"])
+    # the benchmark's command lines still pass --workers to these three
+    for command_parser in (build_index_parser, evaluate_parser, grid_parser):
+        command_parser.add_argument(
+            "--workers", type=int, default=None,
+            help="accepted for old command lines; no effect, every command runs in one process",
+        )
     _add_common(sub.add_parser("sparsity-report", help="average position-aware similarity by gap"),
                 ["dataset", "out", "ell", "n_neighbors", "w"])
     _add_common(sub.add_parser("synth", help="generate a synthetic interaction log"),

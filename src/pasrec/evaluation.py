@@ -10,7 +10,6 @@ import json
 import logging
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .domain import MEASURES, SimilarityParams, UserSequence, make_session_window
@@ -61,51 +60,19 @@ class EvalResult:
     elapsed: float = field(default=0.0, compare=False)
 
 
-def _eval_tasks(dataset: Dataset, split: str):
-    """Per-user (user, history items, target, excluded) tuples in a canonical
-    user order. For the test split the validation item rejoins the history:
-    it precedes the test item chronologically.
-    """
-    held_out = dataset.validation if split == "validation" else dataset.test
-    train_by_user = {seq.user: seq.items for seq in dataset.sequences}
-    tasks = []
-    for user in sorted(held_out):
-        train = train_by_user.get(user, ())
-        if split == "test":
-            history = train + (dataset.validation[user],)
-            excluded = frozenset(train) | {dataset.validation[user]}
-        else:
-            history = train
-            excluded = frozenset(train)
-        tasks.append((user, history, held_out[user], excluded))
-    return tasks
-
-
-def _rank_chunk(
-    tasks: list, index: NeighborIndex, k: int, universe: tuple[str, ...]
-) -> list[int | None]:
-    universe_pos = {item: pos for pos, item in enumerate(universe)}
-    ranks: list[int | None] = []
-    for _user, history, target, excluded in tasks:
-        if not history:
-            ranks.append(None)
-            continue
-        window = make_session_window(UserSequence.from_items(_user, history), k)
-        scores = positive_scores(window, index)
-        ranks.append(rank_of_target(scores, target, excluded, universe_pos))
-    return ranks
-
-
 def evaluate(
     dataset: Dataset,
     index: NeighborIndex,
     split: str,
     top_k: int = 5,
     measure: str | None = None,
-    workers: int = 1,
 ) -> EvalResult:
     """Rank each eligible user's held-out item against the full catalog minus
     their known items, and average NDCG@K and 1-call@K over users.
+
+    Users are ranked one after another in ascending user order, in this
+    process. For the test split the validation item, which precedes the test
+    item, rejoins the history.
     """
     if split not in SPLITS:
         raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
@@ -113,27 +80,24 @@ def evaluate(
         raise ConfigMismatchError("measure", measure, index.measure)
     started = time.perf_counter()
     k = index.params.k
-    tasks = _eval_tasks(dataset, split)
+    held_out = dataset.validation if split == "validation" else dataset.test
+    train_by_user = {seq.user: seq.items for seq in dataset.sequences}
+    universe_pos = {item: pos for pos, item in enumerate(dataset.item_universe)}
+    evaluated: list[int] = []
+    n_skipped = 0
+    for user in sorted(held_out):
+        history = train_by_user.get(user, ())
+        excluded = frozenset(history)
+        if split == "test":
+            history += (dataset.validation[user],)
+            excluded |= {dataset.validation[user]}
+        if not history:
+            n_skipped += 1
+            continue
+        window = make_session_window(UserSequence.from_items(user, history), k)
+        scores = positive_scores(window, index)
+        evaluated.append(rank_of_target(scores, held_out[user], excluded, universe_pos))
 
-    if workers > 1 and len(tasks) > 1:
-        size = math.ceil(len(tasks) / workers)
-        chunks = [tasks[i : i + size] for i in range(0, len(tasks), size)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    _rank_chunk,
-                    chunks,
-                    [index] * len(chunks),
-                    [k] * len(chunks),
-                    [dataset.item_universe] * len(chunks),
-                )
-            )
-        ranks = [rank for part in parts for rank in part]
-    else:
-        ranks = _rank_chunk(tasks, index, k, dataset.item_universe)
-
-    evaluated = [rank for rank in ranks if rank is not None]
-    n_skipped = len(ranks) - len(evaluated)
     n_users = len(evaluated)
     ndcg = math.fsum(ndcg_at_k(rank, top_k) for rank in evaluated) / n_users if n_users else 0.0
     one_call = math.fsum(one_call_at_k(rank, top_k) for rank in evaluated) / n_users if n_users else 0.0
@@ -212,7 +176,6 @@ def grid_search(
     grid: list[tuple[str, SimilarityParams]],
     top_k: int = 5,
     rank_by: str = "bis",
-    workers: int = 1,
 ) -> GridSearchResult:
     """Evaluate every configuration on the validation split, pick the best
     validation 1-call@K (ties: smaller k, then smaller lam, then scaling
@@ -228,7 +191,7 @@ def grid_search(
     best: tuple[str, SimilarityParams] | None = None
     for measure, params in grid:
         index = build_neighbor_index(store, params, measure, rank_by=rank_by)
-        row = evaluate(dataset, index, "validation", top_k=top_k, workers=workers)
+        row = evaluate(dataset, index, "validation", top_k=top_k)
         validation_rows.append(row)
         key = (-row.one_call, params.k, params.lam, _SCALING_ORDER[params.scaling], measure)
         if best_key is None or key < best_key:
@@ -237,7 +200,7 @@ def grid_search(
 
     best_measure, best_params = best
     best_index = build_neighbor_index(store, best_params, best_measure, rank_by=rank_by)
-    test_row = evaluate(dataset, best_index, "test", top_k=top_k, workers=workers)
+    test_row = evaluate(dataset, best_index, "test", top_k=top_k)
     log.info(
         "grid search: selected %s ell=%d lam=%.2f scaling=%s (validation 1-call@%d=%.4f)",
         best_measure, best_params.ell, best_params.lam, best_params.scaling,

@@ -326,7 +326,7 @@ class NeighborIndex:
             if fh.readline().rstrip("\n").split("\t") != [f"#{cls.FORMAT}", str(cls.VERSION)]:
                 raise ValueError(f"{path}: not a {cls.FORMAT} v{cls.VERSION} artifact")
 
-            def header(lineno: int, key: str, parse):
+            def header(lineno: int, key: str, parse, choices=None):
                 line = fh.readline()
                 name, tab, value = line.rstrip("\n").partition("\t")
                 try:
@@ -334,12 +334,14 @@ class NeighborIndex:
                         raise ValueError(f"file ends before the #{key} header line")
                     if name != f"#{key}" or not tab:
                         raise ValueError(f"expected a '#{key}<tab>value' header line")
+                    if choices is not None and value not in choices:
+                        raise ValueError(f"unknown {key} {value!r}, expected one of {choices}")
                     return parse(value)
                 except (ValueError, TypeError) as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
 
-            measure = header(2, "measure", str)
-            rank_by = header(3, "rank_by", str)
+            measure = header(2, "measure", str, MEASURES)
+            rank_by = header(3, "rank_by", str, RANK_CRITERIA)
             params = header(4, "params", lambda v: SimilarityParams(**json.loads(v)))
             items = header(5, "items", lambda v: tuple(json.loads(v)))
             n_items = len(items)

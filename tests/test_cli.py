@@ -233,6 +233,17 @@ class TestGrid:
         assert all(row["rho"] == "0.2" and row["w"] == "2.0" and row["n_neighbors"] == "20"
                    for row in rows)
 
+    def test_workers_flag_is_ignored(self, tmp_path, dataset_dir):
+        outs = [tmp_path / "g1", tmp_path / "g2"]
+        for out, extra in zip(outs, ((), ("--workers", "3"))):
+            assert run(
+                "grid", "--dataset", str(dataset_dir), "--out", str(out),
+                "--measure", "pas", "--ells", "2,3", *extra,
+            ) == 0
+        for name in ("report.tsv", "report.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert "workers" not in json.loads((outs[1] / "run_config.json").read_text())
+
     def test_empty_grid_fails(self, tmp_path, dataset_dir, capsys):
         assert run(
             "grid", "--dataset", str(dataset_dir), "--out", str(tmp_path / "g"),
@@ -290,6 +301,27 @@ class TestConfigFile:
             "--out", str(tmp_path / "g"),
         ) == 1
         assert "unknown measure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["elll = 3", "ell_max = 40", "ell-max = 40"])
+    def test_unknown_key_fails_with_location(self, tmp_path, dataset_dir, line, capsys):
+        config = tmp_path / "build.conf"
+        config.write_text(f"ell = 3\n{line}\n")
+        out = tmp_path / "x.idx"
+        assert run(
+            "--config", str(config), "build-index", "--dataset", str(dataset_dir), "--out", str(out),
+        ) == 1
+        assert f"{config}:2: unknown option" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_workers_key_is_accepted_and_ignored(self, tmp_path, dataset_dir):
+        config = tmp_path / "build.conf"
+        config.write_text("ell = 3\nworkers = 2\n")
+        out = tmp_path / "x.idx"
+        assert run(
+            "--config", str(config), "build-index", "--dataset", str(dataset_dir), "--out", str(out),
+        ) == 0
+        snapshot = json.loads((tmp_path / "x.idx.config.json").read_text())
+        assert snapshot["ell"] == 3 and "workers" not in snapshot
 
     def test_missing_required_option_fails(self, tmp_path, capsys):
         assert run("prepare", "--out", str(tmp_path / "d")) == 1

@@ -121,14 +121,6 @@ class TestEvaluate:
         with pytest.raises(ConfigMismatchError, match="measure"):
             evaluate(hit_and_miss_dataset, index, "validation", measure="pas")
 
-    def test_worker_count_does_not_change_result(self, hit_and_miss_dataset):
-        dataset = hit_and_miss_dataset
-        store = count_pairs(dataset.sequences, ell_max=1)
-        index = build_neighbor_index(store, SimilarityParams(ell=1, lam=0.0), "bis")
-        serial = evaluate(dataset, index, "validation", top_k=5, workers=1)
-        parallel = evaluate(dataset, index, "validation", top_k=5, workers=2)
-        assert serial == parallel  # elapsed is excluded from comparison
-
 
 class TestRankOfTarget:
     def test_matches_brute_force_ranking(self):

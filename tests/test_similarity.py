@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_corpus
-from pasrec.domain import MEASURES, SimilarityParams, UserSequence
+from pasrec.domain import MEASURES, SCALINGS, SimilarityParams, UserSequence
 from pasrec.similarity import (
+    RANK_CRITERIA,
     NeighborIndex,
     PairStats,
     bis_similarity,
@@ -226,6 +227,32 @@ class TestNeighborIndex:
             index.save(str(path))
             assert NeighborIndex.load(str(path)) == index
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        corpus=corpora,
+        ell=st.integers(1, 5),
+        rho=st.floats(0.01, 0.99),
+        lam=st.floats(0.0, 1.0),
+        scaling=st.sampled_from(SCALINGS),
+        w=st.floats(1.01, 4.0),
+        n_neighbors=st.integers(1, 4),
+    )
+    def test_save_load_round_trips_exactly(self, corpus, ell, rho, lam, scaling, w, n_neighbors):
+        store = count_pairs(corpus, ell_max=ell)
+        params = SimilarityParams(ell=ell, rho=rho, lam=lam, scaling=scaling, w=w,
+                                  n_neighbors=n_neighbors)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = os.path.join(tmp, "first.idx"), os.path.join(tmp, "second.idx")
+            for measure in MEASURES:
+                for rank_by in RANK_CRITERIA:
+                    index = build_neighbor_index(store, params, measure, rank_by=rank_by)
+                    index.save(first)
+                    loaded = NeighborIndex.load(first)
+                    assert loaded == index
+                    loaded.save(second)
+                    with open(first, "rb") as fa, open(second, "rb") as fb:
+                        assert fa.read() == fb.read()
+
     @pytest.mark.parametrize(
         "line, message",
         [
@@ -259,6 +286,8 @@ class TestNeighborIndex:
             (4, None, 5, "file ends before the #items header line"),
             (1, "#rank_by\tbis", 2, "expected a '#measure<tab>value' header line"),
             (2, "#rank_by bis", 3, "expected a '#rank_by<tab>value' header line"),
+            (1, "#measure\tfoo", 2, "unknown measure 'foo'"),
+            (2, "#rank_by\tmin_t", 3, "unknown rank_by 'min_t'"),
             (3, '#params\t{"ell": 2,', 4, "Expecting"),
             (3, '#params\t{"ell": 0}', 4, "ell"),
             (3, '#params\t{"colour": 1}', 4, "colour"),
@@ -266,8 +295,8 @@ class TestNeighborIndex:
             (4, "#items\t5", 5, "not iterable"),
         ],
         ids=["only-magic", "cut-after-rank-by", "cut-after-params", "missing-measure",
-             "no-tab", "params-json", "params-rejected", "params-unknown-field",
-             "items-json", "items-not-a-list"],
+             "no-tab", "unknown-measure", "unknown-rank-by", "params-json", "params-rejected",
+             "params-unknown-field", "items-json", "items-not-a-list"],
     )
     def test_load_rejects_bad_header_with_location(
         self, tmp_path, toy_corpus, keep, replace, lineno, message
