@@ -179,7 +179,8 @@ def grid_search(
 ) -> GridSearchResult:
     """Evaluate every configuration on the validation split, pick the best
     validation 1-call@K (ties: smaller k, then smaller lam, then scaling
-    order), and report that configuration on the test split.
+    order), and report that configuration on the test split with the index
+    it won with.
     """
     if not grid:
         raise ValueError("empty grid")
@@ -188,7 +189,7 @@ def grid_search(
 
     validation_rows: list[EvalResult] = []
     best_key: tuple | None = None
-    best: tuple[str, SimilarityParams] | None = None
+    best_index: NeighborIndex | None = None
     for measure, params in grid:
         index = build_neighbor_index(store, params, measure, rank_by=rank_by)
         row = evaluate(dataset, index, "validation", top_k=top_k)
@@ -196,10 +197,11 @@ def grid_search(
         key = (-row.one_call, params.k, params.lam, _SCALING_ORDER[params.scaling], measure)
         if best_key is None or key < best_key:
             best_key = key
-            best = (measure, params)
+            best_index = index
+        # so the next build holds at most the winner and itself
+        del index
 
-    best_measure, best_params = best
-    best_index = build_neighbor_index(store, best_params, best_measure, rank_by=rank_by)
+    best_measure, best_params = best_index.measure, best_index.params
     test_row = evaluate(dataset, best_index, "test", top_k=top_k)
     log.info(
         "grid search: selected %s ell=%d lam=%.2f scaling=%s (validation 1-call@%d=%.4f)",

@@ -6,15 +6,21 @@ p(i_to) - p(i_from) across users, plus user-set cardinalities. The corpus is
 scanned once; every measure, at every hyperparameter setting, is then a cheap
 aggregation over the per-pair histograms.
 
-One routine, ``_numerators``, does every such aggregation: it counts the
-users whose gap lies in [low, ell] for a list of integer lower bounds, reading
-the stored histogram of either direction through a sign. The scalar
-functions, neighbor selection, the stored t = 1..k vectors and the sparsity
-profile all take their numerators from it, and nothing derived is cached on
-the store. Both bounds are exact integers before a histogram is read: the
-reverse bound is -floor(rho*ell) with rho*ell in decimal arithmetic (0.58 * 50
-is 29, where floats give 28.999999999999996), and gap > h(k-t) is
-gap >= floor(h(k-t)) + 1.
+The store is columnar (see ``PairStore``): sorted int64 pair keys with their
+co-occurrence counts, and all gap histograms as one sorted array of entry keys
+with the running sum of their users, so the users of one pair with gap in
+[x, y] are a difference of that running sum at two ``searchsorted`` positions.
+
+One routine, ``_numerators``, does every such aggregation: for many pairs at
+once it counts the users whose directed gap lies in [low, ell] for a list of
+integer lower bounds, reading the canonical histogram of either direction
+through a sign. The scalar functions, neighbor selection, the stored t = 1..k
+vectors and the sparsity profile all take their numerators from it. Both
+bounds are exact integers before a histogram is read: the reverse bound is
+-floor(rho*ell) with rho*ell in decimal arithmetic (0.58 * 50 is 29, where
+floats give 28.999999999999996), and gap > h(k-t) is gap >= floor(h(k-t)) + 1.
+Every stored value is the scalar expression evaluated elementwise in float64
+on exact integer counts, so it is the same float the scalar functions give.
 
 Measures:
   bis      users with gap in [-rho*ell, ell], over the user-set union
@@ -24,20 +30,22 @@ Measures:
 """
 from __future__ import annotations
 
-import heapq
 import json
 import logging
 import math
-from array import array
 from dataclasses import dataclass
 from collections.abc import Sequence
 from fractions import Fraction
+
+import numpy as np
 
 from .domain import MEASURES, SCALINGS, SimilarityParams, UserSequence
 
 log = logging.getLogger(__name__)
 
 RANK_CRITERIA = ("bis", "max_t")
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -69,8 +77,9 @@ def scale(x: float, scaling: str, w: float) -> float:
     raise ValueError(f"unknown scaling {scaling!r}")
 
 
-def _combine(n_bis: int, n_uni: int, lam: float, union: int) -> float:
-    # single shared expression so every code path is bit-identical
+def _combine(n_bis, n_uni, lam: float, union):
+    # single shared expression, on ints or elementwise on int64 arrays, so
+    # every code path is bit-identical
     return ((1.0 - lam) * n_bis + lam * n_uni) / union
 
 
@@ -86,31 +95,46 @@ def _uni_low(k: int, t: int, scaling: str, w: float) -> int:
 
 
 def _numerators(
-    hist: dict[int, int], sign: int, ell: int, lows: Sequence[int]
-) -> list[int]:
-    """For each bound in ``lows``, the users whose directed gap lies in
-    [low, ell]; ``hist`` maps a gap g to its users and the directed gap is
-    sign * g, so a canonical histogram serves both directions uncopied.
+    keys: np.ndarray, cum: np.ndarray, base, forward, ell: int, lows: Sequence[int]
+) -> np.ndarray:
+    """Users whose directed gap lies in [low, ell], for each histogram and
+    each bound in ``lows``, as an int64 array of shape (len(base), len(lows)).
 
-    This is the only fold over a gap histogram: a bis numerator is the count
+    Histogram h holds its entry for gap g at key base[h] + g of the ascending
+    ``keys``, and cum[j] is the users of the entries before j. The directed
+    gap is g where ``forward`` holds and -g elsewhere, so a canonical
+    histogram serves both directions uncopied.
+
+    This is the only fold over gap histograms: a bis numerator is the count
     at _bis_low, a pas_uni numerator the count at _uni_low.
     """
-    least = min(lows)
-    counts = [0] * len(lows)
-    for g, c in hist.items():
-        d = sign * g
-        if least <= d <= ell:
-            for j, low in enumerate(lows):
-                if d >= low:
-                    counts[j] += c
-    return counts
+    lows = np.asarray(lows, dtype=np.int64)
+    forward = np.asarray(forward)[..., None]
+    base = np.asarray(base, dtype=np.int64)[:, None]
+
+    def users_upto(gap):
+        return cum[np.searchsorted(keys, base + gap, side="right")]
+
+    # stored gaps in [low, ell] forward and in [-ell, -low] backward: one end
+    # of the range is the same for every bound
+    fixed = users_upto(np.where(forward, ell, -ell - 1))
+    moving = users_upto(np.where(forward, lows - 1, -lows))
+    return np.where(forward, fixed - moving, moving - fixed)
+
+
+def _pair_numerators(pair: PairStats, ell: int, lows: Sequence[int]) -> list[int]:
+    """``_numerators`` over the one histogram of a directed pair view."""
+    gaps = sorted(pair.gap_counts)
+    cum = np.cumsum([0, *(pair.gap_counts[g] for g in gaps)])
+    keys = np.array(gaps, dtype=np.int64)
+    return _numerators(keys, cum, [0], True, ell, lows)[0].tolist()
 
 
 def bis_similarity(pair: PairStats, ell: int, rho: float) -> float:
     """Bidirectional similarity: gap in [-rho*ell, ell], over the union."""
     if pair.union_users == 0:
         return 0.0
-    (n_bis,) = _numerators(pair.gap_counts, 1, ell, (_bis_low(rho, ell),))
+    (n_bis,) = _pair_numerators(pair, ell, (_bis_low(rho, ell),))
     return n_bis / pair.union_users
 
 
@@ -125,7 +149,7 @@ def pas_uni_similarity(
         raise ValueError(f"window position t={t} outside 1..{k}")
     if pair.union_users == 0:
         return 0.0
-    (n_uni,) = _numerators(pair.gap_counts, 1, ell, (_uni_low(k, t, scaling, w),))
+    (n_uni,) = _pair_numerators(pair, ell, (_uni_low(k, t, scaling, w),))
     return n_uni / pair.union_users
 
 
@@ -141,7 +165,7 @@ def pas_similarity(pair: PairStats, params: SimilarityParams, t: int) -> float:
     if pair.union_users == 0:
         return 0.0
     lows = (_bis_low(params.rho, params.ell), _uni_low(k, t, params.scaling, params.w))
-    n_bis, n_uni = _numerators(pair.gap_counts, 1, params.ell, lows)
+    n_bis, n_uni = _pair_numerators(pair, params.ell, lows)
     return _combine(n_bis, n_uni, params.lam, pair.union_users)
 
 
@@ -153,11 +177,19 @@ def cosine_similarity(pair: PairStats, count_i: int, count_j: int) -> float:
 
 
 class PairStore:
-    """Per-pair gap histograms and co-occurrence counts for a training corpus.
+    """Gap histograms and co-occurrence counts for a training corpus, as
+    sorted int64 columns.
 
-    Pairs are stored once per unordered pair under (a, b) with a < b in the
-    interned index order (item identifiers sorted ascending); the stored gap
-    is p(b) - p(a), so the directed view for (b -> a) is the negation.
+    items       item identifiers, ascending; an item's index is its position
+    item_users  users per item
+    co          keys lo*n + hi (lo < hi) of the co-occurring pairs, ascending
+    co_users    users holding both items of each pair in ``co``
+    gaps        keys of the pairs with a histogram entry, ascending
+    hist_keys   histogram entries (lo*n + hi)*(2*ell_max + 1) + gap + ell_max,
+                ascending, with gap = p(hi) - p(lo); the directed view for
+                (hi -> lo) is the negation
+    hist_cum    hist_cum[j]: users of the histogram entries before j
+
     Histograms are restricted to |gap| <= ell_max; co-occurrence counts and
     per-item user counts are exact regardless of the band, which keeps the
     union denominators and the cosine baseline exact for every pair.
@@ -166,17 +198,23 @@ class PairStore:
     def __init__(
         self,
         items: tuple[str, ...],
-        item_users: list[int],
-        co: dict[tuple[int, int], int],
-        gaps: dict[tuple[int, int], dict[int, int]],
+        item_users: np.ndarray,
+        co: np.ndarray,
+        co_users: np.ndarray,
+        hist_keys: np.ndarray,
+        hist_users: np.ndarray,
         ell_max: int,
     ) -> None:
         self.items = items
         self.item_index = {item: idx for idx, item in enumerate(items)}
         self.item_users = item_users
         self.co = co
-        self.gaps = gaps
+        self.co_users = co_users
         self.ell_max = ell_max
+        self.width = 2 * ell_max + 1
+        self.hist_keys = hist_keys
+        self.hist_cum = np.concatenate(([0], np.cumsum(hist_users)))
+        self.gaps = np.unique(hist_keys // self.width)
 
     @property
     def n_items(self) -> int:
@@ -184,11 +222,22 @@ class PairStore:
 
     def user_count(self, item: str) -> int:
         idx = self.item_index.get(item)
-        return 0 if idx is None else self.item_users[idx]
+        return 0 if idx is None else int(self.item_users[idx])
 
-    def _union(self, a: int, b: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        return self.item_users[a] + self.item_users[b] - self.co.get(key, 0)
+    def _pair_key(self, a, b):
+        """Key of each unordered item pair (a, b)."""
+        return np.minimum(a, b) * self.n_items + np.maximum(a, b)
+
+    def union(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """|U_a ∪ U_b| of co-occurring item pairs."""
+        at = np.searchsorted(self.co, self._pair_key(a, b))
+        return self.item_users[a] + self.item_users[b] - self.co_users[at]
+
+    def numerators(self, cand: np.ndarray, target: np.ndarray, ell: int,
+                   lows: Sequence[int]) -> np.ndarray:
+        """``_numerators`` for the directed pairs cand -> target."""
+        base = self._pair_key(cand, target) * self.width + self.ell_max
+        return _numerators(self.hist_keys, self.hist_cum, base, cand < target, ell, lows)
 
     def pair_stats(self, i_from: str, i_to: str) -> PairStats:
         """Directed view for (i_from -> i_to); empty stats for unseen items."""
@@ -196,61 +245,69 @@ class PairStore:
         b = self.item_index.get(i_to)
         if a is None or b is None or a == b:
             known = [x for x in (a, b) if x is not None]
-            union = self.item_users[known[0]] if len(known) == 1 else 0
+            union = int(self.item_users[known[0]]) if len(known) == 1 else 0
             return PairStats(gap_counts={}, co_users=0, union_users=union)
-        key = (a, b) if a < b else (b, a)
-        hist = self.gaps.get(key, {})
-        if a < b:
-            gap_counts = dict(hist)
-        else:
-            gap_counts = {-g: c for g, c in hist.items()}
+        key = int(self._pair_key(a, b))
+        at = int(np.searchsorted(self.co, key))
+        co_users = int(self.co_users[at]) if at < len(self.co) and self.co[at] == key else 0
+        base = key * self.width + self.ell_max
+        start, stop = np.searchsorted(self.hist_keys, (base - self.ell_max, base + self.ell_max + 1))
+        sign = 1 if a < b else -1
+        gaps = (self.hist_keys[start:stop] - base).tolist()
+        users = np.diff(self.hist_cum[start:stop + 1]).tolist()
         return PairStats(
-            gap_counts=gap_counts,
-            co_users=self.co.get(key, 0),
-            union_users=self._union(a, b),
+            gap_counts={sign * g: c for g, c in zip(gaps, users)},
+            co_users=co_users,
+            union_users=int(self.item_users[a] + self.item_users[b]) - co_users,
         )
 
 
 def count_pairs(sequences: Sequence[UserSequence], ell_max: int) -> PairStore:
     """Scan the corpus once and build the pair-statistics store.
 
-    The scan visits each within-user item pair once: the co-occurrence count
-    is exact, the gap histogram is kept only for |gap| <= ell_max. It runs in
-    one process and writes straight into the dicts the store keeps, so the
-    counts exist once; a worker pool would have to pickle partial stores back
-    and merge them into a second copy, which costs more than the scan.
+    Every event is one entry of a flat item-index array; the pairs at
+    position distance d are that array against itself shifted by d, kept
+    where both events belong to one user. One vectorized pass per d packs
+    them into pair keys (all d: exact co-occurrence) and histogram keys
+    (d <= ell_max), and ``np.unique`` counts each.
     """
     if ell_max < 1:
         raise ValueError(f"ell_max must be >= 1, got {ell_max}")
     sequences = list(sequences)
     items = tuple(sorted({item for seq in sequences for item in seq.items}))
+    n = len(items)
+    width = 2 * ell_max + 1
+    if n * n * width > _INT64_MAX:
+        raise ValueError(
+            f"histogram keys n_items**2 * (2*ell_max + 1) overflow int64 "
+            f"(n_items={n}, ell_max={ell_max})"
+        )
     item_index = {item: idx for idx, item in enumerate(items)}
 
-    item_users = [0] * len(items)
-    co: dict[tuple[int, int], int] = {}
-    gaps: dict[tuple[int, int], dict[int, int]] = {}
-    for seq in sequences:
-        idxs = [item_index[item] for item in seq.items]
-        for j, b in enumerate(idxs):
-            item_users[b] += 1
-            for d in range(1, j + 1):
-                a = idxs[j - d]
-                if a < b:
-                    key, gap = (a, b), d
-                else:
-                    key, gap = (b, a), -d
-                co[key] = co.get(key, 0) + 1
-                if d <= ell_max:
-                    hist = gaps.get(key)
-                    if hist is None:
-                        hist = gaps[key] = {}
-                    hist[gap] = hist.get(gap, 0) + 1
+    flat = np.array([item_index[item] for seq in sequences for item in seq.items], dtype=np.int64)
+    lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
+    # 0-based position of every event within its user's sequence
+    pos = np.arange(len(flat)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    item_users = np.bincount(flat, minlength=n)
 
+    co_parts = [np.empty(0, dtype=np.int64)]
+    hist_parts = [np.empty(0, dtype=np.int64)]
+    for d in range(1, int(lengths.max(initial=0))):
+        same_user = pos[d:] >= d
+        earlier, later = flat[:-d][same_user], flat[d:][same_user]
+        pair = np.minimum(earlier, later) * n + np.maximum(earlier, later)
+        co_parts.append(pair)
+        if d <= ell_max:
+            hist_parts.append(pair * width + np.where(earlier < later, d + ell_max, ell_max - d))
+    co, co_users = np.unique(np.concatenate(co_parts), return_counts=True)
+    hist_keys, hist_users = np.unique(np.concatenate(hist_parts), return_counts=True)
+
+    store = PairStore(items, item_users, co, co_users, hist_keys, hist_users, ell_max)
     log.info(
         "counted %d sequences: %d items, %d co-occurring pairs, %d within gap band %d",
-        len(sequences), len(items), len(co), len(gaps), ell_max,
+        len(sequences), n, len(store.co), len(store.gaps), ell_max,
     )
-    return PairStore(items, item_users, co, gaps, ell_max)
+    return store
 
 
 class NeighborIndex:
@@ -363,6 +420,45 @@ class NeighborIndex:
         return cls(measure, params, items, entries, rank_by=rank_by)
 
 
+def _select(
+    store: PairStore, params: SimilarityParams, measure: str, rank_by: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(target, candidate, ranking score) of the top n_neighbors candidates
+    per target, in index row order."""
+    if measure not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
+    if rank_by not in RANK_CRITERIA:
+        raise ValueError(f"unknown rank criterion {rank_by!r}")
+    if store.ell_max < params.ell:
+        raise ValueError(f"store gap band {store.ell_max} narrower than ell={params.ell}")
+
+    lo, hi = np.divmod(store.co if measure == "cosine" else store.gaps, store.n_items)
+    # both directions of every candidate pair
+    cand, target = np.concatenate((lo, hi)), np.concatenate((hi, lo))
+    if measure == "cosine":
+        users = store.item_users
+        score = np.tile(store.co_users / np.sqrt(users[lo] * users[hi]), 2)
+    else:
+        ell = params.ell
+        bis_low = _bis_low(params.rho, ell)
+        union = np.tile(store.union(lo, hi), 2)
+        # pas_uni, and pas ranked by its largest value, rank at t = k
+        if measure == "pas_uni" or (measure == "pas" and rank_by == "max_t"):
+            lam = 1.0 if measure == "pas_uni" else params.lam
+            uni_low = _uni_low(params.k, params.k, params.scaling, params.w)
+            nums = store.numerators(cand, target, ell, (bis_low, uni_low))
+            score = _combine(nums[:, 0], nums[:, 1], lam, union)
+        else:
+            score = store.numerators(cand, target, ell, (bis_low,))[:, 0] / union
+
+    # by target, then descending score, then ascending candidate id
+    order = np.lexsort((cand, -score, target))
+    target, cand, score = target[order], cand[order], score[order]
+    slot = np.arange(len(target)) - np.searchsorted(target, target)
+    keep = slot < params.n_neighbors
+    return target[keep], cand[keep], score[keep]
+
+
 def build_neighbor_index(
     store: PairStore,
     params: SimilarityParams,
@@ -378,62 +474,30 @@ def build_neighbor_index(
     rank_by="max_t" switches pas to its t=k value). Ties break toward the
     smaller item identifier.
 
-    Each stored pair is folded once per direction to rank; only the selected
-    entries are folded again for their t = 1..k vectors.
+    Every candidate pair is folded once per direction to rank; only the
+    selected entries are folded again for their t = 1..k vectors.
     """
-    if measure not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
-    if rank_by not in RANK_CRITERIA:
-        raise ValueError(f"unknown rank criterion {rank_by!r}")
-    if store.ell_max < params.ell:
-        raise ValueError(f"store gap band {store.ell_max} narrower than ell={params.ell}")
-
-    ell = params.ell
-    users = store.item_users
-    bis_low = _bis_low(params.rho, ell)
-    uni_lows = [_uni_low(params.k, t, params.scaling, params.w) for t in range(1, params.k + 1)]
-    lam = 1.0 if measure == "pas_uni" else params.lam
-    # pas_uni, and pas ranked by its largest value, rank at t = k
-    rank_by_uni = measure == "pas_uni" or (measure == "pas" and rank_by == "max_t")
-    rank_lows = (bis_low, uni_lows[-1]) if rank_by_uni else (bis_low,)
-
-    # per target: negated scores and their candidates, so that ascending
-    # (-score, candidate) order is the ranking; arrays keep them unboxed
-    negs = [array("d") for _ in range(store.n_items)]
-    cands = [array("l") for _ in range(store.n_items)]
+    target, cand, score = _select(store, params, measure, rank_by)
     if measure == "cosine":
-        for (a, b), co in store.co.items():
-            neg = -(co / math.sqrt(users[a] * users[b]))
-            negs[b].append(neg)
-            cands[b].append(a)
-            negs[a].append(neg)
-            cands[a].append(b)
+        values, vectors = score, np.empty((len(score), 0))
     else:
-        for (a, b), hist in store.gaps.items():
-            union = store._union(a, b)
-            for cand, target, sign in ((a, b, 1), (b, a, -1)):
-                nums = _numerators(hist, sign, ell, rank_lows)
-                score = _combine(nums[0], nums[1], lam, union) if rank_by_uni else nums[0] / union
-                negs[target].append(-score)
-                cands[target].append(cand)
+        ell = params.ell
+        lows = [_bis_low(params.rho, ell)]
+        if measure in ("pas", "pas_uni"):
+            lows += [_uni_low(params.k, t, params.scaling, params.w) for t in range(1, params.k + 1)]
+        lam = 1.0 if measure == "pas_uni" else params.lam
+        nums = store.numerators(cand, target, ell, lows)
+        union = store.union(cand, target)
+        values = nums[:, 0] / union
+        vectors = _combine(nums[:, :1], nums[:, 1:], lam, union[:, None])
 
-    lows = [bis_low, *uni_lows] if measure in ("pas", "pas_uni") else [bis_low]
-    entries: list[list[tuple[int, float, tuple[float, ...]]]] = []
-    for target in range(store.n_items):
-        row: list[tuple[int, float, tuple[float, ...]]] = []
-        for neg, cand in heapq.nsmallest(params.n_neighbors, zip(negs[target], cands[target])):
-            if measure == "cosine":
-                row.append((cand, -neg, ()))
-                continue
-            key, sign = ((cand, target), 1) if cand < target else ((target, cand), -1)
-            union = store._union(cand, target)
-            n_bis, *n_uni = _numerators(store.gaps[key], sign, ell, lows)
-            row.append((cand, n_bis / union, tuple(_combine(n_bis, n, lam, union) for n in n_uni)))
-        entries.append(row)
+    entries: list[list[tuple[int, float, tuple[float, ...]]]] = [[] for _ in store.items]
+    for t, c, value, vector in zip(target.tolist(), cand.tolist(), values.tolist(),
+                                   vectors.tolist()):
+        entries[t].append((c, value, tuple(vector)))
 
     log.info(
-        "built %s index: %d items, %d neighbor entries",
-        measure, store.n_items, sum(len(row) for row in entries),
+        "built %s index: %d items, %d neighbor entries", measure, store.n_items, len(target),
     )
     return NeighborIndex(measure, params, store.items, entries, rank_by=rank_by)
 
@@ -450,21 +514,15 @@ def average_uni_by_gap(
     """
     params = SimilarityParams(ell=ell, rho=0.2, lam=1.0, scaling="h_a", w=w,
                               n_neighbors=n_neighbors)
-    index = build_neighbor_index(store, params, "pas_uni")
-    pairs = [
-        (store.gaps[min(nbr, target), max(nbr, target)], 1 if nbr < target else -1,
-         store._union(nbr, target))
-        for target, row in enumerate(index.entries)
-        for nbr, _value, _vector in row
-    ]
+    target, cand, _ = _select(store, params, "pas_uni", "bis")
+    union = store.union(cand, target)
     profile: dict[str, list[float]] = {}
     for scaling in SCALINGS:
         lows = [_uni_low(ell, t, scaling, w) for t in range(1, ell + 1)]
-        # values[i][t - 1]: pair i at window position t
-        values = [[n / union for n in _numerators(hist, sign, ell, lows)]
-                  for hist, sign, union in pairs]
+        # values[i, t - 1]: pair i at window position t
+        values = store.numerators(cand, target, ell, lows) / union[:, None]
         profile[scaling] = [
-            math.fsum(v[ell - gap - 1] for v in values) / len(values) if values else 0.0
+            math.fsum(values[:, ell - gap - 1].tolist()) / len(values) if len(values) else 0.0
             for gap in range(ell)
         ]
     return profile

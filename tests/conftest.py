@@ -30,3 +30,8 @@ def random_corpus(
         length = rng.randint(1, min(max_len, n_items))
         sequences.append(UserSequence.from_items(f"u{u:03d}", rng.sample(items, length)))
     return sequences
+
+
+def item_pairs(store, keys) -> list[tuple[int, int]]:
+    """(lo, hi) item indices of the pair keys ``store.co`` or ``store.gaps``."""
+    return [divmod(key, store.n_items) for key in keys.tolist()]

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import random_corpus
+from conftest import item_pairs, random_corpus
 from pasrec.cli import main as cli_main
 from pasrec.domain import SimilarityParams, make_session_window
 from pasrec.evaluation import expand_grid, grid_search, ndcg_at_k, one_call_at_k
@@ -154,7 +154,7 @@ def test_criterion_3_position_monotonicity(oracle_instances):
         for corpus, params, _ in oracle_instances:
             store = count_pairs(corpus, ell_max=params.ell)
             k = params.k
-            for a, b in store.gaps:
+            for a, b in item_pairs(store, store.gaps):
                 for i_from, i_to in (
                     (store.items[a], store.items[b]),
                     (store.items[b], store.items[a]),
@@ -177,7 +177,7 @@ def test_criterion_4_scaling_dominance(oracle_instances):
         for corpus, params, _ in oracle_instances:
             store = count_pairs(corpus, ell_max=params.ell)
             k = params.k
-            for a, b in store.gaps:
+            for a, b in item_pairs(store, store.gaps):
                 for i_from, i_to in (
                     (store.items[a], store.items[b]),
                     (store.items[b], store.items[a]),

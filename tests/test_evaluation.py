@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import pasrec.evaluation as evaluation
 from conftest import random_corpus
 from pasrec.domain import InteractionRecord, SimilarityParams, UserSequence, make_session_window
 from pasrec.evaluation import (
@@ -182,6 +183,21 @@ class TestGridSearch:
         best_metric = max(by_config.values())
         tied = [cfg for cfg, metric in by_config.items() if metric == best_metric]
         assert (result.best_params.ell, result.best_params.lam) == min(tied)
+
+    def test_winner_index_is_reused_for_test_split(self, monkeypatch):
+        calls = {"count_pairs": 0, "build_neighbor_index": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(evaluation, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(evaluation, name, counted)
+        dataset = self.make_dataset()
+        grid = expand_grid("pas", ells=(2, 3), lambdas=(0.5,))
+        result = grid_search(dataset, grid)
+        assert calls == {"count_pairs": 1, "build_neighbor_index": len(grid)}
+        store = count_pairs(dataset.sequences, 3)
+        rebuilt = build_neighbor_index(store, result.best_params, result.best_measure)
+        assert evaluate(dataset, rebuilt, "test") == result.test
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty grid"):

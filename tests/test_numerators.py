@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from conftest import random_corpus
+from conftest import item_pairs, random_corpus
 from pasrec.domain import SCALINGS, SimilarityParams, UserSequence
 from pasrec.ingest import build_dataset
 from pasrec.oracle import oracle_bis, oracle_pas
@@ -87,7 +87,7 @@ def test_scalar_views_match_reference_folds():
         rho = rng.choice((0.2, 0.5))
         params = SimilarityParams(ell=ell, rho=rho, lam=rng.choice((0.0, 0.3, 1.0)),
                                   scaling=rng.choice(SCALINGS), w=rng.choice((1.5, 2.0, 2.5)))
-        for a, b in store.co:
+        for a, b in item_pairs(store, store.co):
             for i_from, i_to in ((store.items[a], store.items[b]), (store.items[b], store.items[a])):
                 stats = store.pair_stats(i_from, i_to)
                 assert bis_similarity(stats, ell, rho) == reference_bis(stats, ell, rho)
@@ -107,7 +107,7 @@ def test_index_entries_match_scalar_functions(synth_store, measure, rank_by, sca
     k = params.k
     index = build_neighbor_index(store, params, measure, rank_by=rank_by)
     candidates = {target: set() for target in range(store.n_items)}
-    for a, b in store.co if measure == "cosine" else store.gaps:
+    for a, b in item_pairs(store, store.co if measure == "cosine" else store.gaps):
         candidates[a].add(b)
         candidates[b].add(a)
     for target, row in enumerate(index.entries):

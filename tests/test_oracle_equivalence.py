@@ -163,6 +163,6 @@ def test_oracle_shares_no_state_with_engine(toy_corpus):
     # construction must not affect oracle values
     store = count_pairs(toy_corpus, ell_max=5)
     before = oracle_bis(toy_corpus, "a", "b", 2, 0.2)
-    store.gaps.clear()
-    store.co.clear()
+    store.hist_cum[:] = 0
+    store.co_users[:] = 0
     assert oracle_bis(toy_corpus, "a", "b", 2, 0.2) == before

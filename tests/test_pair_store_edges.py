@@ -1,0 +1,162 @@
+"""The columnar pair store on degenerate corpora and at the int64 key limit.
+
+Each corpus is checked end to end: the counted columns against literal
+values, every directed pair view against the oracle, the saved index of all
+four measures against the oracle, and the sparsity profile.
+"""
+import math
+
+import pytest
+
+from conftest import item_pairs
+from pasrec.domain import MEASURES, SCALINGS, SimilarityParams, UserSequence
+from pasrec.oracle import oracle_bis, oracle_cosine, oracle_neighborhood, oracle_pas
+from pasrec.similarity import (
+    NeighborIndex,
+    average_uni_by_gap,
+    bis_similarity,
+    build_neighbor_index,
+    cosine_similarity,
+    count_pairs,
+    pas_similarity,
+    pas_uni_similarity,
+)
+
+TOLERANCE = 1e-12
+
+
+def users(*sequences):
+    return [UserSequence.from_items(f"u{n}", items.split()) for n, items in enumerate(sequences)]
+
+
+# name: (corpus, ell_max, item_users, {(lo, hi): co users},
+#        {(i_from, i_to): gap_counts} for every co-occurring ordered pair)
+EDGE_CORPORA = {
+    "empty corpus": ([], 3, {}, {}, {}),
+    "one item per user": (users("a", "b", "a"), 3, {"a": 2, "b": 1}, {}, {}),
+    "ell_max above the longest sequence": (
+        users("a b c", "c a", "b a"), 8, {"a": 3, "b": 2, "c": 2},
+        {("a", "b"): 2, ("a", "c"): 2, ("b", "c"): 1},
+        {("a", "b"): {1: 1, -1: 1}, ("a", "c"): {2: 1, -1: 1}, ("b", "c"): {1: 1}},
+    ),
+    "co-occurrence outside the band": (
+        users("a b c", "a d"), 1, {"a": 2, "b": 1, "c": 1, "d": 1},
+        {("a", "b"): 1, ("a", "c"): 1, ("a", "d"): 1, ("b", "c"): 1},
+        {("a", "b"): {1: 1}, ("a", "c"): {}, ("a", "d"): {1: 1}, ("b", "c"): {1: 1}},
+    ),
+}
+
+
+def edge_params(ell_max):
+    return SimilarityParams(ell=ell_max, rho=0.5, lam=0.5, scaling="h_b", w=2.0, n_neighbors=2)
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CORPORA))
+def test_counted_columns(name):
+    corpus, ell_max, item_users, co, gap_counts = EDGE_CORPORA[name]
+    store = count_pairs(corpus, ell_max=ell_max)
+    assert store.items == tuple(sorted(item_users))
+    assert store.item_users.tolist() == [item_users[item] for item in store.items]
+    got_co = {(store.items[a], store.items[b]): users
+              for (a, b), users in zip(item_pairs(store, store.co), store.co_users.tolist())}
+    assert got_co == co
+    assert len(store.gaps) == sum(1 for hist in gap_counts.values() if hist)
+    for (i_from, i_to), hist in gap_counts.items():
+        assert store.pair_stats(i_from, i_to).gap_counts == hist
+        assert store.pair_stats(i_to, i_from).gap_counts == {-g: c for g, c in hist.items()}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CORPORA))
+def test_pair_views_match_oracle(name):
+    corpus, ell_max, _, _, _ = EDGE_CORPORA[name]
+    store = count_pairs(corpus, ell_max=ell_max)
+    params = edge_params(ell_max)
+    uni = SimilarityParams(ell=ell_max, rho=0.5, lam=1.0, scaling="h_b", w=2.0)
+    names = [*store.items, "never-seen"]
+    for i_from in names:
+        for i_to in names:
+            if i_from == i_to:
+                continue
+            stats = store.pair_stats(i_from, i_to)
+            assert bis_similarity(stats, ell_max, 0.5) == pytest.approx(
+                oracle_bis(corpus, i_from, i_to, ell_max, 0.5), abs=TOLERANCE)
+            assert cosine_similarity(
+                stats, store.user_count(i_from), store.user_count(i_to)
+            ) == pytest.approx(oracle_cosine(corpus, i_from, i_to), abs=TOLERANCE)
+            for t in range(1, params.k + 1):
+                assert pas_similarity(stats, params, t) == pytest.approx(
+                    oracle_pas(corpus, i_from, i_to, params, t), abs=TOLERANCE)
+                assert pas_uni_similarity(stats, ell_max, params.k, t, "h_b", 2.0) == (
+                    pytest.approx(oracle_pas(corpus, i_from, i_to, uni, t), abs=TOLERANCE))
+
+
+@pytest.mark.parametrize("rank_by", ["bis", "max_t"])
+@pytest.mark.parametrize("measure", MEASURES)
+@pytest.mark.parametrize("name", sorted(EDGE_CORPORA))
+def test_saved_index_matches_oracle(tmp_path, name, measure, rank_by):
+    corpus, ell_max, _, _, _ = EDGE_CORPORA[name]
+    store = count_pairs(corpus, ell_max=ell_max)
+    params = edge_params(ell_max)
+    path = tmp_path / "index.tsv"
+    build_neighbor_index(store, params, measure, rank_by=rank_by).save(str(path))
+    index = NeighborIndex.load(str(path))
+    assert index.items == store.items
+    uni = SimilarityParams(ell=ell_max, rho=0.5, lam=1.0, scaling="h_b", w=2.0)
+    positional = measure != "cosine"
+    for target, row in enumerate(index.entries):
+        i_to = index.items[target]
+        for nbr, value, vector in row:
+            i_from = index.items[nbr]
+            want = (oracle_bis(corpus, i_from, i_to, ell_max, 0.5) if positional
+                    else oracle_cosine(corpus, i_from, i_to))
+            assert value == pytest.approx(want, abs=TOLERANCE)
+            want_params = {"pas": params, "pas_uni": uni}.get(measure)
+            want_vector = [] if want_params is None else [
+                oracle_pas(corpus, i_from, i_to, want_params, t) for t in range(1, params.k + 1)]
+            assert list(vector) == pytest.approx(want_vector, abs=TOLERANCE)
+        # the selected neighbors with a positive ranking score are the oracle's
+        rank_on_vector = measure == "pas_uni" or (measure == "pas" and rank_by == "max_t")
+        positive = [index.items[nbr] for nbr, value, vector in row
+                    if (vector[-1] if rank_on_vector else value) > 0.0]
+        assert positive == oracle_neighborhood(corpus, i_to, params, measure, rank_by)
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CORPORA))
+def test_sparsity_profile_matches_oracle(name):
+    corpus, ell_max, _, _, _ = EDGE_CORPORA[name]
+    store = count_pairs(corpus, ell_max=ell_max)
+    profile = average_uni_by_gap(store, ell=ell_max, n_neighbors=2, w=2.0)
+    params = SimilarityParams(ell=ell_max, rho=0.2, lam=1.0, scaling="h_a", w=2.0, n_neighbors=2)
+    index = build_neighbor_index(store, params, "pas_uni")
+    pairs = [(index.items[nbr], index.items[target])
+             for target, row in enumerate(index.entries) for nbr, _, _ in row]
+    for scaling in SCALINGS:
+        scaled = SimilarityParams(ell=ell_max, rho=0.2, lam=1.0, scaling=scaling, w=2.0)
+        want = [
+            math.fsum(oracle_pas(corpus, i_from, i_to, scaled, ell_max - gap)
+                      for i_from, i_to in pairs) / len(pairs) if pairs else 0.0
+            for gap in range(ell_max)
+        ]
+        assert profile[scaling] == pytest.approx(want, abs=TOLERANCE)
+
+
+def test_empty_corpus_index_is_header_only(tmp_path):
+    store = count_pairs([], ell_max=2)
+    path = tmp_path / "index.tsv"
+    build_neighbor_index(store, SimilarityParams(ell=2), "pas").save(str(path))
+    assert path.read_text().splitlines()[-1] == "#items\t[]"
+    assert average_uni_by_gap(store, ell=2) == {scaling: [0.0, 0.0] for scaling in SCALINGS}
+
+
+def test_key_range_boundary():
+    # n_items**2 * (2*ell_max + 1) <= 2**63 - 1 holds up to ell_max = 2**60 - 1
+    # for two items; one more and the packed keys would wrap around
+    corpus = users("a b")
+    widest = 2**60 - 1
+    assert 4 * (2 * widest + 1) <= 2**63 - 1 < 4 * (2 * (widest + 1) + 1)
+    store = count_pairs(corpus, ell_max=widest)
+    assert store.pair_stats("a", "b").gap_counts == {1: 1}
+    index = build_neighbor_index(store, SimilarityParams(ell=1, lam=0.0), "bis")
+    assert index.entries == [[(1, 0.0, ())], [(0, 1.0, ())]]  # b -> a is gap -1
+    with pytest.raises(ValueError, match=rf"n_items=2, ell_max={widest + 1}\b"):
+        count_pairs(corpus, ell_max=widest + 1)

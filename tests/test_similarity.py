@@ -7,7 +7,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_corpus
+from conftest import item_pairs, random_corpus
 from pasrec.domain import MEASURES, SCALINGS, SimilarityParams, UserSequence
 from pasrec.similarity import (
     RANK_CRITERIA,
@@ -50,7 +50,7 @@ class TestCountPairs:
             [UserSequence.from_items("v1", ["a"]), UserSequence.from_items("v2", ["b"])],
             ell_max=5,
         )
-        assert store.gaps == {} and store.co == {}
+        assert len(store.gaps) == 0 and len(store.co) == 0
         assert store.user_count("a") == 1
         assert store.user_count("b") == 1
         ab = store.pair_stats("a", "b")
@@ -75,8 +75,9 @@ class TestCountPairs:
         shuffled = data.draw(st.permutations(corpus))
         ell = data.draw(st.integers(1, 5))
         stores = [count_pairs(c, ell_max=ell) for c in (corpus, shuffled)]
-        for field in ("items", "item_users", "co", "gaps"):
-            assert getattr(stores[0], field) == getattr(stores[1], field)
+        assert stores[0].items == stores[1].items
+        for field in ("item_users", "co", "co_users", "gaps", "hist_keys", "hist_cum"):
+            assert getattr(stores[0], field).tolist() == getattr(stores[1], field).tolist()
         params = SimilarityParams(ell=ell, rho=0.5, lam=0.5, scaling="h_b", n_neighbors=2)
         with tempfile.TemporaryDirectory() as tmp:
             for measure in MEASURES:
@@ -355,7 +356,7 @@ class TestInvariants:
             corpus = random_corpus(rng)
             store = count_pairs(corpus, ell_max=5)
             params = SimilarityParams(ell=5, rho=0.2, lam=0.5, n_neighbors=10)
-            for a, b in list(store.gaps)[:200]:
+            for a, b in item_pairs(store, store.gaps)[:200]:
                 stats = store.pair_stats(store.items[a], store.items[b])
                 values = [bis_similarity(stats, 5, 0.2)]
                 values += [pas_similarity(stats, params, t) for t in range(1, 6)]
@@ -369,7 +370,7 @@ class TestInvariants:
         for trial in range(10):
             corpus = random_corpus(rng)
             store = count_pairs(corpus, ell_max=4)
-            for a, b in store.gaps:
+            for a, b in item_pairs(store, store.gaps):
                 for i_from, i_to in ((store.items[a], store.items[b]), (store.items[b], store.items[a])):
                     stats = store.pair_stats(i_from, i_to)
                     values = [pas_uni_similarity(stats, 4, 4, t, "h_a", 2.0) for t in range(1, 5)]
@@ -380,7 +381,7 @@ class TestInvariants:
         for trial in range(10):
             corpus = random_corpus(rng)
             store = count_pairs(corpus, ell_max=4)
-            for a, b in store.gaps:
+            for a, b in item_pairs(store, store.gaps):
                 stats = store.pair_stats(store.items[a], store.items[b])
                 for t in range(1, 5):
                     base = pas_uni_similarity(stats, 4, 4, t, "h_a", 2.0)
