@@ -59,7 +59,7 @@ def _read_config(path: str | None) -> dict[str, str]:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = line.split("=", 1)
             key = key.strip().replace("-", "_")
-            if key not in _FLAGS and key != "workers":
+            if key not in _FLAGS:
                 raise ValueError(f"{path}:{lineno}: unknown option {key!r}: no command accepts it")
             config[key] = value.strip()
     return config
@@ -217,9 +217,6 @@ def cmd_evaluate(args: argparse.Namespace, config: dict[str, str]) -> int:
         raise ValueError(f"split must be one of {SPLITS}, got {opt['split']!r}")
     dataset = load_dataset(opt["dataset"])
     index = NeighborIndex.load(opt["index"])
-    unknown = set(index.items) - set(dataset.item_universe)
-    if unknown:
-        raise ValueError(f"index covers {len(unknown)} items absent from the dataset; wrong dataset?")
     result = evaluate(
         dataset, index, opt["split"], top_k=opt["topk"],
         measure=opt["measure"] or None,

@@ -12,6 +12,8 @@ import math
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .domain import MEASURES, SimilarityParams, UserSequence, make_session_window
 from .ingest import Dataset
 from .predictor import positive_scores, rank_of_target
@@ -79,24 +81,28 @@ def evaluate(
     if measure is not None and measure != index.measure:
         raise ConfigMismatchError("measure", measure, index.measure)
     started = time.perf_counter()
-    k = index.params.k
     held_out = dataset.validation if split == "validation" else dataset.test
     train_by_user = {seq.user: seq.items for seq in dataset.sequences}
     universe_pos = {item: pos for pos, item in enumerate(dataset.item_universe)}
+    lift = np.array([universe_pos.get(item, -1) for item in index.items], dtype=np.int64)
+    missing = np.count_nonzero(lift < 0)
+    if missing:
+        raise ValueError(f"index covers {missing} items absent from the dataset; wrong dataset?")
     evaluated: list[int] = []
     n_skipped = 0
     for user in sorted(held_out):
         history = train_by_user.get(user, ())
-        excluded = frozenset(history)
         if split == "test":
             history += (dataset.validation[user],)
-            excluded |= {dataset.validation[user]}
         if not history:
             n_skipped += 1
             continue
-        window = make_session_window(UserSequence.from_items(user, history), k)
-        scores = positive_scores(window, index)
-        evaluated.append(rank_of_target(scores, held_out[user], excluded, universe_pos))
+        window = make_session_window(UserSequence.from_items(user, history), index.params.k)
+        scores = np.zeros(len(universe_pos))
+        scores[lift] = positive_scores(window, index)
+        # the known items: the training history, plus the validation item for test
+        excluded = [universe_pos[item] for item in history]
+        evaluated.append(rank_of_target(scores, universe_pos[held_out[user]], excluded))
 
     n_users = len(evaluated)
     ndcg = math.fsum(ndcg_at_k(rank, top_k) for rank in evaluated) / n_users if n_users else 0.0

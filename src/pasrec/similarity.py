@@ -30,6 +30,7 @@ Measures:
 """
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -336,18 +337,21 @@ class NeighborIndex:
         self.item_index = {item: idx for idx, item in enumerate(items)}
         self.entries = entries
         self.rank_by = rank_by
-        self._reverse: dict[int, list[tuple[int, float, tuple[float, ...]]]] | None = None
 
-    @property
-    def reverse(self) -> dict[int, list[tuple[int, float, tuple[float, ...]]]]:
-        """Inverted view: neighbor index -> [(target, value, vector), ...]."""
-        if self._reverse is None:
-            rev: dict[int, list[tuple[int, float, tuple[float, ...]]]] = {}
-            for target, row in enumerate(self.entries):
-                for nbr, value, vector in row:
-                    rev.setdefault(nbr, []).append((target, value, vector))
-            self._reverse = rev
-        return self._reverse
+    @functools.cached_property
+    def inverted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entries grouped by neighbor, ``(starts, targets, values)``: rows
+        starts[j]:starts[j + 1] name neighbor j, and row r holds an entry of
+        item targets[r] with values[r] its vector, or its value for bis/cosine.
+        """
+        width = self.params.k if self.measure in ("pas", "pas_uni") else 1
+        nbrs = np.array([nbr for row in self.entries for nbr, _, _ in row], dtype=np.int64)
+        targets = np.array([t for t, row in enumerate(self.entries) for _ in row], dtype=np.int64)
+        values = np.array([vec or (value,) for row in self.entries for _, value, vec in row])
+        values = values.reshape(-1, width)
+        order = np.argsort(nbrs, kind="stable")
+        starts = np.searchsorted(nbrs[order], np.arange(len(self.items) + 1))
+        return starts, targets[order], values[order]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NeighborIndex):
@@ -402,7 +406,10 @@ class NeighborIndex:
             params = header(4, "params", lambda v: SimilarityParams(**json.loads(v)))
             items = header(5, "items", lambda v: tuple(json.loads(v)))
             n_items = len(items)
+            vector_length = params.k if measure in ("pas", "pas_uni") else 0
             entries: list[list[tuple[int, float, tuple[float, ...]]]] = [[] for _ in items]
+            seen: set[tuple[int, int]] = set()
+            stored: list[float] = []
             # entry lines follow the five header lines
             for lineno, line in enumerate(fh, start=6):
                 fields = line.rstrip("\n").split("\t")
@@ -413,10 +420,24 @@ class NeighborIndex:
                     target, nbr = int(target_s), int(nbr_s)
                     if not (0 <= target < n_items and 0 <= nbr < n_items):
                         raise ValueError(f"item id outside [0, {n_items}): target {target}, neighbor {nbr}")
-                    vector = tuple(float(v) for v in packed.split(",")) if packed else ()
-                    entries[target].append((nbr, float(value_s), vector))
+                    # scoring adds one value per (target, neighbor) entry
+                    if (target, nbr) in seen:
+                        raise ValueError(f"repeated entry for target {target}, neighbor {nbr}")
+                    seen.add((target, nbr))
+                    value = float(value_s)
+                    vector = tuple(map(float, packed.split(","))) if packed else ()
+                    if len(vector) != vector_length:
+                        raise ValueError(f"vector of {len(vector)} values, {measure} stores {vector_length}")
+                    stored.extend((value, *vector))
+                    entries[target].append((nbr, value, vector))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
+        # each entry line stored 1 + vector_length floats; NaN is out of range too
+        floats = np.array(stored)
+        in_range = (0.0 <= floats) & (floats <= 1.0)
+        if not in_range.all():
+            bad = int(np.argmin(in_range))
+            raise ValueError(f"{path}:{6 + bad // (1 + vector_length)}: {stored[bad]!r} outside [0, 1]")
         return cls(measure, params, items, entries, rank_by=rank_by)
 
 

@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from pasrec.domain import UserSequence
+from pasrec.predictor import positive_scores
 
 
 @pytest.fixture
@@ -35,3 +37,34 @@ def random_corpus(
 def item_pairs(store, keys) -> list[tuple[int, int]]:
     """(lo, hi) item indices of the pair keys ``store.co`` or ``store.gaps``."""
     return [divmod(key, store.n_items) for key in keys.tolist()]
+
+
+def predicted_score(window, target, index) -> float:
+    """The score ``positive_scores`` gives ``target``; 0 outside the index."""
+    idx = index.item_index.get(target)
+    return 0.0 if idx is None else float(positive_scores(window, index)[idx])
+
+
+def universe_scores(window, index, universe) -> np.ndarray:
+    """``positive_scores`` read out over ``universe``, 0 outside the index."""
+    scores = positive_scores(window, index)
+    return np.array([scores[index.item_index[c]] if c in index.item_index else 0.0
+                     for c in universe])
+
+
+def reference_score(window, target, index):
+    """Walks the target's own neighbor row, independently of the inverted
+    view that ``positive_scores`` reads.
+    """
+    tgt = index.item_index.get(target)
+    if tgt is None:
+        return 0.0
+    row = {nbr: (value, vector) for nbr, value, vector in index.entries[tgt]}
+    total = 0.0
+    for item in window.items:
+        entry = row.get(index.item_index.get(item))
+        if entry is None:
+            continue
+        value, vector = entry
+        total += vector[window.window_position[item] - 1] if vector else value
+    return total

@@ -11,13 +11,12 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import item_pairs, random_corpus
+from conftest import item_pairs, predicted_score, random_corpus
 from pasrec.cli import main as cli_main
 from pasrec.domain import SimilarityParams, make_session_window
 from pasrec.evaluation import expand_grid, grid_search, ndcg_at_k, one_call_at_k
 from pasrec.ingest import build_dataset, check_stats_consistency
 from pasrec.oracle import oracle_bis, oracle_cosine, oracle_pas, oracle_predict
-from pasrec.predictor import positive_scores
 from pasrec.similarity import (
     average_uni_by_gap,
     bis_similarity,
@@ -118,7 +117,7 @@ def test_criterion_1_oracle_equivalence(oracle_instances):
             for seq in rng.sample(corpus, min(2, len(corpus))):
                 window = make_session_window(seq, params.k)
                 for target in rng.sample(items, min(3, len(items))):
-                    assert positive_scores(window, index).get(target, 0.0) == pytest.approx(
+                    assert predicted_score(window, target, index) == pytest.approx(
                         oracle_predict(corpus, seq.user, target, params, measure),
                         abs=TOLERANCE,
                     )

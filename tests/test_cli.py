@@ -302,7 +302,7 @@ class TestConfigFile:
         ) == 1
         assert "unknown measure" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["elll = 3", "ell_max = 40", "ell-max = 40"])
+    @pytest.mark.parametrize("line", ["elll = 3", "ell_max = 40", "ell-max = 40", "workers = 2"])
     def test_unknown_key_fails_with_location(self, tmp_path, dataset_dir, line, capsys):
         config = tmp_path / "build.conf"
         config.write_text(f"ell = 3\n{line}\n")
@@ -312,16 +312,6 @@ class TestConfigFile:
         ) == 1
         assert f"{config}:2: unknown option" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_workers_key_is_accepted_and_ignored(self, tmp_path, dataset_dir):
-        config = tmp_path / "build.conf"
-        config.write_text("ell = 3\nworkers = 2\n")
-        out = tmp_path / "x.idx"
-        assert run(
-            "--config", str(config), "build-index", "--dataset", str(dataset_dir), "--out", str(out),
-        ) == 0
-        snapshot = json.loads((tmp_path / "x.idx.config.json").read_text())
-        assert snapshot["ell"] == 3 and "workers" not in snapshot
 
     def test_missing_required_option_fails(self, tmp_path, capsys):
         assert run("prepare", "--out", str(tmp_path / "d")) == 1

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import pasrec.evaluation as evaluation
-from conftest import random_corpus
+from conftest import random_corpus, reference_score, universe_scores
 from pasrec.domain import InteractionRecord, SimilarityParams, UserSequence, make_session_window
 from pasrec.evaluation import (
     ConfigMismatchError,
@@ -16,7 +16,7 @@ from pasrec.evaluation import (
     write_report_tsv,
 )
 from pasrec.ingest import build_dataset
-from pasrec.predictor import positive_scores, rank_of_target
+from pasrec.predictor import rank_of_target
 from pasrec.similarity import build_neighbor_index, count_pairs
 
 
@@ -116,6 +116,12 @@ class TestEvaluate:
                 result = evaluate(dataset, index, split, top_k=5)
                 assert result.ndcg <= result.one_call + 1e-12
 
+    def test_index_from_another_corpus_fails(self, hit_and_miss_dataset, toy_corpus):
+        store = count_pairs(toy_corpus + [UserSequence.from_items("w", ["q", "r"])], ell_max=1)
+        index = build_neighbor_index(store, SimilarityParams(ell=1, lam=0.0), "bis")
+        with pytest.raises(ValueError, match="index covers 2 items absent from the dataset"):
+            evaluate(hit_and_miss_dataset, index, "validation")
+
     def test_measure_mismatch_names_field(self, hit_and_miss_dataset):
         store = count_pairs(hit_and_miss_dataset.sequences, ell_max=1)
         index = build_neighbor_index(store, SimilarityParams(ell=1, lam=0.0), "bis")
@@ -131,21 +137,17 @@ class TestRankOfTarget:
             store = count_pairs(corpus, ell_max=3)
             params = SimilarityParams(ell=3, lam=0.5, n_neighbors=5)
             index = build_neighbor_index(store, params, "pas")
-            universe = tuple(sorted({i for s in corpus for i in s.items}))
+            # i000x sorts between i000 and i001 and is absent from the index
+            universe = tuple(sorted({i for s in corpus for i in s.items} | {"i000x"}))
             universe_pos = {item: pos for pos, item in enumerate(universe)}
             for seq in corpus[:4]:
                 window = make_session_window(seq, params.k)
-                excluded = frozenset(seq.items)
-                candidates = [c for c in universe if c not in excluded]
-                if not candidates:
-                    continue
-                scores = positive_scores(window, index)
-                full = sorted(
-                    ((scores.get(c, 0.0), c) for c in candidates),
-                    key=lambda pair: (-pair[0], pair[1]),
-                )
-                for want_rank, (_, item) in list(enumerate(full, start=1))[:10]:
-                    got = rank_of_target(scores, item, excluded, universe_pos)
+                excluded = [universe_pos[c] for c in seq.items]
+                candidates = [c for c in universe if c not in seq.items]
+                full = sorted(candidates, key=lambda c: (-reference_score(window, c, index), c))
+                scores = universe_scores(window, index, universe)
+                for want_rank, item in enumerate(full, start=1):
+                    got = rank_of_target(scores, universe_pos[item], excluded)
                     assert got == want_rank
 
 

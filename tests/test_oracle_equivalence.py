@@ -7,10 +7,9 @@ import random
 
 import pytest
 
-from conftest import random_corpus
+from conftest import predicted_score, random_corpus
 from pasrec.domain import SimilarityParams, UserSequence, make_session_window
 from pasrec.oracle import oracle_bis, oracle_cosine, oracle_pas, oracle_predict
-from pasrec.predictor import positive_scores
 from pasrec.similarity import (
     bis_similarity,
     build_neighbor_index,
@@ -85,7 +84,7 @@ def test_predictions_match_oracle(measure):
         for seq in rng.sample(corpus, min(3, len(corpus))):
             window = make_session_window(seq, params.k)
             for target in rng.sample(items, min(5, len(items))):
-                got = positive_scores(window, index).get(target, 0.0)
+                got = predicted_score(window, target, index)
                 want = oracle_predict(corpus, seq.user, target, params, measure)
                 assert got == pytest.approx(want, abs=TOLERANCE)
 
@@ -101,7 +100,7 @@ def test_predictions_match_oracle_under_max_t_ranking():
         for seq in rng.sample(corpus, min(2, len(corpus))):
             window = make_session_window(seq, params.k)
             for target in rng.sample(items, min(4, len(items))):
-                got = positive_scores(window, index).get(target, 0.0)
+                got = predicted_score(window, target, index)
                 want = oracle_predict(corpus, seq.user, target, params, "pas", rank_by="max_t")
                 assert got == pytest.approx(want, abs=TOLERANCE)
 

@@ -255,22 +255,34 @@ class TestNeighborIndex:
                         assert fa.read() == fb.read()
 
     @pytest.mark.parametrize(
-        "line, message",
+        "measure, line, message",
         [
-            ("-1\t0\t0.5\t", "outside"),
-            ("9999\t0\t0.5\t", "outside"),
-            ("0\t9999\t0.5\t", "outside"),
-            ("0\t-1\t0.5\t", "outside"),
-            ("0\t1", "expected 4 tab-separated fields, got 2"),
-            ("0\t1\t0.5\t\textra", "expected 4 tab-separated fields, got 5"),
-            ("zero\t1\t0.5\t", "invalid literal"),
+            ("bis", "-1\t0\t0.5\t", "outside"),
+            ("bis", "9999\t0\t0.5\t", "outside"),
+            ("bis", "0\t9999\t0.5\t", "outside"),
+            ("bis", "0\t-1\t0.5\t", "outside"),
+            ("bis", "0\t1", "expected 4 tab-separated fields, got 2"),
+            ("bis", "0\t1\t0.5\t\textra", "expected 4 tab-separated fields, got 5"),
+            ("bis", "zero\t1\t0.5\t", "invalid literal"),
+            ("bis", "1\t1\t1.5\t", r"1\.5 outside \[0, 1\]"),
+            ("bis", "1\t1\t-0.25\t", r"-0\.25 outside \[0, 1\]"),
+            ("bis", "1\t1\tnan\t", r"nan outside \[0, 1\]"),
+            ("bis", "1\t1\tinf\t", r"inf outside \[0, 1\]"),
+            ("pas", "1\t1\t0.5\t0.5,nan", r"nan outside \[0, 1\]"),
+            ("pas", "1\t1\t0.5\t-0.5,0.5", r"-0\.5 outside \[0, 1\]"),
+            ("pas", "1\t1\t0.5\t0.5", "vector of 1 values, pas stores 2"),
+            ("bis", "1\t1\t0.5\t0.5", "vector of 1 values, bis stores 0"),
+            ("bis", "0\t1\t0.5\t", "repeated entry for target 0, neighbor 1"),
         ],
         ids=["negative-target", "large-target", "large-neighbor", "negative-neighbor",
-             "two-fields", "five-fields", "non-integer-target"],
+             "two-fields", "five-fields", "non-integer-target", "value-above-one",
+             "negative-value", "nan-value", "inf-value", "nan-in-vector", "negative-in-vector",
+             "short-vector", "vector-for-bis", "repeated-pair"],
     )
-    def test_load_rejects_bad_entry_with_location(self, tmp_path, toy_corpus, line, message):
+    def test_load_rejects_bad_entry_with_location(self, tmp_path, toy_corpus, measure, line,
+                                                  message):
         store = count_pairs(toy_corpus, ell_max=2)
-        index = build_neighbor_index(store, SimilarityParams(ell=2, lam=0.0), "bis")
+        index = build_neighbor_index(store, SimilarityParams(ell=2, lam=0.0), measure)
         path = tmp_path / "index.tsv"
         index.save(str(path))
         lines = path.read_text().splitlines()
