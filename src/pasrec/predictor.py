@@ -35,7 +35,7 @@ def positive_scores(window: SessionWindow, index: NeighborIndex) -> np.ndarray:
             continue
         rows = slice(starts[idx], starts[idx + 1])
         # the value at window position L; bis and cosine store one column
-        column = min(window.window_position[item], values.shape[1]) - 1
+        column = window.window_position[item] - 1 if index.measure in ("pas", "pas_uni") else 0
         # a target appears at most once among one neighbor's rows
         scores[targets[rows]] += values[rows, column]
     return scores

@@ -408,8 +408,7 @@ class NeighborIndex:
             n_items = len(items)
             vector_length = params.k if measure in ("pas", "pas_uni") else 0
             entries: list[list[tuple[int, float, tuple[float, ...]]]] = [[] for _ in items]
-            seen: set[tuple[int, int]] = set()
-            stored: list[float] = []
+            seen: set[int] = set()
             # entry lines follow the five header lines
             for lineno, line in enumerate(fh, start=6):
                 fields = line.rstrip("\n").split("\t")
@@ -421,23 +420,22 @@ class NeighborIndex:
                     if not (0 <= target < n_items and 0 <= nbr < n_items):
                         raise ValueError(f"item id outside [0, {n_items}): target {target}, neighbor {nbr}")
                     # scoring adds one value per (target, neighbor) entry
-                    if (target, nbr) in seen:
+                    if target * n_items + nbr in seen:
                         raise ValueError(f"repeated entry for target {target}, neighbor {nbr}")
-                    seen.add((target, nbr))
+                    seen.add(target * n_items + nbr)
                     value = float(value_s)
                     vector = tuple(map(float, packed.split(","))) if packed else ()
                     if len(vector) != vector_length:
                         raise ValueError(f"vector of {len(vector)} values, {measure} stores {vector_length}")
-                    stored.extend((value, *vector))
+                    # scoring needs finite values and no measure is negative; a share
+                    # may round an ulp above 1, so there is no upper bound
+                    floats = (value, *vector)
+                    if not (all(map(math.isfinite, floats)) and min(floats) >= 0.0):
+                        bad = next(v for v in floats if not 0.0 <= v < math.inf)
+                        raise ValueError(f"{bad!r} outside [0, inf)")
                     entries[target].append((nbr, value, vector))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
-        # each entry line stored 1 + vector_length floats; NaN is out of range too
-        floats = np.array(stored)
-        in_range = (0.0 <= floats) & (floats <= 1.0)
-        if not in_range.all():
-            bad = int(np.argmin(in_range))
-            raise ValueError(f"{path}:{6 + bad // (1 + vector_length)}: {stored[bad]!r} outside [0, 1]")
         return cls(measure, params, items, entries, rank_by=rank_by)
 
 

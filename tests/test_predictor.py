@@ -37,6 +37,13 @@ class TestScoreItem:
         index = handmade_index("bis", [(0, 0.4, ())])
         assert predicted_score(window_ab(), "zzz", index) == 0.0
 
+    def test_window_position_beyond_stored_vector_fails(self):
+        # a window of k=3 puts b at L=3; the index stores t = 1..2
+        window = make_session_window(UserSequence.from_items("u", ["a", "b"]), k=3)
+        index = handmade_index("pas", [(0, 0.3, (0.1, 0.3)), (1, 0.5, (0.2, 0.5))])
+        with pytest.raises(IndexError):
+            positive_scores(window, index)
+
 
 class TestRecommendTopK:
     @pytest.fixture

@@ -264,19 +264,18 @@ class TestNeighborIndex:
             ("bis", "0\t1", "expected 4 tab-separated fields, got 2"),
             ("bis", "0\t1\t0.5\t\textra", "expected 4 tab-separated fields, got 5"),
             ("bis", "zero\t1\t0.5\t", "invalid literal"),
-            ("bis", "1\t1\t1.5\t", r"1\.5 outside \[0, 1\]"),
-            ("bis", "1\t1\t-0.25\t", r"-0\.25 outside \[0, 1\]"),
-            ("bis", "1\t1\tnan\t", r"nan outside \[0, 1\]"),
-            ("bis", "1\t1\tinf\t", r"inf outside \[0, 1\]"),
-            ("pas", "1\t1\t0.5\t0.5,nan", r"nan outside \[0, 1\]"),
-            ("pas", "1\t1\t0.5\t-0.5,0.5", r"-0\.5 outside \[0, 1\]"),
+            ("bis", "1\t1\t-0.25\t", r"-0\.25 outside \[0, inf\)"),
+            ("bis", "1\t1\tnan\t", r"nan outside \[0, inf\)"),
+            ("bis", "1\t1\tinf\t", r"inf outside \[0, inf\)"),
+            ("pas", "1\t1\t0.5\t0.5,nan", r"nan outside \[0, inf\)"),
+            ("pas", "1\t1\t0.5\t-0.5,0.5", r"-0\.5 outside \[0, inf\)"),
             ("pas", "1\t1\t0.5\t0.5", "vector of 1 values, pas stores 2"),
             ("bis", "1\t1\t0.5\t0.5", "vector of 1 values, bis stores 0"),
             ("bis", "0\t1\t0.5\t", "repeated entry for target 0, neighbor 1"),
         ],
         ids=["negative-target", "large-target", "large-neighbor", "negative-neighbor",
-             "two-fields", "five-fields", "non-integer-target", "value-above-one",
-             "negative-value", "nan-value", "inf-value", "nan-in-vector", "negative-in-vector",
+             "two-fields", "five-fields", "non-integer-target", "negative-value", "nan-value",
+             "inf-value", "nan-in-vector", "negative-in-vector",
              "short-vector", "vector-for-bis", "repeated-pair"],
     )
     def test_load_rejects_bad_entry_with_location(self, tmp_path, toy_corpus, measure, line,
@@ -290,6 +289,17 @@ class TestNeighborIndex:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:7: .*{message}"):
             NeighborIndex.load(str(path))
+
+    def test_share_rounded_above_one_round_trips(self, tmp_path):
+        # a in band before b for all 13 users: at t = k the pas vector holds
+        # (0.9 * 13 + 0.1 * 13) / 13, which rounds to one ulp above 1
+        corpus = [UserSequence.from_items(f"u{n:02d}", ["a", "b"]) for n in range(13)]
+        index = build_neighbor_index(count_pairs(corpus, ell_max=2),
+                                     SimilarityParams(ell=2, lam=0.1), "pas")
+        assert max(v for row in index.entries for _, _, vec in row for v in vec) > 1.0
+        path = str(tmp_path / "index.tsv")
+        index.save(path)
+        assert NeighborIndex.load(path) == index
 
     @pytest.mark.parametrize(
         "keep, replace, lineno, message",
