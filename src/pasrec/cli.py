@@ -197,7 +197,7 @@ def cmd_build_index(args: argparse.Namespace, config: dict[str, str]) -> int:
     elapsed = time.perf_counter() - started
     log.info(
         "index written to %s: %d pairs in gap band, %d neighbor entries, %.1fs build",
-        opt["out"], len(store.gaps), sum(len(row) for row in index.entries), elapsed,
+        opt["out"], len(store.gaps), len(index.targets), elapsed,
     )
     _write_snapshot(opt, opt["out"] + ".config.json")
     return 0

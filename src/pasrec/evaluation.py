@@ -158,15 +158,11 @@ def expand_grid(
     else:
         lambdas = lambdas or (0.5,)
         scalings = scalings or ("h_a", "h_b", "h_c")
-    grid = []
-    for ell in ells:
-        for lam in lambdas:
-            for scaling in scalings:
-                grid.append(
-                    (measure, SimilarityParams(ell=ell, rho=rho, lam=lam, scaling=scaling,
-                                               w=w, n_neighbors=n_neighbors))
-                )
-    return grid
+    return [
+        (measure, SimilarityParams(ell=ell, rho=rho, lam=lam, scaling=scaling, w=w,
+                                   n_neighbors=n_neighbors))
+        for ell in ells for lam in lambdas for scaling in scalings
+    ]
 
 
 @dataclass(frozen=True)
@@ -214,12 +210,7 @@ def grid_search(
         best_measure, best_params.ell, best_params.lam, best_params.scaling,
         top_k, -best_key[0],
     )
-    return GridSearchResult(
-        best_measure=best_measure,
-        best_params=best_params,
-        validation=tuple(validation_rows),
-        test=test_row,
-    )
+    return GridSearchResult(best_measure, best_params, tuple(validation_rows), test_row)
 
 
 REPORT_COLUMNS = (
@@ -228,29 +219,15 @@ REPORT_COLUMNS = (
 )
 
 
-def _result_row(result: EvalResult) -> dict[str, object]:
-    p = result.params
-    return {
-        "split": result.split,
-        "measure": result.measure,
-        "rank_by": result.rank_by,
-        "k": p.k,
-        "ell": p.ell,
-        "rho": p.rho,
-        "lam": p.lam,
-        "scaling": p.scaling,
-        "w": p.w,
-        "n_neighbors": p.n_neighbors,
-        "top_k": result.top_k,
-        "n_users": result.n_users,
-        "n_skipped": result.n_skipped,
-        "ndcg_at_k": result.ndcg,
-        "one_call_at_k": result.one_call,
-    }
-
-
 def report_rows(results: list[EvalResult]) -> list[dict[str, object]]:
-    return [_result_row(result) for result in results]
+    return [
+        dict(zip(REPORT_COLUMNS, (
+            r.split, r.measure, r.rank_by, r.params.k, r.params.ell, r.params.rho, r.params.lam,
+            r.params.scaling, r.params.w, r.params.n_neighbors, r.top_k, r.n_users, r.n_skipped,
+            r.ndcg, r.one_call,
+        )))
+        for r in results
+    ]
 
 
 def write_report_tsv(results: list[EvalResult], path: str) -> None:

@@ -238,13 +238,19 @@ def save_dataset(dataset: Dataset, out_dir: str) -> None:
 
 
 def _read_split(in_dir: str, split: str) -> Iterator[list[str]]:
-    """(user, item) fields of each line of a split file."""
+    """(user, item) fields of each line of a split file; the held-out splits
+    hold one line per user."""
     path = os.path.join(in_dir, _SPLIT_FILES[split])
+    users: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             fields = line.rstrip("\n").split("\t")
             if len(fields) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 2 tab-separated fields, got {len(fields)}")
+            if split != "train":
+                if fields[0] in users:
+                    raise ValueError(f"{path}:{lineno}: user {fields[0]!r} repeated")
+                users.add(fields[0])
             yield fields
 
 
@@ -253,6 +259,12 @@ def load_dataset(in_dir: str) -> Dataset:
     for user, item in _read_split(in_dir, "train"):
         per_user.setdefault(user, []).append(item)
     splits = {split: dict(_read_split(in_dir, split)) for split in ("valid", "test")}
+    # a held-out user has both a validation and a test item
+    lone = sorted(splits["valid"].keys() ^ splits["test"].keys())
+    if lone:
+        split, other = ("valid", "test") if lone[0] in splits["valid"] else ("test", "valid")
+        path = os.path.join(in_dir, _SPLIT_FILES[split])
+        raise ValueError(f"{path}: user {lone[0]!r} has no line in {_SPLIT_FILES[other]}")
     with open(os.path.join(in_dir, STATS_FILE), encoding="utf-8") as fh:
         payload = json.load(fh)
     payload.pop("format_version", None)

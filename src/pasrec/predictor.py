@@ -26,7 +26,10 @@ class ScoredItem:
 def positive_scores(window: SessionWindow, index: NeighborIndex) -> np.ndarray:
     """The float64 score of every item of ``index.items`` for this window, in
     index order; an item whose neighbors hold no window item scores 0.
+    The window and the index must share k.
     """
+    if window.k != index.params.k:
+        raise ValueError(f"window of k={window.k} against an index built for k={index.params.k}")
     starts, targets, values = index.inverted
     scores = np.zeros(len(index.items))
     for item in window.items:
@@ -34,8 +37,8 @@ def positive_scores(window: SessionWindow, index: NeighborIndex) -> np.ndarray:
         if idx is None:
             continue
         rows = slice(starts[idx], starts[idx + 1])
-        # the value at window position L; bis and cosine store one column
-        column = window.window_position[item] - 1 if index.measure in ("pas", "pas_uni") else 0
+        # column L holds the value at window position L; bis and cosine read column 0
+        column = window.window_position[item] if index.measure in ("pas", "pas_uni") else 0
         # a target appears at most once among one neighbor's rows
         scores[targets[rows]] += values[rows, column]
     return scores

@@ -34,7 +34,7 @@ import functools
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -311,47 +311,52 @@ def count_pairs(sequences: Sequence[UserSequence], ell_max: int) -> PairStore:
     return store
 
 
+@dataclass(eq=False)
 class NeighborIndex:
-    """Per-item nearest neighbors with precomputed similarity values.
+    """Per-item nearest neighbors with precomputed similarity values, as one
+    row per neighbor entry across three arrays, sorted by target, then rank:
 
-    Each entry is (neighbor_index, value, vector): ``value`` is the stored
-    position-independent similarity (bidirectional for bis/pas/pas_uni,
-    cosine for cosine) and ``vector`` holds the per-window-position values
-    for t = 1..k (empty for position-independent measures).
+    targets  int64 item index of the entry's target
+    nbrs     int64 item index of the neighbor
+    values   float64 [entries x (1 + v)]: column 0 the position-independent
+             value (bidirectional for bis/pas/pas_uni, cosine for cosine),
+             column t the value at window position t = 1..v, where v is k
+             for pas/pas_uni and 0 for bis/cosine
     """
 
     FORMAT = "pasrec-index"
     VERSION = 1
 
-    def __init__(
-        self,
-        measure: str,
-        params: SimilarityParams,
-        items: tuple[str, ...],
-        entries: list[list[tuple[int, float, tuple[float, ...]]]],
-        rank_by: str = "bis",
-    ) -> None:
-        self.measure = measure
-        self.params = params
-        self.items = items
-        self.item_index = {item: idx for idx, item in enumerate(items)}
-        self.entries = entries
-        self.rank_by = rank_by
+    measure: str
+    params: SimilarityParams
+    items: tuple[str, ...]
+    targets: np.ndarray
+    nbrs: np.ndarray
+    values: np.ndarray
+    rank_by: str = "bis"
+
+    def __post_init__(self) -> None:
+        self.item_index = {item: idx for idx, item in enumerate(self.items)}
+
+    @functools.cached_property
+    def entries(self) -> list[list[tuple[int, float, tuple[float, ...]]]]:
+        """Rows of (neighbor, value, vector) per target in Python types, for
+        readers that walk one target's neighbors; derived from the arrays."""
+        rows: list[list[tuple[int, float, tuple[float, ...]]]] = [[] for _ in self.items]
+        for target, nbr, (value, *vector) in zip(self.targets.tolist(), self.nbrs.tolist(),
+                                                 self.values.tolist()):
+            rows[target].append((nbr, value, tuple(vector)))
+        return rows
 
     @functools.cached_property
     def inverted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The entries grouped by neighbor, ``(starts, targets, values)``: rows
         starts[j]:starts[j + 1] name neighbor j, and row r holds an entry of
-        item targets[r] with values[r] its vector, or its value for bis/cosine.
+        item targets[r] with values[r] its row of ``self.values``.
         """
-        width = self.params.k if self.measure in ("pas", "pas_uni") else 1
-        nbrs = np.array([nbr for row in self.entries for nbr, _, _ in row], dtype=np.int64)
-        targets = np.array([t for t, row in enumerate(self.entries) for _ in row], dtype=np.int64)
-        values = np.array([vec or (value,) for row in self.entries for _, value, vec in row])
-        values = values.reshape(-1, width)
-        order = np.argsort(nbrs, kind="stable")
-        starts = np.searchsorted(nbrs[order], np.arange(len(self.items) + 1))
-        return starts, targets[order], values[order]
+        order = np.argsort(self.nbrs, kind="stable")
+        starts = np.searchsorted(self.nbrs[order], np.arange(len(self.items) + 1))
+        return starts, self.targets[order], self.values[order]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NeighborIndex):
@@ -361,25 +366,22 @@ class NeighborIndex:
             and self.params == other.params
             and self.rank_by == other.rank_by
             and self.items == other.items
-            and self.entries == other.entries
+            and np.array_equal(self.targets, other.targets)
+            and np.array_equal(self.nbrs, other.nbrs)
+            and np.array_equal(self.values, other.values)
         )
 
     def save(self, path: str) -> None:
-        params = self.params
-        header = {
-            "ell": params.ell, "rho": params.rho, "lam": params.lam,
-            "scaling": params.scaling, "w": params.w, "n_neighbors": params.n_neighbors,
-        }
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"#{self.FORMAT}\t{self.VERSION}\n")
             fh.write(f"#measure\t{self.measure}\n")
             fh.write(f"#rank_by\t{self.rank_by}\n")
-            fh.write(f"#params\t{json.dumps(header, sort_keys=True)}\n")
+            fh.write(f"#params\t{json.dumps(asdict(self.params), sort_keys=True)}\n")
             fh.write(f"#items\t{json.dumps(list(self.items))}\n")
-            for target, row in enumerate(self.entries):
-                for nbr, value, vector in row:
-                    packed = ",".join(repr(v) for v in vector)
-                    fh.write(f"{target}\t{nbr}\t{value!r}\t{packed}\n")
+            for target, nbr, (value, *vector) in zip(self.targets.tolist(), self.nbrs.tolist(),
+                                                     self.values.tolist()):
+                packed = ",".join(map(repr, vector))
+                fh.write(f"{target}\t{nbr}\t{value!r}\t{packed}\n")
 
     @classmethod
     def load(cls, path: str) -> "NeighborIndex":
@@ -407,8 +409,9 @@ class NeighborIndex:
             items = header(5, "items", lambda v: tuple(json.loads(v)))
             n_items = len(items)
             vector_length = params.k if measure in ("pas", "pas_uni") else 0
-            entries: list[list[tuple[int, float, tuple[float, ...]]]] = [[] for _ in items]
-            seen: set[int] = set()
+            # per line: target * n_items + neighbor, then its value and vector
+            pairs: list[int] = []
+            floats: list[float] = []
             # entry lines follow the five header lines
             for lineno, line in enumerate(fh, start=6):
                 fields = line.rstrip("\n").split("\t")
@@ -419,24 +422,33 @@ class NeighborIndex:
                     target, nbr = int(target_s), int(nbr_s)
                     if not (0 <= target < n_items and 0 <= nbr < n_items):
                         raise ValueError(f"item id outside [0, {n_items}): target {target}, neighbor {nbr}")
-                    # scoring adds one value per (target, neighbor) entry
-                    if target * n_items + nbr in seen:
-                        raise ValueError(f"repeated entry for target {target}, neighbor {nbr}")
-                    seen.add(target * n_items + nbr)
-                    value = float(value_s)
-                    vector = tuple(map(float, packed.split(","))) if packed else ()
+                    pairs.append(target * n_items + nbr)
+                    floats.append(float(value_s))
+                    vector = packed.split(",") if packed else ()
                     if len(vector) != vector_length:
                         raise ValueError(f"vector of {len(vector)} values, {measure} stores {vector_length}")
-                    # scoring needs finite values and no measure is negative; a share
-                    # may round an ulp above 1, so there is no upper bound
-                    floats = (value, *vector)
-                    if not (all(map(math.isfinite, floats)) and min(floats) >= 0.0):
-                        bad = next(v for v in floats if not 0.0 <= v < math.inf)
-                        raise ValueError(f"{bad!r} outside [0, inf)")
-                    entries[target].append((nbr, value, vector))
+                    floats.extend(map(float, vector))
                 except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
-        return cls(measure, params, items, entries, rank_by=rank_by)
+
+        keys = np.array(pairs, dtype=np.int64)
+        targets, nbrs = np.divmod(keys, n_items)
+        values = np.array(floats, dtype=np.float64).reshape(-1, 1 + vector_length)
+        del pairs, floats
+        # scoring needs finite values and no measure is negative; a share may
+        # round an ulp above 1, so there is no upper bound
+        bad = np.argwhere(~((values >= 0.0) & (values < np.inf)))
+        if len(bad):
+            row, column = bad[0]
+            raise ValueError(f"{path}:{row + 6}: {float(values[row, column])!r} outside [0, inf)")
+        # scoring adds one value per (target, neighbor) entry
+        by_key = np.argsort(keys, kind="stable")
+        repeats = by_key[1:][keys[by_key[1:]] == keys[by_key[:-1]]]
+        if len(repeats):
+            row = repeats.min()
+            raise ValueError(f"{path}:{row + 6}: repeated entry for target {targets[row]}, neighbor {nbrs[row]}")
+        order = np.argsort(targets, kind="stable")
+        return cls(measure, params, items, targets[order], nbrs[order], values[order], rank_by=rank_by)
 
 
 def _select(
@@ -498,7 +510,7 @@ def build_neighbor_index(
     """
     target, cand, score = _select(store, params, measure, rank_by)
     if measure == "cosine":
-        values, vectors = score, np.empty((len(score), 0))
+        values = score[:, None]
     else:
         ell = params.ell
         lows = [_bis_low(params.rho, ell)]
@@ -507,18 +519,13 @@ def build_neighbor_index(
         lam = 1.0 if measure == "pas_uni" else params.lam
         nums = store.numerators(cand, target, ell, lows)
         union = store.union(cand, target)
-        values = nums[:, 0] / union
-        vectors = _combine(nums[:, :1], nums[:, 1:], lam, union[:, None])
-
-    entries: list[list[tuple[int, float, tuple[float, ...]]]] = [[] for _ in store.items]
-    for t, c, value, vector in zip(target.tolist(), cand.tolist(), values.tolist(),
-                                   vectors.tolist()):
-        entries[t].append((c, value, tuple(vector)))
+        values = np.column_stack((nums[:, 0] / union,
+                                  _combine(nums[:, :1], nums[:, 1:], lam, union[:, None])))
 
     log.info(
         "built %s index: %d items, %d neighbor entries", measure, store.n_items, len(target),
     )
-    return NeighborIndex(measure, params, store.items, entries, rank_by=rank_by)
+    return NeighborIndex(measure, params, store.items, target, cand, values, rank_by=rank_by)
 
 
 def average_uni_by_gap(

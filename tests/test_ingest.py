@@ -205,3 +205,24 @@ class TestPersistence:
             ValueError, match=f"^{re.escape(str(path))}:{n_lines}: expected 2 tab-separated fields, got {n_fields}$"
         ):
             load_dataset(str(tmp_path))
+
+    @pytest.mark.parametrize("name", ["valid.tsv", "test.tsv"])
+    def test_load_rejects_repeated_held_out_user_with_location(self, tmp_path, name):
+        records = [rec(u, i, 5, ts) for u in ("u1", "u2") for ts, i in enumerate("abcd")]
+        save_dataset(build_dataset(records), str(tmp_path))
+        path = tmp_path / name
+        with path.open("a") as fh:
+            fh.write("u1\ta\n")
+        n_lines = len(path.read_text().splitlines())
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{n_lines}: user 'u1' repeated$"):
+            load_dataset(str(tmp_path))
+
+    @pytest.mark.parametrize("name, other", [("valid.tsv", "test.tsv"), ("test.tsv", "valid.tsv")])
+    def test_load_rejects_user_held_out_in_one_split(self, tmp_path, name, other):
+        records = [rec(u, i, 5, ts) for u in ("u1", "u2") for ts, i in enumerate("abcd")]
+        save_dataset(build_dataset(records), str(tmp_path))
+        path = tmp_path / name
+        with path.open("a") as fh:
+            fh.write("u9\ta\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: user 'u9' has no line in {other}$"):
+            load_dataset(str(tmp_path))

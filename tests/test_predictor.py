@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from conftest import predicted_score, random_corpus, reference_score, universe_scores
@@ -13,10 +14,12 @@ def window_ab():
 
 
 def handmade_index(measure, entries_for_t):
+    """An index over a, b, t whose only target is t, from (nbr, value, vector) rows."""
     params = SimilarityParams(ell=2, rho=0.2, lam=0.5, n_neighbors=20)
-    items = ("a", "b", "t")
-    entries = [[], [], entries_for_t]
-    return NeighborIndex(measure, params, items, entries)
+    width = 1 + (params.k if measure in ("pas", "pas_uni") else 0)
+    nbrs = np.array([nbr for nbr, _, _ in entries_for_t], dtype=np.int64)
+    values = np.array([(value, *vector) for _, value, vector in entries_for_t]).reshape(-1, width)
+    return NeighborIndex(measure, params, ("a", "b", "t"), np.full(len(nbrs), 2), nbrs, values)
 
 
 class TestScoreItem:
@@ -41,7 +44,17 @@ class TestScoreItem:
         # a window of k=3 puts b at L=3; the index stores t = 1..2
         window = make_session_window(UserSequence.from_items("u", ["a", "b"]), k=3)
         index = handmade_index("pas", [(0, 0.3, (0.1, 0.3)), (1, 0.5, (0.2, 0.5))])
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match="k=3 .* k=2"):
+            positive_scores(window, index)
+
+    @pytest.mark.parametrize("measure", ["pas", "bis"])
+    def test_window_shorter_than_index_k_fails(self, measure):
+        # a k=1 window puts b at L=1, which would read the index's t=1 value
+        # where a k=2 window reads t=2
+        window = make_session_window(UserSequence.from_items("u", ["a", "b"]), k=1)
+        vector = (0.2, 0.5) if measure == "pas" else ()
+        index = handmade_index(measure, [(1, 0.5, vector)])
+        with pytest.raises(ValueError, match="k=1 .* k=2"):
             positive_scores(window, index)
 
 

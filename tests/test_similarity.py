@@ -228,6 +228,42 @@ class TestNeighborIndex:
             index.save(str(path))
             assert NeighborIndex.load(str(path)) == index
 
+    @pytest.mark.parametrize("measure, width", [("bis", 1), ("pas", 4), ("pas_uni", 4), ("cosine", 1)])
+    def test_arrays_hold_rows_by_target_then_rank(self, measure, width):
+        corpus = random_corpus(random.Random(5), max_users=30, max_items=12, max_len=8)
+        params = SimilarityParams(ell=3, lam=0.5, n_neighbors=3)
+        index = build_neighbor_index(count_pairs(corpus, ell_max=3), params, measure)
+        assert index.targets.dtype == index.nbrs.dtype == "int64"
+        assert index.values.dtype == "float64" and index.values.shape == (len(index.targets), width)
+        rows = [(target, nbr, value, tuple(vector))
+                for target, row in enumerate(index.entries) for nbr, value, vector in row]
+        assert rows == [(t, n, v[0], tuple(v[1:])) for t, n, v in
+                        zip(index.targets.tolist(), index.nbrs.tolist(), index.values.tolist())]
+        assert index.targets.tolist() == sorted(index.targets.tolist())
+
+    @pytest.mark.parametrize("measure", ["bis", "pas"])
+    def test_entry_lines_shuffled_across_targets_load_in_saved_order(self, tmp_path, measure):
+        corpus = random_corpus(random.Random(11), max_users=40, max_items=15, max_len=8)
+        params = SimilarityParams(ell=3, lam=0.5, n_neighbors=4)
+        index = build_neighbor_index(count_pairs(corpus, ell_max=3), params, measure)
+        path = tmp_path / "index.tsv"
+        index.save(str(path))
+        text = path.read_text()
+        header, entries = text.splitlines()[:5], text.splitlines()[5:]
+        # interleave the targets' lines at random, each target's in its saved order
+        by_target: dict[str, list[str]] = {}
+        for line in entries:
+            by_target.setdefault(line.split("\t")[0], []).append(line)
+        picks = [target for target, lines in by_target.items() for _ in lines]
+        random.Random(3).shuffle(picks)
+        shuffled = [by_target[target].pop(0) for target in picks]
+        assert len(by_target) > 1 and shuffled != entries
+        path.write_text("\n".join(header + shuffled) + "\n")
+        loaded = NeighborIndex.load(str(path))
+        assert loaded == index
+        loaded.save(str(tmp_path / "again.tsv"))
+        assert (tmp_path / "again.tsv").read_text() == text
+
     @settings(max_examples=30, deadline=None)
     @given(
         corpus=corpora,
@@ -255,39 +291,68 @@ class TestNeighborIndex:
                         assert fa.read() == fb.read()
 
     @pytest.mark.parametrize(
-        "measure, line, message",
+        "measure, line, message, last",
         [
-            ("bis", "-1\t0\t0.5\t", "outside"),
-            ("bis", "9999\t0\t0.5\t", "outside"),
-            ("bis", "0\t9999\t0.5\t", "outside"),
-            ("bis", "0\t-1\t0.5\t", "outside"),
-            ("bis", "0\t1", "expected 4 tab-separated fields, got 2"),
-            ("bis", "0\t1\t0.5\t\textra", "expected 4 tab-separated fields, got 5"),
-            ("bis", "zero\t1\t0.5\t", "invalid literal"),
-            ("bis", "1\t1\t-0.25\t", r"-0\.25 outside \[0, inf\)"),
-            ("bis", "1\t1\tnan\t", r"nan outside \[0, inf\)"),
-            ("bis", "1\t1\tinf\t", r"inf outside \[0, inf\)"),
-            ("pas", "1\t1\t0.5\t0.5,nan", r"nan outside \[0, inf\)"),
-            ("pas", "1\t1\t0.5\t-0.5,0.5", r"-0\.5 outside \[0, inf\)"),
-            ("pas", "1\t1\t0.5\t0.5", "vector of 1 values, pas stores 2"),
-            ("bis", "1\t1\t0.5\t0.5", "vector of 1 values, bis stores 0"),
-            ("bis", "0\t1\t0.5\t", "repeated entry for target 0, neighbor 1"),
+            ("bis", "-1\t0\t0.5\t", "outside", False),
+            ("bis", "9999\t0\t0.5\t", "outside", False),
+            ("bis", "0\t9999\t0.5\t", "outside", False),
+            ("bis", "0\t-1\t0.5\t", "outside", False),
+            ("bis", "0\t1", "expected 4 tab-separated fields, got 2", False),
+            ("bis", "0\t1\t0.5\t\textra", "expected 4 tab-separated fields, got 5", False),
+            ("bis", "zero\t1\t0.5\t", "invalid literal", False),
+            ("bis", "1\t1\t-0.25\t", r"-0\.25 outside \[0, inf\)", False),
+            ("bis", "1\t1\tnan\t", r"nan outside \[0, inf\)", False),
+            ("bis", "1\t1\tinf\t", r"inf outside \[0, inf\)", False),
+            ("pas", "1\t1\t0.5\t0.5,nan", r"nan outside \[0, inf\)", False),
+            ("pas", "1\t1\t0.5\t-0.5,0.5", r"-0\.5 outside \[0, inf\)", False),
+            ("pas", "1\t1\t0.5\t0.5", "vector of 1 values, pas stores 2", False),
+            ("bis", "1\t1\t0.5\t0.5", "vector of 1 values, bis stores 0", False),
+            ("bis", "0\t1\t0.5\t", "repeated entry for target 0, neighbor 1", False),
+            ("bis", "9999\t0\t0.5\t", "outside", True),
+            ("bis", "0\t1\tnope\t", "could not convert", True),
+            ("bis", "1\t1\t-0.25\t", r"-0\.25 outside \[0, inf\)", True),
+            ("bis", "1\t1\tinf\t", r"inf outside \[0, inf\)", True),
+            ("pas", "1\t1\t0.5\t0.5,nan", r"nan outside \[0, inf\)", True),
+            ("pas", "1\t1\t0.5\t0.5", "vector of 1 values, pas stores 2", True),
+            ("bis", "0\t1\t0.5\t", "repeated entry for target 0, neighbor 1", True),
+            ("pas", "0\t1\t0.5\t0.5,0.5", "repeated entry for target 0, neighbor 1", True),
         ],
         ids=["negative-target", "large-target", "large-neighbor", "negative-neighbor",
              "two-fields", "five-fields", "non-integer-target", "negative-value", "nan-value",
              "inf-value", "nan-in-vector", "negative-in-vector",
-             "short-vector", "vector-for-bis", "repeated-pair"],
+             "short-vector", "vector-for-bis", "repeated-pair",
+             "last-large-target", "last-non-float-value", "last-negative-value",
+             "last-inf-value", "last-nan-in-vector", "last-short-vector",
+             "last-repeated-pair", "last-repeated-pas-pair"],
     )
     def test_load_rejects_bad_entry_with_location(self, tmp_path, toy_corpus, measure, line,
-                                                  message):
+                                                  message, last):
         store = count_pairs(toy_corpus, ell_max=2)
         index = build_neighbor_index(store, SimilarityParams(ell=2, lam=0.0), measure)
         path = tmp_path / "index.tsv"
         index.save(str(path))
         lines = path.read_text().splitlines()
-        lines.insert(6, line)  # second entry line
+        # the second entry line, or after the last, where the whole-file
+        # checks must still name this line
+        lines.insert(len(lines) if last else 6, line)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:7: .*{message}"):
+        lineno = len(lines) if last else 7
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: .*{message}"):
+            NeighborIndex.load(str(path))
+
+    @pytest.mark.parametrize("line, message", [("1\t1\tnan\t", "nan outside"),
+                                               ("0\t1\t0.5\t", "repeated entry")],
+                             ids=["nan-value", "repeated-pair"])
+    def test_load_names_the_first_of_two_bad_entries(self, tmp_path, toy_corpus, line, message):
+        index = build_neighbor_index(count_pairs(toy_corpus, ell_max=2),
+                                     SimilarityParams(ell=2, lam=0.0), "bis")
+        path = tmp_path / "index.tsv"
+        index.save(str(path))
+        lines = path.read_text().splitlines()
+        # the same bad line third among the entries and after the last
+        lines[7:7] = [line]
+        path.write_text("\n".join(lines + [line]) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:8: {message}"):
             NeighborIndex.load(str(path))
 
     def test_share_rounded_above_one_round_trips(self, tmp_path):
