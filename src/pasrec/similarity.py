@@ -31,6 +31,7 @@ Measures:
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import logging
 import math
@@ -311,6 +312,48 @@ def count_pairs(sequences: Sequence[UserSequence], ell_max: int) -> PairStore:
     return store
 
 
+_BLOCK_LINES = 8192  # index lines formatted or parsed at a time
+_MEMO_LIMIT = 1 << 16  # strings a load memo holds before it starts over
+
+
+class _Parsed(dict):
+    """A memo of one parse over strings: each distinct string is parsed once,
+    to its value or to the ValueError the parse raised. It starts over when
+    it holds _MEMO_LIMIT strings, so input that seldom repeats a string loads
+    in bounded memory."""
+
+    def __init__(self, parse) -> None:
+        super().__init__()
+        self.parse = parse
+        self.errors = 0  # failed parses since creation, across clears
+
+    def __missing__(self, text: str):
+        if len(self) >= _MEMO_LIMIT:
+            self.clear()
+        try:
+            self[text] = self.parse(text)
+        except ValueError as exc:
+            self[text] = exc
+            self.errors += 1
+        return self[text]
+
+    def failed(self, parsed: list) -> np.ndarray:
+        """Which of parsed, values of this memo, are a ValueError."""
+        if not self.errors:
+            return np.zeros(len(parsed), dtype=bool)
+        return np.fromiter(map(isinstance, parsed, itertools.repeat(ValueError)), bool, len(parsed))
+
+
+def _item_names(text: str) -> tuple[str, ...]:
+    """The #items header value: a JSON list of distinct item name strings."""
+    names = json.loads(text)
+    items = tuple(names)
+    if (not isinstance(names, list) or not all(isinstance(name, str) for name in items)
+            or len(set(items)) < len(items)):
+        raise ValueError("expected a JSON list of distinct item name strings")
+    return items
+
+
 @dataclass(eq=False)
 class NeighborIndex:
     """Per-item nearest neighbors with precomputed similarity values, as one
@@ -372,16 +415,25 @@ class NeighborIndex:
         )
 
     def save(self, path: str) -> None:
+        # the values are ratios of small counts and repeat heavily: repr each
+        # distinct float once, keyed by its bits so -0.0 stays apart from 0.0
+        values = np.asarray(self.values, dtype=np.float64)
+        bits, cell = np.unique(values.view(np.int64), return_inverse=True)
+        texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+        cell = cell.reshape(values.shape)
+        names = np.array([str(item) for item in range(len(self.items))], dtype=object)
+        line = "%s\t%s\t%s\t" + ",".join(["%s"] * (values.shape[1] - 1)) + "\n"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"#{self.FORMAT}\t{self.VERSION}\n")
             fh.write(f"#measure\t{self.measure}\n")
             fh.write(f"#rank_by\t{self.rank_by}\n")
             fh.write(f"#params\t{json.dumps(asdict(self.params), sort_keys=True)}\n")
             fh.write(f"#items\t{json.dumps(list(self.items))}\n")
-            for target, nbr, (value, *vector) in zip(self.targets.tolist(), self.nbrs.tolist(),
-                                                     self.values.tolist()):
-                packed = ",".join(map(repr, vector))
-                fh.write(f"{target}\t{nbr}\t{value!r}\t{packed}\n")
+            for start in range(0, len(self.targets), _BLOCK_LINES):
+                block = slice(start, start + _BLOCK_LINES)
+                cells = np.column_stack((names[self.targets[block]], names[self.nbrs[block]],
+                                         texts[cell[block]]))
+                fh.write(line * len(cells) % tuple(cells.ravel().tolist()))
 
     @classmethod
     def load(cls, path: str) -> "NeighborIndex":
@@ -406,35 +458,72 @@ class NeighborIndex:
             measure = header(2, "measure", str, MEASURES)
             rank_by = header(3, "rank_by", str, RANK_CRITERIA)
             params = header(4, "params", lambda v: SimilarityParams(**json.loads(v)))
-            items = header(5, "items", lambda v: tuple(json.loads(v)))
-            n_items = len(items)
+            items = header(5, "items", _item_names)
+            in_range = range(len(items)).__contains__
             vector_length = params.k if measure in ("pas", "pas_uni") else 0
-            # per line: target * n_items + neighbor, then its value and vector
-            pairs: list[int] = []
-            floats: list[float] = []
-            # entry lines follow the five header lines
-            for lineno, line in enumerate(fh, start=6):
-                fields = line.rstrip("\n").split("\t")
-                try:
-                    if len(fields) != 4:
-                        raise ValueError(f"expected 4 tab-separated fields, got {len(fields)}")
-                    target_s, nbr_s, value_s, packed = fields
-                    target, nbr = int(target_s), int(nbr_s)
-                    if not (0 <= target < n_items and 0 <= nbr < n_items):
-                        raise ValueError(f"item id outside [0, {n_items}): target {target}, neighbor {nbr}")
-                    pairs.append(target * n_items + nbr)
-                    floats.append(float(value_s))
-                    vector = packed.split(",") if packed else ()
-                    if len(vector) != vector_length:
-                        raise ValueError(f"vector of {len(vector)} values, {measure} stores {vector_length}")
-                    floats.extend(map(float, vector))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+            ints, floats = _Parsed(int), _Parsed(float)
 
-        keys = np.array(pairs, dtype=np.int64)
-        targets, nbrs = np.divmod(keys, n_items)
-        values = np.array(floats, dtype=np.float64).reshape(-1, 1 + vector_length)
-        del pairs, floats
+            def vector(packed: str) -> tuple[float, ...]:
+                cells = packed.split(",") if packed else ()
+                if len(cells) != vector_length:
+                    raise ValueError(f"vector of {len(cells)} values, {measure} stores {vector_length}")
+                values = tuple(map(floats.__getitem__, cells))
+                if ValueError in map(type, values):
+                    raise next(value for value in values if isinstance(value, ValueError))
+                return values
+
+            vectors = _Parsed(vector)
+
+            def entry_block(lineno: int):
+                """(targets, nbrs, values) of the next block of entry lines,
+                the first of them line lineno; None at the end of the file."""
+                lines = list(itertools.islice(fh, _BLOCK_LINES))
+                if not lines:
+                    return None
+                fields = [line.rstrip("\n").split("\t") for line in lines]
+                # each check runs, in the order a line is checked, on the lines
+                # before the first failure so far: the first bad line of the
+                # block then reports the first check it fails
+                end, error = len(fields), ""
+
+                def check(bad: np.ndarray, describe) -> None:
+                    nonlocal end, error
+                    hits = np.flatnonzero(bad[:end])
+                    if len(hits):
+                        end = int(hits[0])
+                        error = describe(end)
+
+                check(np.fromiter(map(len, fields), np.intp, end) != 4,
+                      lambda i: f"expected 4 tab-separated fields, got {len(fields[i])}")
+                target_s, nbr_s, value_s, vector_s = zip(*fields[:end]) if end else ((),) * 4
+                targets = list(map(ints.__getitem__, target_s))
+                nbrs = list(map(ints.__getitem__, nbr_s))
+                check(ints.failed(targets) | ints.failed(nbrs),
+                      lambda i: targets[i] if isinstance(targets[i], ValueError) else nbrs[i])
+                check(~(np.fromiter(map(in_range, targets[:end]), bool, end)
+                        & np.fromiter(map(in_range, nbrs[:end]), bool, end)),
+                      lambda i: f"item id outside [0, {len(items)}): "
+                                f"target {targets[i]}, neighbor {nbrs[i]}")
+                values = list(map(floats.__getitem__, value_s[:end]))
+                check(floats.failed(values), values.__getitem__)
+                rows = list(map(vectors.__getitem__, vector_s[:end]))
+                check(vectors.failed(rows), rows.__getitem__)
+                if end < len(fields):
+                    raise ValueError(f"{path}:{lineno + end}: {error}")
+                flat = np.fromiter(itertools.chain.from_iterable(rows), np.float64, end * vector_length)
+                return (np.array(targets, dtype=np.int64), np.array(nbrs, dtype=np.int64),
+                        np.column_stack((np.array(values, dtype=np.float64),
+                                         flat.reshape(end, vector_length))))
+
+            blocks = [(np.empty(0, np.int64), np.empty(0, np.int64),
+                       np.empty((0, 1 + vector_length)))]
+            # entry lines follow the five header lines
+            for lineno in itertools.count(6, _BLOCK_LINES):
+                block = entry_block(lineno)
+                if block is None:
+                    break
+                blocks.append(block)
+        targets, nbrs, values = map(np.concatenate, zip(*blocks))
         # scoring needs finite values and no measure is negative; a share may
         # round an ulp above 1, so there is no upper bound
         bad = np.argwhere(~((values >= 0.0) & (values < np.inf)))
@@ -442,12 +531,25 @@ class NeighborIndex:
             row, column = bad[0]
             raise ValueError(f"{path}:{row + 6}: {float(values[row, column])!r} outside [0, inf)")
         # scoring adds one value per (target, neighbor) entry
+        keys = targets * len(items) + nbrs
         by_key = np.argsort(keys, kind="stable")
         repeats = by_key[1:][keys[by_key[1:]] == keys[by_key[:-1]]]
         if len(repeats):
             row = repeats.min()
             raise ValueError(f"{path}:{row + 6}: repeated entry for target {targets[row]}, neighbor {nbrs[row]}")
+        # the builder never pairs an item with itself and keeps at most
+        # n_neighbors rows per target
+        selves = np.flatnonzero(targets == nbrs)
+        if len(selves):
+            row = selves[0]
+            raise ValueError(f"{path}:{row + 6}: item {targets[row]} is its own neighbor")
         order = np.argsort(targets, kind="stable")
+        slot = np.arange(len(order)) - np.searchsorted(targets[order], targets[order])
+        extra = order[slot >= params.n_neighbors]
+        if len(extra):
+            row = extra.min()
+            raise ValueError(f"{path}:{row + 6}: target {targets[row]} has more than "
+                             f"n_neighbors={params.n_neighbors} entries")
         return cls(measure, params, items, targets[order], nbrs[order], values[order], rank_by=rank_by)
 
 

@@ -148,6 +148,17 @@ def test_empty_corpus_index_is_header_only(tmp_path):
     assert average_uni_by_gap(store, ell=2) == {scaling: [0.0, 0.0] for scaling in SCALINGS}
 
 
+@pytest.mark.parametrize("measure", MEASURES)
+def test_empty_index_round_trips(tmp_path, measure):
+    index = build_neighbor_index(count_pairs([], ell_max=2), SimilarityParams(ell=2), measure)
+    first, second = tmp_path / "first.tsv", tmp_path / "second.tsv"
+    index.save(str(first))
+    loaded = NeighborIndex.load(str(first))
+    assert loaded == index and loaded.values.shape == index.values.shape
+    loaded.save(str(second))
+    assert first.read_bytes() == second.read_bytes()
+
+
 def test_key_range_boundary():
     # n_items**2 * (2*ell_max + 1) <= 2**63 - 1 holds up to ell_max = 2**60 - 1
     # for two items; one more and the packed keys would wrap around

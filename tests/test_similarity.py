@@ -4,6 +4,7 @@ import random
 import re
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -355,6 +356,118 @@ class TestNeighborIndex:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:8: {message}"):
             NeighborIndex.load(str(path))
 
+    @staticmethod
+    def _one_neighbor_index(tmp_path):
+        """A saved bis index with one neighbor per item over items a..d, and
+        an item that is not target 0's neighbor."""
+        corpus = [UserSequence.from_items(f"u{n}", items.split())
+                  for n, items in enumerate(["a b c d", "a b d", "c d a", "b a"])]
+        index = build_neighbor_index(count_pairs(corpus, ell_max=3),
+                                     SimilarityParams(ell=3, n_neighbors=1), "bis")
+        (nbr, _, _), = index.entries[0]
+        other = next(item for item in range(1, len(index.items)) if item != nbr)
+        path = tmp_path / "index.tsv"
+        index.save(str(path))
+        return path, other
+
+    def test_load_rejects_self_pair_with_location(self, tmp_path):
+        path, other = self._one_neighbor_index(tmp_path)
+        lines = path.read_text().splitlines()
+        # two rows for target 0 as well, but the self-pair check runs first
+        lines += [f"0\t{other}\t0.25\t", "0\t0\t0.5\t"]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{len(lines)}: "
+                                             "item 0 is its own neighbor$"):
+            NeighborIndex.load(str(path))
+
+    def test_load_rejects_more_rows_than_n_neighbors_with_location(self, tmp_path):
+        path, other = self._one_neighbor_index(tmp_path)
+        lines = path.read_text().splitlines()
+        # the extra row goes first among the entries, so the saved row for
+        # target 0 is the one past the cap
+        lines.insert(5, f"0\t{other}\t0.25\t")
+        path.write_text("\n".join(lines) + "\n")
+        saved_row = next(n for n, line in enumerate(lines, start=1)
+                         if n > 6 and line.startswith("0\t"))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{saved_row}: "
+                                             "target 0 has more than n_neighbors=1 entries$"):
+            NeighborIndex.load(str(path))
+
+    @staticmethod
+    def _hand_index(values, n_items=3):
+        """A pas index over n_items items with every other item as neighbor,
+        holding the given [entries x (1 + k)] values row by row."""
+        pairs = [(t, n) for t in range(n_items) for n in range(n_items) if n != t]
+        values = np.asarray(values, dtype=np.float64)[:len(pairs)]
+        targets, nbrs = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+        params = SimilarityParams(ell=values.shape[1] - 1, n_neighbors=n_items - 1)
+        return NeighborIndex("pas", params, tuple(f"i{n}" for n in range(n_items)),
+                             targets, nbrs, values)
+
+    @pytest.mark.parametrize("make", ["edge", "distinct"])
+    def test_save_load_save_is_byte_identical(self, tmp_path, make):
+        if make == "edge":
+            # signed zero, the smallest subnormal, exponent notation either
+            # way, and one ulp above 1
+            edge = [-0.0, 5e-324, 1e-05, 1e16, 1.0000000000000002, 0.0, 1.0]
+            values = [[edge[(row + col) % len(edge)] for col in range(4)] for row in range(6)]
+            index = self._hand_index(values)
+        else:
+            index = self._hand_index(np.random.default_rng(7).random((1200, 11)), n_items=35)
+            assert len(np.unique(index.values)) == index.values.size
+        first, second = tmp_path / "first.tsv", tmp_path / "second.tsv"
+        index.save(str(first))
+        loaded = NeighborIndex.load(str(first))
+        assert loaded == index
+        assert np.array_equal(np.signbit(loaded.values), np.signbit(index.values))
+        loaded.save(str(second))
+        assert first.read_bytes() == second.read_bytes()
+        # the same lines the per-value repr gives
+        text = first.read_text().splitlines()[5:]
+        assert text == [
+            f"{t}\t{n}\t{v!r}\t{','.join(map(repr, vec))}"
+            for t, n, (v, *vec) in zip(index.targets.tolist(), index.nbrs.tolist(),
+                                       index.values.tolist())
+        ]
+
+    def test_last_line_without_newline_loads(self, tmp_path, toy_corpus):
+        index = build_neighbor_index(count_pairs(toy_corpus, ell_max=2),
+                                     SimilarityParams(ell=2), "pas")
+        path = tmp_path / "index.tsv"
+        index.save(str(path))
+        path.write_text(path.read_text().removesuffix("\n"))
+        assert NeighborIndex.load(str(path)) == index
+
+    def test_blank_line_after_last_entry_fails_at_its_line(self, tmp_path, toy_corpus):
+        index = build_neighbor_index(count_pairs(toy_corpus, ell_max=2),
+                                     SimilarityParams(ell=2), "pas")
+        path = tmp_path / "index.tsv"
+        index.save(str(path))
+        path.write_text(path.read_text() + "\n")
+        lineno = len(path.read_text().splitlines())
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: "
+                                             "expected 4 tab-separated fields, got 1$"):
+            NeighborIndex.load(str(path))
+
+    @pytest.mark.parametrize("line, message", [
+        ("0\t1", "expected 4 tab-separated fields, got 2"),
+        ("0\tone\t0.5\t0.5,0.5,0.5", "invalid literal"),
+        ("0\t1\t0.5\t0.5,nan,0.5", r"nan outside \[0, inf\)"),
+        ("0\t1\t0.5\t0.5,0.5,0.5", "repeated entry for target 0, neighbor 1"),
+    ], ids=["field-count", "int-parse", "nan-value", "repeated-pair"])
+    def test_bad_line_past_the_first_block_names_its_line(self, tmp_path, line, message):
+        # 100 items with 99 neighbors each: 9900 entry lines, more than one block
+        index = self._hand_index(np.full((9900, 4), 0.5), n_items=100)
+        path = tmp_path / "index.tsv"
+        index.save(str(path))
+        lines = path.read_text().splitlines()
+        lineno = 9000
+        assert lineno > 8192 + 5
+        lines.insert(lineno - 1, line)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: .*{message}"):
+            NeighborIndex.load(str(path))
+
     def test_share_rounded_above_one_round_trips(self, tmp_path):
         # a in band before b for all 13 users: at t = k the pas vector holds
         # (0.9 * 13 + 0.1 * 13) / 13, which rounds to one ulp above 1
@@ -381,10 +494,15 @@ class TestNeighborIndex:
             (3, '#params\t{"colour": 1}', 4, "colour"),
             (4, "#items\t[0, 1", 5, "Expecting"),
             (4, "#items\t5", 5, "not iterable"),
+            (4, '#items\t"ab"', 5, "expected a JSON list of distinct item name strings"),
+            (4, '#items\t{"a": 1}', 5, "expected a JSON list of distinct item name strings"),
+            (4, '#items\t["a", "a"]', 5, "expected a JSON list of distinct item name strings"),
+            (4, "#items\t[1, 2]", 5, "expected a JSON list of distinct item name strings"),
         ],
         ids=["only-magic", "cut-after-rank-by", "cut-after-params", "missing-measure",
              "no-tab", "unknown-measure", "unknown-rank-by", "params-json", "params-rejected",
-             "params-unknown-field", "items-json", "items-not-a-list"],
+             "params-unknown-field", "items-json", "items-not-a-list", "items-a-string",
+             "items-an-object", "items-repeated", "items-not-strings"],
     )
     def test_load_rejects_bad_header_with_location(
         self, tmp_path, toy_corpus, keep, replace, lineno, message
