@@ -22,6 +22,7 @@ from .similarity import NeighborIndex, build_neighbor_index, count_pairs
 log = logging.getLogger(__name__)
 
 SPLITS = ("validation", "test")
+_BLOCK_CELLS = 1 << 16  # users x catalog items scored and ranked at a time
 
 
 class ConfigMismatchError(ValueError):
@@ -72,9 +73,11 @@ def evaluate(
     """Rank each eligible user's held-out item against the full catalog minus
     their known items, and average NDCG@K and 1-call@K over users.
 
-    Users are ranked one after another in ascending user order, in this
-    process. For the test split the validation item, which precedes the test
-    item, rejoins the history.
+    Users are scored and ranked in blocks, in ascending user order, in this
+    process: each block's windows are scored into one [users x catalog]
+    matrix of at most _BLOCK_CELLS cells, and every row is ranked by the same
+    expression. For the test split the validation item, which precedes the
+    test item, rejoins the history.
     """
     if split not in SPLITS:
         raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
@@ -88,21 +91,28 @@ def evaluate(
     missing = np.count_nonzero(lift < 0)
     if missing:
         raise ValueError(f"index covers {missing} items absent from the dataset; wrong dataset?")
-    evaluated: list[int] = []
-    n_skipped = 0
+    histories: dict[str, tuple[str, ...]] = {}
     for user in sorted(held_out):
         history = train_by_user.get(user, ())
         if split == "test":
             history += (dataset.validation[user],)
-        if not history:
-            n_skipped += 1
-            continue
-        window = make_session_window(UserSequence.from_items(user, history), index.params.k)
-        scores = np.zeros(len(universe_pos))
-        scores[lift] = positive_scores(window, index)
+        if history:
+            histories[user] = history
+    n_skipped = len(held_out) - len(histories)
+    users = list(histories)
+    block_users = max(1, _BLOCK_CELLS // max(1, len(universe_pos)))
+    evaluated: list[int] = []
+    for start in range(0, len(users), block_users):
+        block = users[start:start + block_users]
+        windows = [make_session_window(UserSequence.from_items(user, histories[user]), index.params.k)
+                   for user in block]
+        scores = np.zeros((len(block), len(universe_pos)))
+        scores[:, lift] = positive_scores(windows, index)
         # the known items: the training history, plus the validation item for test
-        excluded = [universe_pos[item] for item in history]
-        evaluated.append(rank_of_target(scores, universe_pos[held_out[user]], excluded))
+        known = [universe_pos[item] for user in block for item in histories[user]]
+        rows = np.repeat(np.arange(len(block)), [len(histories[user]) for user in block])
+        target = np.array([universe_pos[held_out[user]] for user in block], dtype=np.int64)
+        evaluated += rank_of_target(scores, target, (rows, known)).tolist()
 
     n_users = len(evaluated)
     ndcg = math.fsum(ndcg_at_k(rank, top_k) for rank in evaluated) / n_users if n_users else 0.0

@@ -195,6 +195,9 @@ class PairStore:
     Histograms are restricted to |gap| <= ell_max; co-occurrence counts and
     per-item user counts are exact regardless of the band, which keeps the
     union denominators and the cosine baseline exact for every pair.
+
+    ``last_selection`` is a one-slot memo of ``_selection``: the last neighbor
+    selection with its fold, keyed on the inputs the selection reads.
     """
 
     def __init__(
@@ -217,6 +220,7 @@ class PairStore:
         self.hist_keys = hist_keys
         self.hist_cum = np.concatenate(([0], np.cumsum(hist_users)))
         self.gaps = np.unique(hist_keys // self.width)
+        self.last_selection: tuple | None = None
 
     @property
     def n_items(self) -> int:
@@ -344,6 +348,18 @@ class _Parsed(dict):
         return np.fromiter(map(isinstance, parsed, itertools.repeat(ValueError)), bool, len(parsed))
 
 
+def _canonical(parse, write):
+    """``parse``, restricted to the text that ``write`` gives for the parsed
+    value: Python's int and float also take spaces, a sign, leading zeros and
+    digit underscores, which ``save`` never writes."""
+    def parse_canonical(text: str):
+        value = parse(text)
+        if write(value) != text:
+            raise ValueError(f"non-canonical number {text!r}, written {write(value)!r}")
+        return value
+    return parse_canonical
+
+
 def _item_names(text: str) -> tuple[str, ...]:
     """The #items header value: a JSON list of distinct item name strings."""
     names = json.loads(text)
@@ -415,12 +431,7 @@ class NeighborIndex:
         )
 
     def save(self, path: str) -> None:
-        # the values are ratios of small counts and repeat heavily: repr each
-        # distinct float once, keyed by its bits so -0.0 stays apart from 0.0
         values = np.asarray(self.values, dtype=np.float64)
-        bits, cell = np.unique(values.view(np.int64), return_inverse=True)
-        texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-        cell = cell.reshape(values.shape)
         names = np.array([str(item) for item in range(len(self.items))], dtype=object)
         line = "%s\t%s\t%s\t" + ",".join(["%s"] * (values.shape[1] - 1)) + "\n"
         with open(path, "w", encoding="utf-8") as fh:
@@ -431,8 +442,13 @@ class NeighborIndex:
             fh.write(f"#items\t{json.dumps(list(self.items))}\n")
             for start in range(0, len(self.targets), _BLOCK_LINES):
                 block = slice(start, start + _BLOCK_LINES)
+                # the values are ratios of small counts and repeat heavily: repr
+                # each distinct float of the block once, keyed by its bits so
+                # -0.0 stays apart from 0.0
+                bits, cell = np.unique(values[block].view(np.int64), return_inverse=True)
+                texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
                 cells = np.column_stack((names[self.targets[block]], names[self.nbrs[block]],
-                                         texts[cell[block]]))
+                                         texts[cell.reshape(values[block].shape)]))
                 fh.write(line * len(cells) % tuple(cells.ravel().tolist()))
 
     @classmethod
@@ -461,7 +477,7 @@ class NeighborIndex:
             items = header(5, "items", _item_names)
             in_range = range(len(items)).__contains__
             vector_length = params.k if measure in ("pas", "pas_uni") else 0
-            ints, floats = _Parsed(int), _Parsed(float)
+            ints, floats = _Parsed(_canonical(int, str)), _Parsed(_canonical(float, repr))
 
             def vector(packed: str) -> tuple[float, ...]:
                 cells = packed.split(",") if packed else ()
@@ -592,6 +608,42 @@ def _select(
     return target[keep], cand[keep], score[keep]
 
 
+def _selection(
+    store: PairStore, params: SimilarityParams, measure: str, rank_by: str
+) -> tuple[np.ndarray, ...]:
+    """(target, candidate, ranking score, union, numerators) of ``_select``'s
+    rows. Column 0 of the numerators counts the gaps in [bis_low, ell] and,
+    for pas and pas_uni, column j the gaps in [j, ell] for j = 1..k; union and
+    numerators are None for cosine.
+
+    Every ``_uni_low`` lies in [1, k], so these columns serve every scaling
+    and w. The selection reads neither scaling nor w (pas_uni and max_t rank
+    at h(0) = 0), and lam only when pas ranks by max_t, so the store keeps
+    the last selection keyed on what it does read: the builds of one ell
+    share one selection and one fold. The arrays are read-only, as the
+    indexes built from them share them.
+    """
+    key = (measure, rank_by, params.ell, params.rho, params.n_neighbors,
+           params.lam if measure == "pas" and rank_by == "max_t" else None)
+    if store.last_selection is None or store.last_selection[0] != key:
+        # free the old selection before making the new one
+        store.last_selection = None
+        target, cand, score = _select(store, params, measure, rank_by)
+        union = nums = None
+        if measure != "cosine":
+            lows = [_bis_low(params.rho, params.ell)]
+            if measure in ("pas", "pas_uni"):
+                lows += range(1, params.k + 1)
+            union = store.union(cand, target)
+            nums = store.numerators(cand, target, params.ell, lows)
+        arrays = (target, cand, score, union, nums)
+        for array in arrays:
+            if array is not None:
+                array.flags.writeable = False
+        store.last_selection = (key, arrays)
+    return store.last_selection[1]
+
+
 def build_neighbor_index(
     store: PairStore,
     params: SimilarityParams,
@@ -607,20 +659,21 @@ def build_neighbor_index(
     rank_by="max_t" switches pas to its t=k value). Ties break toward the
     smaller item identifier.
 
-    Every candidate pair is folded once per direction to rank; only the
-    selected entries are folded again for their t = 1..k vectors.
+    Every candidate pair is folded once per direction to rank, and the
+    selected entries once more at every bound a vector can read. The store
+    keeps both for the next build with the same selection inputs, which then
+    only gathers its columns and combines them.
     """
-    target, cand, score = _select(store, params, measure, rank_by)
+    target, cand, score, union, nums = _selection(store, params, measure, rank_by)
     if measure == "cosine":
         values = score[:, None]
     else:
-        ell = params.ell
-        lows = [_bis_low(params.rho, ell)]
+        columns = [0]
         if measure in ("pas", "pas_uni"):
-            lows += [_uni_low(params.k, t, params.scaling, params.w) for t in range(1, params.k + 1)]
+            # column j counts the gaps in [j, ell]
+            columns += [_uni_low(params.k, t, params.scaling, params.w) for t in range(1, params.k + 1)]
         lam = 1.0 if measure == "pas_uni" else params.lam
-        nums = store.numerators(cand, target, ell, lows)
-        union = store.union(cand, target)
+        nums = nums[:, columns]
         values = np.column_stack((nums[:, 0] / union,
                                   _combine(nums[:, :1], nums[:, 1:], lam, union[:, None])))
 
@@ -642,13 +695,13 @@ def average_uni_by_gap(
     """
     params = SimilarityParams(ell=ell, rho=0.2, lam=1.0, scaling="h_a", w=w,
                               n_neighbors=n_neighbors)
-    target, cand, _ = _select(store, params, "pas_uni", "bis")
-    union = store.union(cand, target)
+    *_, union, nums = _selection(store, params, "pas_uni", "bis")
     profile: dict[str, list[float]] = {}
     for scaling in SCALINGS:
-        lows = [_uni_low(ell, t, scaling, w) for t in range(1, ell + 1)]
+        # column j of nums counts the gaps in [j, ell]
+        columns = [_uni_low(ell, t, scaling, w) for t in range(1, ell + 1)]
         # values[i, t - 1]: pair i at window position t
-        values = store.numerators(cand, target, ell, lows) / union[:, None]
+        values = nums[:, columns] / union[:, None]
         profile[scaling] = [
             math.fsum(values[:, ell - gap - 1].tolist()) / len(values) if len(values) else 0.0
             for gap in range(ell)

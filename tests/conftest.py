@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pasrec.domain import UserSequence
-from pasrec.predictor import positive_scores
+from pasrec.predictor import positive_scores, rank_of_target
 
 
 @pytest.fixture
@@ -42,14 +42,20 @@ def item_pairs(store, keys) -> list[tuple[int, int]]:
 def predicted_score(window, target, index) -> float:
     """The score ``positive_scores`` gives ``target``; 0 outside the index."""
     idx = index.item_index.get(target)
-    return 0.0 if idx is None else float(positive_scores(window, index)[idx])
+    return 0.0 if idx is None else float(positive_scores([window], index)[0, idx])
 
 
 def universe_scores(window, index, universe) -> np.ndarray:
     """``positive_scores`` read out over ``universe``, 0 outside the index."""
-    scores = positive_scores(window, index)
+    scores = positive_scores([window], index)[0]
     return np.array([scores[index.item_index[c]] if c in index.item_index else 0.0
                      for c in universe])
+
+
+def rank_in_row(scores, target_pos, excluded_pos) -> int:
+    """``rank_of_target`` over the one row ``scores``."""
+    rows = np.zeros(len(excluded_pos), dtype=np.int64)
+    return int(rank_of_target(scores[None], np.array([target_pos]), (rows, excluded_pos))[0])
 
 
 def reference_score(window, target, index):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 import pasrec.evaluation as evaluation
-from conftest import random_corpus, reference_score, universe_scores
+from conftest import random_corpus, rank_in_row, reference_score, universe_scores
 from pasrec.domain import InteractionRecord, SimilarityParams, UserSequence, make_session_window
 from pasrec.evaluation import (
     ConfigMismatchError,
@@ -16,7 +16,6 @@ from pasrec.evaluation import (
     write_report_tsv,
 )
 from pasrec.ingest import build_dataset
-from pasrec.predictor import rank_of_target
 from pasrec.similarity import build_neighbor_index, count_pairs
 
 
@@ -129,6 +128,55 @@ class TestEvaluate:
             evaluate(hit_and_miss_dataset, index, "validation", measure="pas")
 
 
+class TestBlockRanking:
+    @staticmethod
+    def reference(dataset, index, split, top_k):
+        """NDCG@K and 1-call@K from ranking each user on its own, by the
+        neighbor rows of each target."""
+        held_out = dataset.validation if split == "validation" else dataset.test
+        train = {seq.user: seq.items for seq in dataset.sequences}
+        ndcg, one_call = [], []
+        for user in sorted(held_out):
+            history = train[user] + ((dataset.validation[user],) if split == "test" else ())
+            window = make_session_window(UserSequence.from_items(user, history), index.params.k)
+            scores = {c: reference_score(window, c, index) for c in dataset.item_universe}
+            target = held_out[user]
+            rank = 1 + sum(1 for c in dataset.item_universe if c not in history
+                           and (-scores[c], c) < (-scores[target], target))
+            ndcg.append(evaluation.ndcg_at_k(rank, top_k))
+            one_call.append(evaluation.one_call_at_k(rank, top_k))
+        return math.fsum(ndcg) / len(ndcg), math.fsum(one_call) / len(one_call)
+
+    @pytest.mark.parametrize("measure", ["pas", "bis", "cosine"])
+    @pytest.mark.parametrize("split", ["validation", "test"])
+    def test_block_size_does_not_change_the_result(self, monkeypatch, measure, split):
+        rng = random.Random(43)
+        items = [f"i{j:02d}" for j in range(20)]
+        recs = [InteractionRecord(user=f"u{u:02d}", item=item, rating=5, timestamp=ts)
+                for u in range(30) for ts, item in enumerate(rng.sample(items, rng.randint(3, 9)))]
+        dataset = build_dataset(recs)
+        # an index over half the users: window items of the others, and
+        # held-out items, are often missing from it
+        store = count_pairs(dataset.sequences[::2], ell_max=3)
+        index = build_neighbor_index(store, SimilarityParams(ell=3, n_neighbors=4), measure)
+        assert len(index.items) < len(dataset.item_universe)
+        n_users = len(dataset.validation)
+        results = []
+        for rows in (1, 2, 3, n_users + 7):
+            monkeypatch.setattr(evaluation, "_BLOCK_CELLS", rows * len(dataset.item_universe))
+            results.append(evaluate(dataset, index, split, top_k=5))
+        assert all(result == results[0] for result in results)
+        assert results[0].n_users == n_users
+        assert (results[0].ndcg, results[0].one_call) == self.reference(dataset, index, split, 5)
+
+    def test_cap_below_one_row_still_ranks_a_row_at_a_time(self, monkeypatch, hit_and_miss_dataset):
+        store = count_pairs(hit_and_miss_dataset.sequences, ell_max=1)
+        index = build_neighbor_index(store, SimilarityParams(ell=1, lam=0.0), "bis")
+        want = evaluate(hit_and_miss_dataset, index, "validation")
+        monkeypatch.setattr(evaluation, "_BLOCK_CELLS", 1)
+        assert evaluate(hit_and_miss_dataset, index, "validation") == want
+
+
 class TestRankOfTarget:
     def test_matches_brute_force_ranking(self):
         rng = random.Random(37)
@@ -147,7 +195,7 @@ class TestRankOfTarget:
                 full = sorted(candidates, key=lambda c: (-reference_score(window, c, index), c))
                 scores = universe_scores(window, index, universe)
                 for want_rank, item in enumerate(full, start=1):
-                    got = rank_of_target(scores, universe_pos[item], excluded)
+                    got = rank_in_row(scores, universe_pos[item], excluded)
                     assert got == want_rank
 
 

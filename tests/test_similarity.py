@@ -3,11 +3,13 @@ import os
 import random
 import re
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pasrec.similarity as similarity
 from conftest import item_pairs, random_corpus
 from pasrec.domain import MEASURES, SCALINGS, SimilarityParams, UserSequence
 from pasrec.similarity import (
@@ -341,6 +343,34 @@ class TestNeighborIndex:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: .*{message}"):
             NeighborIndex.load(str(path))
 
+    @pytest.mark.parametrize(
+        "measure, line, text",
+        [
+            ("bis", "0\t 1_9\t0.5\t", " 1_9"),
+            ("bis", "+1\t0\t0.5\t", "+1"),
+            ("bis", "0\t019\t0.5\t", "019"),
+            ("bis", "-0\t1\t0.5\t", "-0"),
+            ("bis", "0\t1\t+0.625\t", "+0.625"),
+            ("bis", "0\t1\t0.6_25\t", "0.6_25"),
+            ("pas", "0\t1\t0.5\t0.5,0.6_25", "0.6_25"),
+            ("bis", "0\t 1_9\t +0.6_25 \t", " 1_9"),
+        ],
+        ids=["id-underscore", "id-plus", "id-leading-zero", "id-minus-zero", "value-plus",
+             "value-underscore", "vector-underscore", "spaces-everywhere"],
+    )
+    def test_load_rejects_non_canonical_number_with_location(self, tmp_path, toy_corpus,
+                                                             measure, line, text):
+        index = build_neighbor_index(count_pairs(toy_corpus, ell_max=2),
+                                     SimilarityParams(ell=2, lam=0.0), measure)
+        path = tmp_path / "index.tsv"
+        index.save(str(path))
+        lines = path.read_text().splitlines()
+        lines.insert(6, line)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:7: "
+                                             f"non-canonical number {re.escape(repr(text))}"):
+            NeighborIndex.load(str(path))
+
     @pytest.mark.parametrize("line, message", [("1\t1\tnan\t", "nan outside"),
                                                ("0\t1\t0.5\t", "repeated entry")],
                              ids=["nan-value", "repeated-pair"])
@@ -552,6 +582,54 @@ class TestNeighborIndex:
         for row in index.entries:
             for _, _, vector in row:
                 assert all(x <= y for x, y in zip(vector, vector[1:]))
+
+
+class TestSelectionMemo:
+    @pytest.mark.parametrize("measure", MEASURES)
+    @pytest.mark.parametrize("rank_by", RANK_CRITERIA)
+    def test_index_from_a_used_store_equals_a_fresh_one(self, measure, rank_by):
+        rng = random.Random(MEASURES.index(measure) * 2 + RANK_CRITERIA.index(rank_by))
+        corpus = random_corpus(rng, max_users=30, max_items=15, max_len=10)
+        grid = [SimilarityParams(ell=ell, rho=rho, lam=lam, scaling=scaling, w=w, n_neighbors=n)
+                for ell in (2, 3) for rho in (0.2, 0.5) for lam in (0.0, 0.3, 1.0)
+                for scaling in SCALINGS for w in (1.5, 2.0, 3.0) for n in (2, 4)]
+        configs = rng.sample(grid, 30)
+        # neighbors in the shuffled order share their selection now and then
+        configs += [configs[-1], replace(configs[-1], scaling="h_c", w=2.5)]
+        store = count_pairs(corpus, ell_max=3)
+        for params in configs:
+            used = build_neighbor_index(store, params, measure, rank_by=rank_by)
+            fresh = build_neighbor_index(count_pairs(corpus, ell_max=3), params, measure,
+                                         rank_by=rank_by)
+            assert used == fresh
+            assert used.values.dtype == fresh.values.dtype == np.float64
+
+    def test_builds_of_one_ell_share_one_selection(self, monkeypatch):
+        calls = []
+        real = similarity._select
+        monkeypatch.setattr(similarity, "_select", lambda *args: calls.append(args) or real(*args))
+        store = count_pairs(random_corpus(random.Random(3)), ell_max=4)
+        for ell in (3, 4):
+            for scaling in SCALINGS:
+                build_neighbor_index(store, SimilarityParams(ell=ell, scaling=scaling), "pas")
+        assert len(calls) == 2
+        # the one slot holds the last selection only
+        assert store.last_selection[0][2] == 4
+        # pas ranked by max_t reads lam; bis ranking and a new n_neighbors select again
+        build_neighbor_index(store, SimilarityParams(ell=4, lam=0.5), "pas", rank_by="max_t")
+        build_neighbor_index(store, SimilarityParams(ell=4, lam=0.5, w=3.0), "pas", rank_by="max_t")
+        build_neighbor_index(store, SimilarityParams(ell=4, lam=0.6), "pas", rank_by="max_t")
+        build_neighbor_index(store, SimilarityParams(ell=4, lam=0.6, n_neighbors=3), "pas",
+                             rank_by="max_t")
+        assert len(calls) == 5
+
+    def test_indexes_cannot_change_the_shared_selection(self, toy_corpus):
+        store = count_pairs(toy_corpus, ell_max=2)
+        index = build_neighbor_index(store, SimilarityParams(ell=2), "cosine")
+        with pytest.raises(ValueError, match="read-only"):
+            index.nbrs[0] = 2
+        with pytest.raises(ValueError, match="read-only"):
+            index.values[0, 0] = 1.0
 
 
 class TestInvariants:
