@@ -33,15 +33,10 @@ from .ingest import (
 from .predictor import ScoredItem, recommend_top_k
 from .similarity import (
     NeighborIndex,
-    PairStats,
     PairStore,
     average_uni_by_gap,
-    bis_similarity,
     build_neighbor_index,
-    cosine_similarity,
     count_pairs,
-    pas_similarity,
-    pas_uni_similarity,
     scale,
 )
 from .synth import SynthConfig, generate, write_log
@@ -76,15 +71,10 @@ __all__ = [
     "ScoredItem",
     "recommend_top_k",
     "NeighborIndex",
-    "PairStats",
     "PairStore",
     "average_uni_by_gap",
-    "bis_similarity",
     "build_neighbor_index",
-    "cosine_similarity",
     "count_pairs",
-    "pas_similarity",
-    "pas_uni_similarity",
     "scale",
     "SynthConfig",
     "generate",

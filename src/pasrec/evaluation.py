@@ -33,18 +33,18 @@ class ConfigMismatchError(ValueError):
         self.field_name = field_name
 
 
-def ndcg_at_k(rank: int | None, top_k: int) -> float:
+def ndcg_at_k(rank: int, top_k: int) -> float:
     """Discounted gain of the single relevant item: 1/log2(rank+1) inside the
     cutoff, 0 for a miss.
     """
-    if rank is None or rank > top_k:
+    if rank > top_k:
         return 0.0
     return 1.0 / math.log2(rank + 1)
 
 
-def one_call_at_k(rank: int | None, top_k: int) -> int:
+def one_call_at_k(rank: int, top_k: int) -> int:
     """1 if the held-out item made the top-K, else 0."""
-    return 1 if rank is not None and rank <= top_k else 0
+    return 1 if rank <= top_k else 0
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,15 @@ with the running sum of their users, so the users of one pair with gap in
 One routine, ``_numerators``, does every such aggregation: for many pairs at
 once it counts the users whose directed gap lies in [low, ell] for a list of
 integer lower bounds, reading the canonical histogram of either direction
-through a sign. The scalar functions, neighbor selection, the stored t = 1..k
-vectors and the sparsity profile all take their numerators from it. Both
-bounds are exact integers before a histogram is read: the reverse bound is
--floor(rho*ell) with rho*ell in decimal arithmetic (0.58 * 50 is 29, where
-floats give 28.999999999999996), and gap > h(k-t) is gap >= floor(h(k-t)) + 1.
-Every stored value is the scalar expression evaluated elementwise in float64
-on exact integer counts, so it is the same float the scalar functions give.
+through a sign. Neighbor selection, the stored t = 1..k vectors and the
+sparsity profile all take their numerators from it. Both bounds are exact
+integers before a histogram is read: the reverse bound is -floor(rho*ell)
+with rho*ell in decimal arithmetic (0.58 * 50 is 29, where floats give
+28.999999999999996), and gap > h(k-t) is gap >= floor(h(k-t)) + 1. Every
+stored value is one expression evaluated elementwise in float64 on exact
+integer counts, so it is the same float a per-pair loop over the counts
+gives. A per-pair value is read from a built index or from
+``PairStore.numerators``; ``pasrec.oracle`` recounts it from the sequences.
 
 Measures:
   bis      users with gap in [-rho*ell, ell], over the user-set union
@@ -50,20 +52,6 @@ RANK_CRITERIA = ("bis", "max_t")
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-@dataclass(frozen=True)
-class PairStats:
-    """Directed sufficient statistic for one ordered pair (i_from, i_to).
-
-    gap_counts   users per signed gap p(i_to) - p(i_from), |gap| <= ell_max
-    co_users     users containing both items, at any gap
-    union_users  |U_from ∪ U_to|
-    """
-
-    gap_counts: dict[int, int]
-    co_users: int
-    union_users: int
-
-
 def scale(x: float, scaling: str, w: float) -> float:
     """Threshold scaling h(x): h_a(x)=x, h_b(x)=x/w, h_c(x)=w*floor(x/w)."""
     if w <= 1.0:
@@ -80,8 +68,8 @@ def scale(x: float, scaling: str, w: float) -> float:
 
 
 def _combine(n_bis, n_uni, lam: float, union):
-    # single shared expression, on ints or elementwise on int64 arrays, so
-    # every code path is bit-identical
+    # one shared expression, elementwise on int64 arrays, so ranking scores
+    # and stored values are bit-identical
     return ((1.0 - lam) * n_bis + lam * n_uni) / union
 
 
@@ -124,60 +112,6 @@ def _numerators(
     return np.where(forward, fixed - moving, moving - fixed)
 
 
-def _pair_numerators(pair: PairStats, ell: int, lows: Sequence[int]) -> list[int]:
-    """``_numerators`` over the one histogram of a directed pair view."""
-    gaps = sorted(pair.gap_counts)
-    cum = np.cumsum([0, *(pair.gap_counts[g] for g in gaps)])
-    keys = np.array(gaps, dtype=np.int64)
-    return _numerators(keys, cum, [0], True, ell, lows)[0].tolist()
-
-
-def bis_similarity(pair: PairStats, ell: int, rho: float) -> float:
-    """Bidirectional similarity: gap in [-rho*ell, ell], over the union."""
-    if pair.union_users == 0:
-        return 0.0
-    (n_bis,) = _pair_numerators(pair, ell, (_bis_low(rho, ell),))
-    return n_bis / pair.union_users
-
-
-def pas_uni_similarity(
-    pair: PairStats, ell: int, k: int, t: int, scaling: str, w: float
-) -> float:
-    """Unidirectional position-aware similarity at window position t.
-
-    Counts users with gap strictly above h(k - t) and at most ell.
-    """
-    if not 1 <= t <= k:
-        raise ValueError(f"window position t={t} outside 1..{k}")
-    if pair.union_users == 0:
-        return 0.0
-    (n_uni,) = _pair_numerators(pair, ell, (_uni_low(k, t, scaling, w),))
-    return n_uni / pair.union_users
-
-
-def pas_similarity(pair: PairStats, params: SimilarityParams, t: int) -> float:
-    """Position-aware similarity: (1-lam)*bis + lam*pas_uni, one division.
-
-    Reduces bit-exactly to bis_similarity at lam=0 and to pas_uni_similarity
-    at lam=1.
-    """
-    k = params.k
-    if not 1 <= t <= k:
-        raise ValueError(f"window position t={t} outside 1..{k}")
-    if pair.union_users == 0:
-        return 0.0
-    lows = (_bis_low(params.rho, params.ell), _uni_low(k, t, params.scaling, params.w))
-    n_bis, n_uni = _pair_numerators(pair, params.ell, lows)
-    return _combine(n_bis, n_uni, params.lam, pair.union_users)
-
-
-def cosine_similarity(pair: PairStats, count_i: int, count_j: int) -> float:
-    """Cosine over binary incidence: co_users / sqrt(count_i * count_j)."""
-    if count_i == 0 or count_j == 0:
-        return 0.0
-    return pair.co_users / math.sqrt(count_i * count_j)
-
-
 class PairStore:
     """Gap histograms and co-occurrence counts for a training corpus, as
     sorted int64 columns.
@@ -211,7 +145,6 @@ class PairStore:
         ell_max: int,
     ) -> None:
         self.items = items
-        self.item_index = {item: idx for idx, item in enumerate(items)}
         self.item_users = item_users
         self.co = co
         self.co_users = co_users
@@ -225,10 +158,6 @@ class PairStore:
     @property
     def n_items(self) -> int:
         return len(self.items)
-
-    def user_count(self, item: str) -> int:
-        idx = self.item_index.get(item)
-        return 0 if idx is None else int(self.item_users[idx])
 
     def _pair_key(self, a, b):
         """Key of each unordered item pair (a, b)."""
@@ -244,28 +173,6 @@ class PairStore:
         """``_numerators`` for the directed pairs cand -> target."""
         base = self._pair_key(cand, target) * self.width + self.ell_max
         return _numerators(self.hist_keys, self.hist_cum, base, cand < target, ell, lows)
-
-    def pair_stats(self, i_from: str, i_to: str) -> PairStats:
-        """Directed view for (i_from -> i_to); empty stats for unseen items."""
-        a = self.item_index.get(i_from)
-        b = self.item_index.get(i_to)
-        if a is None or b is None or a == b:
-            known = [x for x in (a, b) if x is not None]
-            union = int(self.item_users[known[0]]) if len(known) == 1 else 0
-            return PairStats(gap_counts={}, co_users=0, union_users=union)
-        key = int(self._pair_key(a, b))
-        at = int(np.searchsorted(self.co, key))
-        co_users = int(self.co_users[at]) if at < len(self.co) and self.co[at] == key else 0
-        base = key * self.width + self.ell_max
-        start, stop = np.searchsorted(self.hist_keys, (base - self.ell_max, base + self.ell_max + 1))
-        sign = 1 if a < b else -1
-        gaps = (self.hist_keys[start:stop] - base).tolist()
-        users = np.diff(self.hist_cum[start:stop + 1]).tolist()
-        return PairStats(
-            gap_counts={sign * g: c for g, c in zip(gaps, users)},
-            co_users=co_users,
-            union_users=int(self.item_users[a] + self.item_users[b]) - co_users,
-        )
 
 
 def count_pairs(sequences: Sequence[UserSequence], ell_max: int) -> PairStore:

@@ -9,23 +9,23 @@ import random
 import time
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
-from conftest import item_pairs, predicted_score, random_corpus
+from conftest import (
+    assert_pairs_match_oracle,
+    directed_pairs,
+    predicted_score,
+    random_corpus,
+    reduction_mismatches,
+    uni_values,
+)
 from pasrec.cli import main as cli_main
 from pasrec.domain import SimilarityParams, make_session_window
 from pasrec.evaluation import expand_grid, grid_search, ndcg_at_k, one_call_at_k
 from pasrec.ingest import build_dataset, check_stats_consistency
-from pasrec.oracle import oracle_bis, oracle_cosine, oracle_pas, oracle_predict
-from pasrec.similarity import (
-    average_uni_by_gap,
-    bis_similarity,
-    build_neighbor_index,
-    cosine_similarity,
-    count_pairs,
-    pas_similarity,
-    pas_uni_similarity,
-)
+from pasrec.oracle import oracle_predict
+from pasrec.similarity import average_uni_by_gap, build_neighbor_index, count_pairs
 from pasrec.synth import SynthConfig, generate, write_log
 
 TOLERANCE = 1e-12
@@ -92,26 +92,9 @@ def test_criterion_1_oracle_equivalence(oracle_instances):
             rng = random.Random(sample_seed)
             store = count_pairs(corpus, ell_max=params.ell)
             items = sorted({i for s in corpus for i in s.items})
-            uni = SimilarityParams(ell=params.ell, rho=params.rho, lam=1.0,
-                                   scaling=params.scaling, w=params.w,
-                                   n_neighbors=params.n_neighbors)
             pairs = [tuple(rng.sample(items, 2)) for _ in range(20)]
             pairs.append((items[0], "item-never-observed"))
-            for i_from, i_to in pairs:
-                stats = store.pair_stats(i_from, i_to)
-                assert bis_similarity(stats, params.ell, params.rho) == pytest.approx(
-                    oracle_bis(corpus, i_from, i_to, params.ell, params.rho), abs=TOLERANCE
-                )
-                assert cosine_similarity(
-                    stats, store.user_count(i_to), store.user_count(i_from)
-                ) == pytest.approx(oracle_cosine(corpus, i_from, i_to), abs=TOLERANCE)
-                for t in range(1, params.k + 1):
-                    assert pas_similarity(stats, params, t) == pytest.approx(
-                        oracle_pas(corpus, i_from, i_to, params, t), abs=TOLERANCE
-                    )
-                    assert pas_uni_similarity(
-                        stats, params.ell, params.k, t, params.scaling, params.w
-                    ) == pytest.approx(oracle_pas(corpus, i_from, i_to, uni, t), abs=TOLERANCE)
+            assert_pairs_match_oracle(corpus, store, params, pairs, TOLERANCE)
             measure = measures[trial % len(measures)]
             index = build_neighbor_index(store, params, measure)
             for seq in rng.sample(corpus, min(2, len(corpus))):
@@ -127,68 +110,37 @@ def test_criterion_1_oracle_equivalence(oracle_instances):
 
 def test_criterion_2_reduction_identities(oracle_instances):
     with criterion(2, "lam=0 equals bis and lam=1 equals pas_uni, exactly"):
-        for corpus, params, sample_seed in oracle_instances:
-            rng = random.Random(sample_seed)
-            store = count_pairs(corpus, ell_max=params.ell)
-            items = sorted({i for s in corpus for i in s.items})
-            at_zero = SimilarityParams(ell=params.ell, rho=params.rho, lam=0.0,
-                                       scaling=params.scaling, w=params.w)
-            at_one = SimilarityParams(ell=params.ell, rho=params.rho, lam=1.0,
-                                      scaling=params.scaling, w=params.w)
-            for _ in range(15):
-                i_from, i_to = rng.sample(items, 2)
-                stats = store.pair_stats(i_from, i_to)
-                for t in range(1, params.k + 1):
-                    assert pas_similarity(stats, at_zero, t) == bis_similarity(
-                        stats, params.ell, params.rho
-                    )
-                    assert pas_similarity(stats, at_one, t) == pas_uni_similarity(
-                        stats, params.ell, params.k, t, params.scaling, params.w
-                    )
+        mismatches = 0
+        for corpus, params, _ in oracle_instances:
+            mismatches += reduction_mismatches(count_pairs(corpus, ell_max=params.ell), params)
+        assert mismatches == 0
 
 
 def test_criterion_3_position_monotonicity(oracle_instances):
     with criterion(3, "pas_uni non-decreasing in t for every stored pair"):
-        violations = 0
+        violations = cells = 0
         for corpus, params, _ in oracle_instances:
             store = count_pairs(corpus, ell_max=params.ell)
-            k = params.k
-            for a, b in item_pairs(store, store.gaps):
-                for i_from, i_to in (
-                    (store.items[a], store.items[b]),
-                    (store.items[b], store.items[a]),
-                ):
-                    stats = store.pair_stats(i_from, i_to)
-                    if stats.union_users == 0:
-                        continue
-                    values = [
-                        pas_uni_similarity(stats, params.ell, k, t, "h_a", 2.0)
-                        for t in range(1, k + 1)
-                    ]
-                    if any(x > y for x, y in zip(values, values[1:])):
-                        violations += 1
+            values = uni_values(store, *directed_pairs(store), params.ell, "h_a", 2.0)
+            violations += np.count_nonzero((np.diff(values, axis=1) < 0).any(axis=1))
+            cells += values.size
         assert violations == 0
+        # both directions of every stored pair at every t, over the 200 corpora
+        assert cells == 172_974
 
 
 def test_criterion_4_scaling_dominance(oracle_instances):
     with criterion(4, "h_b and h_c thresholds never fall below h_a pointwise"):
-        violations = 0
+        violations = comparisons = 0
         for corpus, params, _ in oracle_instances:
             store = count_pairs(corpus, ell_max=params.ell)
-            k = params.k
-            for a, b in item_pairs(store, store.gaps):
-                for i_from, i_to in (
-                    (store.items[a], store.items[b]),
-                    (store.items[b], store.items[a]),
-                ):
-                    stats = store.pair_stats(i_from, i_to)
-                    for t in range(1, k + 1):
-                        base = pas_uni_similarity(stats, params.ell, k, t, "h_a", 2.0)
-                        if pas_uni_similarity(stats, params.ell, k, t, "h_b", 2.0) < base:
-                            violations += 1
-                        if pas_uni_similarity(stats, params.ell, k, t, "h_c", 2.0) < base:
-                            violations += 1
+            pairs = directed_pairs(store)
+            base = uni_values(store, *pairs, params.ell, "h_a", 2.0)
+            for scaling in ("h_b", "h_c"):
+                violations += np.count_nonzero(uni_values(store, *pairs, params.ell, scaling, 2.0) < base)
+                comparisons += base.size
         assert violations == 0
+        assert comparisons == 345_948
 
 
 def test_criterion_5_sparsity_profile_shape(fig2_dataset):

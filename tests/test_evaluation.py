@@ -28,16 +28,14 @@ class TestMetrics:
 
     def test_ndcg_miss_is_zero(self):
         assert ndcg_at_k(7, 5) == 0.0
-        assert ndcg_at_k(None, 5) == 0.0
 
     def test_one_call_boundary(self):
         assert one_call_at_k(5, 5) == 1
         assert one_call_at_k(6, 5) == 0
         assert one_call_at_k(1, 1) == 1
-        assert one_call_at_k(None, 5) == 0
 
     def test_per_user_ndcg_never_exceeds_one_call(self):
-        for rank in [1, 2, 3, 5, 6, 100, None]:
+        for rank in [1, 2, 3, 5, 6, 100]:
             assert ndcg_at_k(rank, 5) <= one_call_at_k(rank, 5)
 
 

@@ -2,22 +2,18 @@
 
 A faster version of the acceptance criterion runs here so regressions show up
 in the regular suite; the full 200-corpus sweep lives in test_acceptance.py.
+The engine side of a pair is its row in a full index, one that keeps every
+candidate pair, and 0 for a pair with no row; predictions go through the
+shipped scorer.
 """
 import random
 
 import pytest
 
-from conftest import predicted_score, random_corpus
+from conftest import assert_pairs_match_oracle, predicted_score, random_corpus, reduction_mismatches
 from pasrec.domain import SimilarityParams, UserSequence, make_session_window
-from pasrec.oracle import oracle_bis, oracle_cosine, oracle_pas, oracle_predict
-from pasrec.similarity import (
-    bis_similarity,
-    build_neighbor_index,
-    cosine_similarity,
-    count_pairs,
-    pas_similarity,
-    pas_uni_similarity,
-)
+from pasrec.oracle import oracle_bis, oracle_pas, oracle_predict
+from pasrec.similarity import build_neighbor_index, count_pairs
 
 TOLERANCE = 1e-12
 
@@ -43,25 +39,7 @@ def sample_pairs(rng, items, count):
 def check_corpus(corpus, params, rng):
     store = count_pairs(corpus, ell_max=params.ell)
     items = sorted({i for s in corpus for i in s.items})
-    uni = SimilarityParams(
-        ell=params.ell, rho=params.rho, lam=1.0, scaling=params.scaling,
-        w=params.w, n_neighbors=params.n_neighbors,
-    )
-    for i_from, i_to in sample_pairs(rng, items, 25):
-        stats = store.pair_stats(i_from, i_to)
-        assert bis_similarity(stats, params.ell, params.rho) == pytest.approx(
-            oracle_bis(corpus, i_from, i_to, params.ell, params.rho), abs=TOLERANCE
-        )
-        assert cosine_similarity(
-            stats, store.user_count(i_to), store.user_count(i_from)
-        ) == pytest.approx(oracle_cosine(corpus, i_from, i_to), abs=TOLERANCE)
-        for t in range(1, params.k + 1):
-            assert pas_similarity(stats, params, t) == pytest.approx(
-                oracle_pas(corpus, i_from, i_to, params, t), abs=TOLERANCE
-            )
-            assert pas_uni_similarity(
-                stats, params.ell, params.k, t, params.scaling, params.w
-            ) == pytest.approx(oracle_pas(corpus, i_from, i_to, uni, t), abs=TOLERANCE)
+    assert_pairs_match_oracle(corpus, store, params, sample_pairs(rng, items, 25), TOLERANCE)
 
 
 def test_similarities_match_oracle():
@@ -110,19 +88,7 @@ def test_reductions_are_exact():
     for trial in range(12):
         corpus = random_corpus(rng)
         base = PARAM_COMBOS[trial % len(PARAM_COMBOS)]
-        store = count_pairs(corpus, ell_max=base.ell)
-        items = sorted({i for s in corpus for i in s.items})
-        for i_from, i_to in sample_pairs(rng, items, 20):
-            stats = store.pair_stats(i_from, i_to)
-            at_zero = SimilarityParams(ell=base.ell, rho=base.rho, lam=0.0,
-                                       scaling=base.scaling, w=base.w)
-            at_one = SimilarityParams(ell=base.ell, rho=base.rho, lam=1.0,
-                                      scaling=base.scaling, w=base.w)
-            for t in range(1, base.k + 1):
-                assert pas_similarity(stats, at_zero, t) == bis_similarity(stats, base.ell, base.rho)
-                assert pas_similarity(stats, at_one, t) == pas_uni_similarity(
-                    stats, base.ell, base.k, t, base.scaling, base.w
-                )
+        assert reduction_mismatches(count_pairs(corpus, ell_max=base.ell), base) == 0
 
 
 class TestOracleToyValues:

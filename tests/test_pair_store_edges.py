@@ -1,26 +1,18 @@
 """The columnar pair store on degenerate corpora and at the int64 key limit.
 
 Each corpus is checked end to end: the counted columns against literal
-values, every directed pair view against the oracle, the saved index of all
-four measures against the oracle, and the sparsity profile.
+values, every directed pair of a full index against the oracle, the saved
+index of all four measures against the oracle, and the sparsity profile.
 """
 import math
 
+import numpy as np
 import pytest
 
-from conftest import item_pairs
+from conftest import assert_pairs_match_oracle, gap_histogram, item_pairs
 from pasrec.domain import MEASURES, SCALINGS, SimilarityParams, UserSequence
 from pasrec.oracle import oracle_bis, oracle_cosine, oracle_neighborhood, oracle_pas
-from pasrec.similarity import (
-    NeighborIndex,
-    average_uni_by_gap,
-    bis_similarity,
-    build_neighbor_index,
-    cosine_similarity,
-    count_pairs,
-    pas_similarity,
-    pas_uni_similarity,
-)
+from pasrec.similarity import NeighborIndex, average_uni_by_gap, build_neighbor_index, count_pairs
 
 TOLERANCE = 1e-12
 
@@ -62,32 +54,17 @@ def test_counted_columns(name):
     assert got_co == co
     assert len(store.gaps) == sum(1 for hist in gap_counts.values() if hist)
     for (i_from, i_to), hist in gap_counts.items():
-        assert store.pair_stats(i_from, i_to).gap_counts == hist
-        assert store.pair_stats(i_to, i_from).gap_counts == {-g: c for g, c in hist.items()}
+        assert gap_histogram(store, i_from, i_to) == hist
+        assert gap_histogram(store, i_to, i_from) == {-g: c for g, c in hist.items()}
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_CORPORA))
 def test_pair_views_match_oracle(name):
     corpus, ell_max, _, _, _ = EDGE_CORPORA[name]
     store = count_pairs(corpus, ell_max=ell_max)
-    params = edge_params(ell_max)
-    uni = SimilarityParams(ell=ell_max, rho=0.5, lam=1.0, scaling="h_b", w=2.0)
     names = [*store.items, "never-seen"]
-    for i_from in names:
-        for i_to in names:
-            if i_from == i_to:
-                continue
-            stats = store.pair_stats(i_from, i_to)
-            assert bis_similarity(stats, ell_max, 0.5) == pytest.approx(
-                oracle_bis(corpus, i_from, i_to, ell_max, 0.5), abs=TOLERANCE)
-            assert cosine_similarity(
-                stats, store.user_count(i_from), store.user_count(i_to)
-            ) == pytest.approx(oracle_cosine(corpus, i_from, i_to), abs=TOLERANCE)
-            for t in range(1, params.k + 1):
-                assert pas_similarity(stats, params, t) == pytest.approx(
-                    oracle_pas(corpus, i_from, i_to, params, t), abs=TOLERANCE)
-                assert pas_uni_similarity(stats, ell_max, params.k, t, "h_b", 2.0) == (
-                    pytest.approx(oracle_pas(corpus, i_from, i_to, uni, t), abs=TOLERANCE))
+    pairs = [(i_from, i_to) for i_from in names for i_to in names if i_from != i_to]
+    assert_pairs_match_oracle(corpus, store, edge_params(ell_max), pairs, TOLERANCE)
 
 
 @pytest.mark.parametrize("rank_by", ["bis", "max_t"])
@@ -166,7 +143,10 @@ def test_key_range_boundary():
     widest = 2**60 - 1
     assert 4 * (2 * widest + 1) <= 2**63 - 1 < 4 * (2 * (widest + 1) + 1)
     store = count_pairs(corpus, ell_max=widest)
-    assert store.pair_stats("a", "b").gap_counts == {1: 1}
+    # a -> b: one user at gap 1, in [1, 1] and in [-1, 1]; b -> a: none in
+    # [1, 1], one in [-1, 1]
+    got = store.numerators(np.array([0, 1]), np.array([1, 0]), 1, [1, -1])
+    assert got.tolist() == [[1, 1], [0, 1]]
     index = build_neighbor_index(store, SimilarityParams(ell=1, lam=0.0), "bis")
     assert index.entries == [[(1, 0.0, ())], [(0, 1.0, ())]]  # b -> a is gap -1
     with pytest.raises(ValueError, match=rf"n_items=2, ell_max={widest + 1}\b"):

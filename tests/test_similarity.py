@@ -1,4 +1,3 @@
-import math
 import os
 import random
 import re
@@ -10,20 +9,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pasrec.similarity as similarity
-from conftest import item_pairs, random_corpus
-from pasrec.domain import MEASURES, SCALINGS, SimilarityParams, UserSequence
-from pasrec.similarity import (
-    RANK_CRITERIA,
-    NeighborIndex,
-    PairStats,
-    bis_similarity,
-    build_neighbor_index,
-    cosine_similarity,
-    count_pairs,
-    pas_similarity,
-    pas_uni_similarity,
-    scale,
+from conftest import (
+    directed_pairs,
+    full_index,
+    gap_histogram,
+    pair_rows,
+    predicted_score,
+    random_corpus,
+    row_value,
+    uni_values,
 )
+from pasrec.domain import MEASURES, SCALINGS, SimilarityParams, UserSequence, make_session_window
+from pasrec.oracle import oracle_bis, oracle_pas, oracle_predict
+from pasrec.predictor import positive_scores
+from pasrec.similarity import RANK_CRITERIA, NeighborIndex, build_neighbor_index, count_pairs, scale
 
 
 # users with distinct items drawn from a small catalog, so pairs recur
@@ -33,20 +32,42 @@ corpora = st.lists(
 ).map(lambda users: [UserSequence.from_items(f"u{n}", items) for n, items in enumerate(users)])
 
 
+def users(*sequences):
+    return [UserSequence.from_items(f"v{n}", items.split()) for n, items in enumerate(sequences)]
+
+
+def pair_value(store, measure, i_from, i_to, column=0, **params):
+    """Column ``column`` of the pair's row in the full ``measure`` index; 0
+    for a pair with no row."""
+    rows = pair_rows(full_index(store, SimilarityParams(**params), measure))
+    return row_value(rows, i_from, i_to, column)
+
+
+def co_users(store, item_a, item_b):
+    """Users holding both items, read from the co-occurrence columns."""
+    a, b = sorted((store.items.index(item_a), store.items.index(item_b)))
+    at = np.flatnonzero(store.co == a * store.n_items + b)
+    return int(store.co_users[at[0]]) if len(at) else 0
+
+
+def union(store, item_a, item_b):
+    """|U_a ∪ U_b| of a co-occurring pair, through ``PairStore.union``."""
+    a, b = (np.array([store.items.index(item)]) for item in (item_a, item_b))
+    return int(store.union(a, b)[0])
+
+
 class TestCountPairs:
     def test_single_user(self):
         store = count_pairs([UserSequence.from_items("v", ["a", "b", "c"])], ell_max=5)
-        ac = store.pair_stats("a", "c")
-        assert ac.gap_counts == {2: 1}
-        assert ac.co_users == 1
-        assert ac.union_users == 1
+        assert gap_histogram(store, "a", "c") == {2: 1}
+        assert co_users(store, "a", "c") == 1
+        assert union(store, "a", "c") == 1
 
     def test_toy_corpus(self, toy_corpus):
         store = count_pairs(toy_corpus, ell_max=5)
-        ab = store.pair_stats("a", "b")
-        assert ab.gap_counts == {1: 1, 2: 1, -1: 1}
-        assert ab.co_users == 3
-        assert ab.union_users == 3
+        assert gap_histogram(store, "a", "b") == {1: 1, 2: 1, -1: 1}
+        assert co_users(store, "a", "b") == 3
+        assert union(store, "a", "b") == 3
 
     def test_disjoint_users_have_no_pairs(self):
         store = count_pairs(
@@ -54,22 +75,29 @@ class TestCountPairs:
             ell_max=5,
         )
         assert len(store.gaps) == 0 and len(store.co) == 0
-        assert store.user_count("a") == 1
-        assert store.user_count("b") == 1
-        ab = store.pair_stats("a", "b")
-        assert ab.union_users == 2 and ab.co_users == 0
+        assert store.items == ("a", "b")
+        # |U_a ∪ U_b| is the sum of the user counts when no user holds both
+        assert store.item_users.tolist() == [1, 1]
 
     def test_gap_band_limits_histogram_not_co_counts(self):
-        store = count_pairs([UserSequence.from_items("v", ["a", "b", "c", "d"])], ell_max=1)
-        ad = store.pair_stats("a", "d")
-        assert ad.gap_counts == {}
-        assert ad.co_users == 1
-        assert ad.union_users == 1
+        corpus = [UserSequence.from_items("v", ["a", "b", "c", "d"])]
+        store = count_pairs(corpus, ell_max=1)
+        assert gap_histogram(store, "a", "d") == {}
+        assert co_users(store, "a", "d") == 1
+        assert union(store, "a", "d") == 1
+        # a pair that co-occurs only beyond ell_max has no bis, pas or pas_uni
+        # row, and the oracle gives it 0; cosine counts it at any distance
+        params = SimilarityParams(ell=1, rho=0.5, lam=0.5, n_neighbors=3)
+        for i_from, i_to in (("a", "d"), ("d", "a")):
+            for measure in ("bis", "pas", "pas_uni"):
+                assert (i_from, i_to) not in pair_rows(full_index(store, params, measure))
+            assert oracle_bis(corpus, i_from, i_to, 1, 0.5) == 0.0
+            assert oracle_pas(corpus, i_from, i_to, params, 1) == 0.0
+            assert pair_rows(full_index(store, params, "cosine"))[i_from, i_to].tolist() == [1.0]
 
     def test_directed_view_negates_gaps(self, toy_corpus):
         store = count_pairs(toy_corpus, ell_max=5)
-        ba = store.pair_stats("b", "a")
-        assert ba.gap_counts == {-1: 1, -2: 1, 1: 1}
+        assert gap_histogram(store, "b", "a") == {-1: 1, -2: 1, 1: 1}
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -94,9 +122,17 @@ class TestCountPairs:
 
     def test_unknown_items_scorable(self, toy_corpus):
         store = count_pairs(toy_corpus, ell_max=5)
-        stats = store.pair_stats("a", "zz")
-        assert stats.union_users == 3  # |U_a| alone
-        assert bis_similarity(stats, 2, 0.2) == 0.0
+        assert "zz" not in store.items
+        assert store.item_users[store.items.index("a")] == 3  # |U_a ∪ U_zz| is |U_a|
+        assert pair_value(store, "bis", "a", "zz", ell=2, rho=0.2) == 0.0
+        assert oracle_bis(toy_corpus, "a", "zz", 2, 0.2) == 0.0
+        # an item never observed scores 0, as the oracle predicts
+        params = SimilarityParams(ell=2, rho=0.2, lam=0.5, n_neighbors=20)
+        window = make_session_window(toy_corpus[0], params.k)
+        for measure in MEASURES:
+            index = build_neighbor_index(store, params, measure)
+            assert predicted_score(window, "zz", index) == 0.0
+            assert oracle_predict(toy_corpus, "v1", "zz", params, measure) == 0.0
 
 
 class TestScale:
@@ -119,67 +155,80 @@ class TestScale:
 
 
 @pytest.fixture
-def toy_ab(toy_corpus):
-    return count_pairs(toy_corpus, ell_max=5).pair_stats("a", "b")
+def toy_store(toy_corpus):
+    return count_pairs(toy_corpus, ell_max=5)
 
 
 class TestBis:
-    def test_toy_value(self, toy_ab):
-        assert bis_similarity(toy_ab, 2, 0.2) == pytest.approx(2 / 3, abs=1e-15)
+    def test_toy_value(self, toy_store):
+        assert pair_value(toy_store, "bis", "a", "b", ell=2, rho=0.2) == pytest.approx(2 / 3, abs=1e-15)
 
-    def test_larger_reverse_factor_admits_reversed_pair(self, toy_ab):
-        assert bis_similarity(toy_ab, 2, 0.5) == 1.0
+    def test_larger_reverse_factor_admits_reversed_pair(self, toy_store):
+        assert pair_value(toy_store, "bis", "a", "b", ell=2, rho=0.5) == 1.0
 
     def test_never_co_occurring_is_zero(self):
-        assert bis_similarity(PairStats({}, 0, 4), 2, 0.2) == 0.0
+        corpus = users("a", "a", "b", "b")
+        store = count_pairs(corpus, ell_max=2)
+        assert pair_value(store, "bis", "a", "b", ell=2, rho=0.2) == 0.0
+        assert oracle_bis(corpus, "a", "b", 2, 0.2) == 0.0
 
-    def test_zero_denominator_is_zero(self):
-        assert bis_similarity(PairStats({}, 0, 0), 2, 0.2) == 0.0
+    def test_zero_denominator_is_zero(self, toy_store, toy_corpus):
+        # neither item observed: no row, and an empty union for the oracle
+        assert pair_value(toy_store, "bis", "yy", "zz", ell=2, rho=0.2) == 0.0
+        assert oracle_bis(toy_corpus, "yy", "zz", 2, 0.2) == 0.0
 
 
 class TestPasUni:
-    def test_toy_values(self, toy_ab):
-        assert pas_uni_similarity(toy_ab, 2, 2, 1, "h_a", 2.0) == pytest.approx(1 / 3, abs=1e-15)
-        assert pas_uni_similarity(toy_ab, 2, 2, 2, "h_a", 2.0) == pytest.approx(2 / 3, abs=1e-15)
+    def test_toy_values(self, toy_store):
+        for t, want in ((1, 1 / 3), (2, 2 / 3)):
+            value = pair_value(toy_store, "pas_uni", "a", "b", t, ell=2, scaling="h_a", w=2.0)
+            assert value == pytest.approx(want, abs=1e-15)
 
     def test_no_forward_mass_is_zero(self):
-        stats = PairStats({-1: 2}, 2, 3)
-        assert pas_uni_similarity(stats, 2, 2, 2, "h_a", 2.0) == 0.0
+        # b precedes a for both users holding the two: a -> b has gaps {-1: 2}
+        store = count_pairs(users("b a", "b a", "a"), ell_max=2)
+        rows = pair_rows(full_index(store, SimilarityParams(ell=2), "pas_uni"))
+        assert rows["a", "b"][2] == 0.0
 
-    def test_t_out_of_range_rejected(self, toy_ab):
-        with pytest.raises(ValueError, match="t="):
-            pas_uni_similarity(toy_ab, 2, 2, 3, "h_a", 2.0)
-        with pytest.raises(ValueError, match="t="):
-            pas_uni_similarity(toy_ab, 2, 2, 0, "h_a", 2.0)
+    def test_t_out_of_range_rejected(self, toy_store, toy_corpus):
+        # an index holds a value for t = 1..k only, and its scorer rejects a
+        # window of another k, whose positions would run past k
+        index = build_neighbor_index(toy_store, SimilarityParams(ell=2), "pas_uni")
+        assert index.values.shape[1] == 1 + 2
+        with pytest.raises(ValueError, match="k=3"):
+            positive_scores([make_session_window(toy_corpus[0], 3)], index)
 
 
 class TestPas:
-    def test_toy_value(self, toy_ab):
-        params = SimilarityParams(ell=2, rho=0.2, lam=0.5, scaling="h_a", w=2.0)
-        assert pas_similarity(toy_ab, params, 2) == pytest.approx(2 / 3, abs=1e-15)
+    def test_toy_value(self, toy_store):
+        value = pair_value(toy_store, "pas", "a", "b", 2, ell=2, rho=0.2, lam=0.5, scaling="h_a")
+        assert value == pytest.approx(2 / 3, abs=1e-15)
 
-    def test_lam_zero_reduces_to_bis_exactly(self, toy_ab):
-        params = SimilarityParams(ell=2, rho=0.2, lam=0.0)
+    def test_lam_zero_reduces_to_bis_exactly(self, toy_store):
+        bis = pair_value(toy_store, "bis", "a", "b", ell=2, rho=0.2)
         for t in (1, 2):
-            assert pas_similarity(toy_ab, params, t) == bis_similarity(toy_ab, 2, 0.2)
+            assert pair_value(toy_store, "pas", "a", "b", t, ell=2, rho=0.2, lam=0.0) == bis
 
-    def test_lam_one_reduces_to_pas_uni_exactly(self, toy_ab):
-        params = SimilarityParams(ell=2, rho=0.2, lam=1.0)
-        assert pas_similarity(toy_ab, params, 1) == pas_uni_similarity(toy_ab, 2, 2, 1, "h_a", 2.0)
+    def test_lam_one_reduces_to_pas_uni_exactly(self, toy_store):
+        pas = pair_value(toy_store, "pas", "a", "b", 1, ell=2, rho=0.2, lam=1.0)
+        assert pas == pair_value(toy_store, "pas_uni", "a", "b", 1, ell=2, scaling="h_a", w=2.0)
 
 
 class TestCosine:
     def test_full_overlap(self):
-        assert cosine_similarity(PairStats({}, 3, 3), 3, 3) == 1.0
+        store = count_pairs(users("a b", "a b", "b a"), ell_max=2)
+        assert pair_value(store, "cosine", "a", "b", ell=2) == 1.0
 
     def test_partial_overlap(self):
-        assert cosine_similarity(PairStats({}, 1, 4), 1, 4) == 0.5
+        store = count_pairs(users("a b", "b", "b", "b"), ell_max=2)
+        assert pair_value(store, "cosine", "a", "b", ell=2) == 0.5
 
     def test_disjoint(self):
-        assert cosine_similarity(PairStats({}, 0, 5), 2, 3) == 0.0
+        store = count_pairs(users("a", "a", "b", "b", "b"), ell_max=2)
+        assert pair_value(store, "cosine", "a", "b", ell=2) == 0.0
 
-    def test_zero_counts(self):
-        assert cosine_similarity(PairStats({}, 0, 0), 0, 3) == 0.0
+    def test_zero_counts(self, toy_store):
+        assert pair_value(toy_store, "cosine", "zz", "a", ell=2) == 0.0
 
 
 class TestNeighborIndex:
@@ -639,34 +688,22 @@ class TestInvariants:
             corpus = random_corpus(rng)
             store = count_pairs(corpus, ell_max=5)
             params = SimilarityParams(ell=5, rho=0.2, lam=0.5, n_neighbors=10)
-            for a, b in item_pairs(store, store.gaps)[:200]:
-                stats = store.pair_stats(store.items[a], store.items[b])
-                values = [bis_similarity(stats, 5, 0.2)]
-                values += [pas_similarity(stats, params, t) for t in range(1, 6)]
-                values.append(
-                    cosine_similarity(stats, store.item_users[b], store.item_users[a])
-                )
-                assert all(0.0 <= v <= 1.0 for v in values)
+            for measure in ("bis", "pas", "cosine"):
+                values = full_index(store, params, measure).values
+                assert ((0.0 <= values) & (values <= 1.0)).all()
 
     def test_position_aware_value_non_decreasing_in_t(self):
         rng = random.Random(11)
         for trial in range(10):
-            corpus = random_corpus(rng)
-            store = count_pairs(corpus, ell_max=4)
-            for a, b in item_pairs(store, store.gaps):
-                for i_from, i_to in ((store.items[a], store.items[b]), (store.items[b], store.items[a])):
-                    stats = store.pair_stats(i_from, i_to)
-                    values = [pas_uni_similarity(stats, 4, 4, t, "h_a", 2.0) for t in range(1, 5)]
-                    assert all(x <= y for x, y in zip(values, values[1:]))
+            store = count_pairs(random_corpus(rng), ell_max=4)
+            values = uni_values(store, *directed_pairs(store), 4, "h_a", 2.0)
+            assert (np.diff(values, axis=1) >= 0).all()
 
     def test_scaled_thresholds_dominate_identity(self):
         rng = random.Random(13)
         for trial in range(10):
-            corpus = random_corpus(rng)
-            store = count_pairs(corpus, ell_max=4)
-            for a, b in item_pairs(store, store.gaps):
-                stats = store.pair_stats(store.items[a], store.items[b])
-                for t in range(1, 5):
-                    base = pas_uni_similarity(stats, 4, 4, t, "h_a", 2.0)
-                    assert pas_uni_similarity(stats, 4, 4, t, "h_b", 2.0) >= base
-                    assert pas_uni_similarity(stats, 4, 4, t, "h_c", 2.0) >= base
+            store = count_pairs(random_corpus(rng), ell_max=4)
+            pairs = directed_pairs(store)
+            base = uni_values(store, *pairs, 4, "h_a", 2.0)
+            assert (uni_values(store, *pairs, 4, "h_b", 2.0) >= base).all()
+            assert (uni_values(store, *pairs, 4, "h_c", 2.0) >= base).all()
