@@ -120,7 +120,8 @@ class PairStore:
     item_users  users per item
     co          keys lo*n + hi (lo < hi) of the co-occurring pairs, ascending
     co_users    users holding both items of each pair in ``co``
-    gaps        keys of the pairs with a histogram entry, ascending
+    gaps        keys of the pairs with a histogram entry, ascending: the
+                values of hist_keys // width, each taken where it steps up
     hist_keys   histogram entries (lo*n + hi)*(2*ell_max + 1) + gap + ell_max,
                 ascending, with gap = p(hi) - p(lo); the directed view for
                 (hi -> lo) is the negation
@@ -152,7 +153,10 @@ class PairStore:
         self.width = 2 * ell_max + 1
         self.hist_keys = hist_keys
         self.hist_cum = np.concatenate(([0], np.cumsum(hist_users)))
-        self.gaps = np.unique(hist_keys // self.width)
+        # one pair's entries are adjacent in the ascending keys; pair keys
+        # are >= 0, so the prepended -1 makes the first entry a step
+        pairs = hist_keys // self.width
+        self.gaps = pairs[np.diff(pairs, prepend=-1) != 0]
         self.last_selection: tuple | None = None
 
     @property
@@ -182,7 +186,8 @@ def count_pairs(sequences: Sequence[UserSequence], ell_max: int) -> PairStore:
     position distance d are that array against itself shifted by d, kept
     where both events belong to one user. One vectorized pass per d packs
     them into pair keys (all d: exact co-occurrence) and histogram keys
-    (d <= ell_max), and ``np.unique`` counts each.
+    (d <= ell_max), and ``np.unique`` counts each; the in-band pair keys are
+    then one linear pass over the sorted histogram keys.
     """
     if ell_max < 1:
         raise ValueError(f"ell_max must be >= 1, got {ell_max}")
@@ -480,7 +485,14 @@ def _select(
     store: PairStore, params: SimilarityParams, measure: str, rank_by: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(target, candidate, ranking score) of the top n_neighbors candidates
-    per target, in index row order."""
+    per target, in index row order: target ascending, then score descending
+    (equal floats tie), then candidate ascending.
+
+    The order is one ``argsort`` of an int64 key packing the target, the
+    dense rank of the score among the distinct scores and the candidate;
+    a ValueError names the sizes when n_items**2 * distinct scores does not
+    fit in int64.
+    """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
     if rank_by not in RANK_CRITERIA:
@@ -507,11 +519,21 @@ def _select(
         else:
             score = store.numerators(cand, target, ell, (bis_low,))[:, 0] / union
 
-    # by target, then descending score, then ascending candidate id
-    order = np.lexsort((cand, -score, target))
-    target, cand, score = target[order], cand[order], score[order]
-    slot = np.arange(len(target)) - np.searchsorted(target, target)
-    keep = slot < params.n_neighbors
+    n = store.n_items
+    distinct, rank = np.unique(-score, return_inverse=True)
+    n_scores = len(distinct)
+    if n * n * n_scores > _INT64_MAX:
+        raise ValueError(
+            f"selection keys n_items**2 * distinct scores overflow int64 "
+            f"(n_items={n}, distinct scores={n_scores})"
+        )
+    # the (target, candidate) pairs are distinct, so the keys are too and an
+    # unstable sort gives the one order
+    order = np.argsort((target * n_scores + rank) * n + cand)
+    # a row's slot is its place among its target's rows, which are adjacent
+    counts = np.bincount(target, minlength=n)
+    slot = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+    keep = order[slot < params.n_neighbors]
     return target[keep], cand[keep], score[keep]
 
 

@@ -1,5 +1,6 @@
 import os
 import random
+from collections import Counter
 import re
 import tempfile
 from dataclasses import replace
@@ -22,7 +23,14 @@ from conftest import (
 from pasrec.domain import MEASURES, SCALINGS, SimilarityParams, UserSequence, make_session_window
 from pasrec.oracle import oracle_bis, oracle_pas, oracle_predict
 from pasrec.predictor import positive_scores
-from pasrec.similarity import RANK_CRITERIA, NeighborIndex, build_neighbor_index, count_pairs, scale
+from pasrec.similarity import (
+    RANK_CRITERIA,
+    NeighborIndex,
+    _bis_low,
+    build_neighbor_index,
+    count_pairs,
+    scale,
+)
 
 
 # users with distinct items drawn from a small catalog, so pairs recur
@@ -32,8 +40,23 @@ corpora = st.lists(
 ).map(lambda users: [UserSequence.from_items(f"u{n}", items) for n, items in enumerate(users)])
 
 
+# few items and short users, so many candidates share a score
+tie_heavy_corpora = st.lists(
+    st.lists(st.sampled_from("abcde"), min_size=1, max_size=4, unique=True),
+    min_size=1, max_size=10,
+).map(lambda users: [UserSequence.from_items(f"u{n}", items) for n, items in enumerate(users)])
+
+
 def users(*sequences):
     return [UserSequence.from_items(f"v{n}", items.split()) for n, items in enumerate(sequences)]
+
+
+def assert_gaps_are_distinct_pair_keys(store):
+    """``store.gaps`` is the ascending int64 array of the pair keys that have
+    a histogram entry."""
+    assert store.gaps.dtype == np.int64
+    assert np.array_equal(store.gaps, np.unique(store.hist_keys // store.width))
+    assert (np.diff(store.gaps) > 0).all()
 
 
 def pair_value(store, measure, i_from, i_to, column=0, **params):
@@ -119,6 +142,23 @@ class TestCountPairs:
                     with open(path, "rb") as fh:
                         saved.append(fh.read())
                 assert saved[0] == saved[1]
+
+    def test_gaps_are_the_distinct_pair_keys_of_the_histograms(self):
+        rng = random.Random(19)
+        for trial in range(12):
+            assert_gaps_are_distinct_pair_keys(count_pairs(random_corpus(rng), ell_max=1 + trial % 6))
+
+    @pytest.mark.parametrize("corpus, entries, gaps", [
+        ([], 0, []),
+        (users("a", "b", "a"), 0, []),
+        (users("a b"), 1, [1]),
+        (users("a b", "b a", "a b"), 2, [1]),  # gaps +1 and -1 of one pair
+    ], ids=["empty corpus", "no pair in the band", "one pair", "one pair both ways"])
+    def test_gaps_of_a_store_with_at_most_one_pair(self, corpus, entries, gaps):
+        store = count_pairs(corpus, ell_max=2)
+        assert len(store.hist_keys) == entries
+        assert store.gaps.tolist() == gaps
+        assert_gaps_are_distinct_pair_keys(store)
 
     def test_unknown_items_scorable(self, toy_corpus):
         store = count_pairs(toy_corpus, ell_max=5)
@@ -679,6 +719,99 @@ class TestSelectionMemo:
             index.nbrs[0] = 2
         with pytest.raises(ValueError, match="read-only"):
             index.values[0, 0] = 1.0
+
+
+def ranking_scores(store, params, measure, rank_by):
+    """(candidate, target, ranking score) of both directions of every
+    candidate pair, from ``PairStore.numerators`` and ``PairStore.union``:
+    bis, or for pas_uni and pas ranked by max_t the value at t = k, whose
+    threshold h(0) = 0 admits the gaps in [1, ell]; cosine for cosine."""
+    if measure == "cosine":
+        lo, hi = np.divmod(store.co, store.n_items)
+        users = store.item_users
+        return (np.concatenate((lo, hi)), np.concatenate((hi, lo)),
+                np.tile(store.co_users / np.sqrt(users[lo] * users[hi]), 2))
+    cand, target = directed_pairs(store)
+    nums = store.numerators(cand, target, params.ell, (_bis_low(params.rho, params.ell), 1))
+    union = store.union(cand, target)
+    if measure == "pas_uni" or (measure == "pas" and rank_by == "max_t"):
+        lam = 1.0 if measure == "pas_uni" else params.lam
+        return cand, target, ((1.0 - lam) * nums[:, 0] + lam * nums[:, 1]) / union
+    return cand, target, nums[:, 0] / union
+
+
+def reference_selection(store, params, measure, rank_by):
+    """(target, neighbor) of every index row: the candidates sorted by target,
+    descending score and ascending id, at most n_neighbors per target."""
+    cand, target, score = ranking_scores(store, params, measure, rank_by)
+    taken = Counter()
+    rows = []
+    for t, _, c in sorted(zip(target.tolist(), (-score).tolist(), cand.tolist())):
+        if taken[t] < params.n_neighbors:
+            taken[t] += 1
+            rows.append((t, c))
+    return rows
+
+
+class TestSelectionOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(corpus=tie_heavy_corpora, ell=st.integers(1, 3), rho=st.sampled_from([0.2, 0.5, 0.9]),
+           lam=st.sampled_from([0.0, 0.3, 0.5, 0.6, 1.0]))
+    def test_rows_follow_target_then_score_then_id(self, corpus, ell, rho, lam):
+        store = count_pairs(corpus, ell_max=ell)
+        for n_neighbors in (1, 2, 3, store.n_items):
+            params = SimilarityParams(ell=ell, rho=rho, lam=lam, n_neighbors=n_neighbors)
+            for measure in MEASURES:
+                for rank_by in RANK_CRITERIA:
+                    index = build_neighbor_index(store, params, measure, rank_by=rank_by)
+                    assert list(zip(index.targets.tolist(), index.nbrs.tolist())) == \
+                        reference_selection(store, params, measure, rank_by)
+
+    def test_scores_an_ulp_apart_do_not_tie(self):
+        # pas ranked by max_t at lam=0.6 is (0.4*bis + 0.6*uni) / union: b -> x
+        # is (0.4*2 + 0.6*2) / 5 = 0.4 and a -> x (0.4*4 + 0.6*2) / 7, one ulp
+        # below; both are 2/5 in exact arithmetic, but only equal floats tie
+        store = count_pairs(users("a b x", "a b x", "x a", "x a", "x", "a", "a"), ell_max=2)
+        params = SimilarityParams(ell=2, rho=0.5, lam=0.6, n_neighbors=2)
+        index = build_neighbor_index(store, params, "pas", rank_by="max_t")
+        x = index.item_index["x"]
+        assert [index.items[nbr] for nbr in index.nbrs[index.targets == x].tolist()] == ["b", "a"]
+        assert index.values[index.targets == x, -1].tolist() == [0.4, 0.39999999999999997]
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_selection_key_overflow_names_the_sizes(self, monkeypatch, measure):
+        corpus = random_corpus(random.Random(23), max_users=20, max_items=8, max_len=6)
+        params = SimilarityParams(ell=3, rho=0.5, lam=0.5, n_neighbors=3)
+        want = build_neighbor_index(count_pairs(corpus, ell_max=3), params, measure)
+        store = count_pairs(corpus, ell_max=3)
+        n = store.n_items
+        distinct = len(np.unique(ranking_scores(store, params, measure, "bis")[2]))
+        # the largest key is n_items**2 * distinct scores - 1
+        monkeypatch.setattr(similarity, "_INT64_MAX", n * n * distinct - 1)
+        with pytest.raises(ValueError, match=rf"n_items={n}, distinct scores={distinct}\b"):
+            build_neighbor_index(store, params, measure)
+        monkeypatch.setattr(similarity, "_INT64_MAX", n * n * distinct)
+        assert build_neighbor_index(store, params, measure) == want
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    @pytest.mark.parametrize("rank_by", RANK_CRITERIA)
+    def test_wider_band_keeps_the_positive_rows(self, measure, rank_by):
+        # the pairs a wider band adds have every gap beyond ell, so they score
+        # 0 and can only take slots that no positive candidate wants; a row
+        # is kept here by its ranking value (column k for pas_uni and pas by
+        # max_t), since a zero-ranked pas_uni row may still hold a positive bis
+        corpus = random_corpus(random.Random(29), max_users=40, max_items=20, max_len=15)
+        params = SimilarityParams(ell=2, rho=0.5, lam=0.5, n_neighbors=6)
+        column = params.k if measure == "pas_uni" or (measure == "pas" and rank_by == "max_t") else 0
+
+        def positive_rows(index):
+            keep = index.values[:, column] > 0
+            return (index.targets[keep].tolist(), index.nbrs[keep].tolist(),
+                    index.values[keep].tolist())
+
+        narrow, wide = (build_neighbor_index(count_pairs(corpus, ell_max=ell_max), params, measure,
+                                             rank_by=rank_by) for ell_max in (2, 6))
+        assert positive_rows(wide) == positive_rows(narrow)
 
 
 class TestInvariants:
