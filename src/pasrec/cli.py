@@ -1,11 +1,18 @@
 """Command-line front end: dataset preparation, index building, evaluation,
 grid sweeps, the sparsity profile, and synthetic corpus generation.
 
+Each command is declared once, in ``_COMMANDS``: its function, its help text
+and its options with their defaults (None marks a required option). The
+parser, the option resolution and the run snapshot are derived from that
+table; ``_FLAGS`` gives each option's type and choices.
+
 Every option can come from a key-value config file (``key = value`` lines,
-``#`` comments) overridden by flags; each run writes the fully resolved
-configuration next to its outputs, so any artifact can be reproduced from
-what sits beside it. A config key that no command accepts is an error.
-Outputs are deterministic given the same inputs and seed.
+``#`` comments) overridden by flags. A config value is converted and checked
+as its flag would be, and a bad value, or a key that no command accepts,
+fails with the file and line before any input is read. Each run writes the
+fully resolved configuration next to its outputs, so any artifact can be
+reproduced from what sits beside it. Outputs are deterministic given the
+same inputs and seed.
 """
 from __future__ import annotations
 
@@ -46,10 +53,11 @@ from .synth import SynthConfig, generate, write_log
 log = logging.getLogger(__name__)
 
 
-def _read_config(path: str | None) -> dict[str, str]:
+def _read_config(path: str | None) -> dict[str, tuple[str, str]]:
+    """Each config key's raw value and its ``path:line``."""
     if path is None:
         return {}
-    config: dict[str, str] = {}
+    config: dict[str, tuple[str, str]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -61,7 +69,7 @@ def _read_config(path: str | None) -> dict[str, str]:
             key = key.strip().replace("-", "_")
             if key not in _FLAGS:
                 raise ValueError(f"{path}:{lineno}: unknown option {key!r}: no command accepts it")
-            config[key] = value.strip()
+            config[key] = (value.strip(), f"{path}:{lineno}")
     return config
 
 
@@ -105,47 +113,45 @@ _FLAGS = {
 }
 
 
-def _resolve(args: argparse.Namespace, config: dict[str, str], optspec: dict) -> dict:
+def _config_value(key: str, text: str, where: str):
+    """A config value converted and checked as its flag would be."""
+    flag = _FLAGS[key]
+    try:
+        value = flag["type"](text)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {key}: {exc}") from None
+    if "choices" in flag and value not in flag["choices"]:
+        raise ValueError(f"{where}: unknown {key} {value!r}, expected one of {', '.join(flag['choices'])}")
+    return value
+
+
+def _resolve(args: argparse.Namespace, config: dict[str, tuple[str, str]], defaults: dict) -> dict:
     """Merge defaults < config file < command-line flags, per option."""
     resolved = {}
-    for key, (convert, default) in optspec.items():
-        value = getattr(args, key, None)
+    for key, default in defaults.items():
+        value = getattr(args, key)
         if value is None and key in config:
-            value = convert(config[key])
-        if value is None:
-            value = default
-        resolved[key] = value
+            value = _config_value(key, *config[key])
+        resolved[key] = default if value is None else value
     missing = [key for key, value in resolved.items() if value is None]
     if missing:
         raise ValueError(f"missing required option(s): {', '.join(sorted(missing))}")
     return resolved
 
 
-def _write_snapshot(resolved: dict, out_path: str) -> None:
+def _write_snapshot(opt: dict) -> None:
+    """The resolved options as JSON: inside ``out`` when the command wrote a
+    directory there, at ``<out>.config.json`` when it wrote a file."""
+    out = opt["out"]
+    path = os.path.join(out, "run_config.json") if os.path.isdir(out) else out + ".config.json"
     snapshot = {"format_version": 1}
-    snapshot.update(
-        (key, list(v) if isinstance(v, tuple) else v) for key, v in resolved.items()
-    )
-    with open(out_path, "w", encoding="utf-8") as fh:
+    snapshot.update((key, list(v) if isinstance(v, tuple) else v) for key, v in opt.items())
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(snapshot, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def cmd_prepare(args: argparse.Namespace, config: dict[str, str]) -> int:
-    optspec = {
-        "input": (str, None),
-        "out": (str, None),
-        "delimiter": (str, "::"),
-        "user_col": (int, 0),
-        "item_col": (int, 1),
-        "rating_col": (int, 2),
-        "timestamp_col": (int, 3),
-        "filter": (str, "rating_equals_5"),
-        "max_users": (int, 20000),
-        "seed": (int, 0),
-        "on_error": (str, "raise"),
-    }
-    opt = _resolve(args, config, optspec)
+def cmd_prepare(opt: dict) -> None:
     schema = ColumnSchema(
         delimiter=opt["delimiter"],
         user_col=opt["user_col"],
@@ -162,34 +168,15 @@ def cmd_prepare(args: argparse.Namespace, config: dict[str, str]) -> int:
     if dataset.stats.n_eval_users == 0:
         raise ValueError("no users with enough interactions to evaluate after filtering")
     save_dataset(dataset, opt["out"])
-    _write_snapshot(opt, os.path.join(opt["out"], "run_config.json"))
     log.info("prepared dataset in %s", opt["out"])
-    return 0
 
 
-def _params_from(opt: dict) -> SimilarityParams:
-    return SimilarityParams(
+def cmd_build_index(opt: dict) -> None:
+    dataset = load_dataset(opt["dataset"])
+    params = SimilarityParams(
         ell=opt["ell"], rho=opt["rho"], lam=opt["lam"], scaling=opt["scaling"],
         w=opt["w"], n_neighbors=opt["n_neighbors"],
     )
-
-
-def cmd_build_index(args: argparse.Namespace, config: dict[str, str]) -> int:
-    optspec = {
-        "dataset": (str, None),
-        "out": (str, None),
-        "measure": (str, "pas"),
-        "ell": (int, 10),
-        "rho": (float, 0.2),
-        "lam": (float, 0.5),
-        "scaling": (str, "h_a"),
-        "w": (float, 2.0),
-        "n_neighbors": (int, 20),
-        "rank_by": (str, "bis"),
-    }
-    opt = _resolve(args, config, optspec)
-    dataset = load_dataset(opt["dataset"])
-    params = _params_from(opt)
     started = time.perf_counter()
     store = count_pairs(dataset.sequences, params.ell)
     index = build_neighbor_index(store, params, opt["measure"], rank_by=opt["rank_by"])
@@ -199,22 +186,9 @@ def cmd_build_index(args: argparse.Namespace, config: dict[str, str]) -> int:
         "index written to %s: %d pairs in gap band, %d neighbor entries, %.1fs build",
         opt["out"], len(store.gaps), len(index.targets), elapsed,
     )
-    _write_snapshot(opt, opt["out"] + ".config.json")
-    return 0
 
 
-def cmd_evaluate(args: argparse.Namespace, config: dict[str, str]) -> int:
-    optspec = {
-        "dataset": (str, None),
-        "index": (str, None),
-        "out": (str, None),
-        "split": (str, "test"),
-        "topk": (int, 5),
-        "measure": (str, ""),
-    }
-    opt = _resolve(args, config, optspec)
-    if opt["split"] not in SPLITS:
-        raise ValueError(f"split must be one of {SPLITS}, got {opt['split']!r}")
+def cmd_evaluate(opt: dict) -> None:
     dataset = load_dataset(opt["dataset"])
     index = NeighborIndex.load(opt["index"])
     result = evaluate(
@@ -224,26 +198,10 @@ def cmd_evaluate(args: argparse.Namespace, config: dict[str, str]) -> int:
     os.makedirs(opt["out"], exist_ok=True)
     write_report_tsv([result], os.path.join(opt["out"], "report.tsv"))
     write_report_json([result], os.path.join(opt["out"], "report.json"))
-    _write_snapshot(opt, os.path.join(opt["out"], "run_config.json"))
     log.info("report written to %s", opt["out"])
-    return 0
 
 
-def cmd_grid(args: argparse.Namespace, config: dict[str, str]) -> int:
-    optspec = {
-        "dataset": (str, None),
-        "out": (str, None),
-        "measure": (str, "pas"),
-        "ells": (_csv_ints, (5, 10, 20, 40)),
-        "lambdas": (_csv_floats, ()),
-        "scalings": (_csv_strs, ()),
-        "rho": (float, 0.2),
-        "w": (float, 2.0),
-        "n_neighbors": (int, 20),
-        "topk": (int, 5),
-        "rank_by": (str, "bis"),
-    }
-    opt = _resolve(args, config, optspec)
+def cmd_grid(opt: dict) -> None:
     grid = expand_grid(
         opt["measure"], ells=opt["ells"], lambdas=opt["lambdas"] or None,
         scalings=opt["scalings"] or None, rho=opt["rho"], w=opt["w"],
@@ -255,25 +213,15 @@ def cmd_grid(args: argparse.Namespace, config: dict[str, str]) -> int:
     os.makedirs(opt["out"], exist_ok=True)
     write_report_tsv(rows, os.path.join(opt["out"], "report.tsv"))
     write_report_json(rows, os.path.join(opt["out"], "report.json"))
-    _write_snapshot(opt, os.path.join(opt["out"], "run_config.json"))
     best = result.best_params
     print(
         f"selected {result.best_measure} ell={best.ell} lam={best.lam} scaling={best.scaling}: "
         f"test ndcg@{opt['topk']}={result.test.ndcg:.4f} "
         f"1-call@{opt['topk']}={result.test.one_call:.4f}"
     )
-    return 0
 
 
-def cmd_sparsity_report(args: argparse.Namespace, config: dict[str, str]) -> int:
-    optspec = {
-        "dataset": (str, None),
-        "out": (str, None),
-        "ell": (int, 10),
-        "n_neighbors": (int, 20),
-        "w": (float, 2.0),
-    }
-    opt = _resolve(args, config, optspec)
+def cmd_sparsity_report(opt: dict) -> None:
     dataset = load_dataset(opt["dataset"])
     store = count_pairs(dataset.sequences, opt["ell"])
     profile = average_uni_by_gap(store, ell=opt["ell"], n_neighbors=opt["n_neighbors"], w=opt["w"])
@@ -286,24 +234,10 @@ def cmd_sparsity_report(args: argparse.Namespace, config: dict[str, str]) -> int
             fh.write(
                 f"{gap}\t{profile['h_a'][gap]!r}\t{profile['h_b'][gap]!r}\t{profile['h_c'][gap]!r}\n"
             )
-    _write_snapshot(opt, os.path.join(opt["out"], "run_config.json"))
     log.info("sparsity profile written to %s", path)
-    return 0
 
 
-def cmd_synth(args: argparse.Namespace, config: dict[str, str]) -> int:
-    optspec = {
-        "out": (str, None),
-        "users": (int, 1000),
-        "items": (int, 200),
-        "min_len": (int, 10),
-        "max_len": (int, 30),
-        "signal": (float, 0.8),
-        "reverse_noise": (float, 0.0),
-        "seed": (int, 0),
-        "delimiter": (str, "::"),
-    }
-    opt = _resolve(args, config, optspec)
+def cmd_synth(opt: dict) -> None:
     synth_config = SynthConfig(
         n_users=opt["users"], n_items=opt["items"],
         seq_length_range=(opt["min_len"], opt["max_len"]),
@@ -311,26 +245,80 @@ def cmd_synth(args: argparse.Namespace, config: dict[str, str]) -> int:
     )
     records = generate(synth_config)
     write_log(records, opt["out"], delimiter=opt["delimiter"])
-    _write_snapshot(opt, opt["out"] + ".config.json")
     log.info("wrote %d records to %s", len(records), opt["out"])
-    return 0
 
 
+# name: (function, help, {option: default}), options in parser order; a
+# default of None marks a required option
 _COMMANDS = {
-    "prepare": cmd_prepare,
-    "build-index": cmd_build_index,
-    "evaluate": cmd_evaluate,
-    "grid": cmd_grid,
-    "sparsity-report": cmd_sparsity_report,
-    "synth": cmd_synth,
+    "prepare": (cmd_prepare, "parse, filter, dedup, subsample, split", {
+        "input": None,
+        "out": None,
+        "delimiter": "::",
+        "user_col": 0,
+        "item_col": 1,
+        "rating_col": 2,
+        "timestamp_col": 3,
+        "filter": "rating_equals_5",
+        "max_users": 20000,
+        "seed": 0,
+        "on_error": "raise",
+    }),
+    "build-index": (cmd_build_index, "build and persist a neighbor index", {
+        "dataset": None,
+        "out": None,
+        "measure": "pas",
+        "ell": 10,
+        "rho": 0.2,
+        "lam": 0.5,
+        "scaling": "h_a",
+        "w": 2.0,
+        "n_neighbors": 20,
+        "rank_by": "bis",
+    }),
+    "evaluate": (cmd_evaluate, "evaluate an index on a split", {
+        "dataset": None,
+        "index": None,
+        "out": None,
+        "split": "test",
+        "topk": 5,
+        "measure": "",
+    }),
+    "grid": (cmd_grid, "validation-driven hyperparameter sweep", {
+        "dataset": None,
+        "out": None,
+        "measure": "pas",
+        "ells": (5, 10, 20, 40),
+        "lambdas": (),
+        "scalings": (),
+        "rho": 0.2,
+        "w": 2.0,
+        "n_neighbors": 20,
+        "topk": 5,
+        "rank_by": "bis",
+    }),
+    "sparsity-report": (cmd_sparsity_report, "average position-aware similarity by gap", {
+        "dataset": None,
+        "out": None,
+        "ell": 10,
+        "n_neighbors": 20,
+        "w": 2.0,
+    }),
+    "synth": (cmd_synth, "generate a synthetic interaction log", {
+        "out": None,
+        "users": 1000,
+        "items": 200,
+        "min_len": 10,
+        "max_len": 30,
+        "signal": 0.8,
+        "reverse_noise": 0.0,
+        "seed": 0,
+        "delimiter": "::",
+    }),
 }
 
-
-def _add_common(parser: argparse.ArgumentParser, names: list[str]) -> None:
-    for name in names:
-        kwargs = dict(_FLAGS[name])
-        kwargs.setdefault("default", None)
-        parser.add_argument("--" + name.replace("_", "-"), dest=name, **kwargs)
+# the benchmark's command lines still pass --workers to these three
+_IGNORES_WORKERS = ("build-index", "evaluate", "grid")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,29 +326,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=str, default=None, help="key-value config file")
     parser.add_argument("-q", "--quiet", action="store_true", help="only warnings and errors")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    _add_common(sub.add_parser("prepare", help="parse, filter, dedup, subsample, split"),
-                ["input", "out", "delimiter", "user_col", "item_col", "rating_col",
-                 "timestamp_col", "filter", "max_users", "seed", "on_error"])
-    build_index_parser = sub.add_parser("build-index", help="build and persist a neighbor index")
-    _add_common(build_index_parser, ["dataset", "out", "measure", "ell", "rho", "lam", "scaling",
-                                     "w", "n_neighbors", "rank_by"])
-    evaluate_parser = sub.add_parser("evaluate", help="evaluate an index on a split")
-    _add_common(evaluate_parser, ["dataset", "index", "out", "split", "topk", "measure"])
-    grid_parser = sub.add_parser("grid", help="validation-driven hyperparameter sweep")
-    _add_common(grid_parser, ["dataset", "out", "measure", "ells", "lambdas", "scalings", "rho",
-                              "w", "n_neighbors", "topk", "rank_by"])
-    # the benchmark's command lines still pass --workers to these three
-    for command_parser in (build_index_parser, evaluate_parser, grid_parser):
-        command_parser.add_argument(
-            "--workers", type=int, default=None,
-            help="accepted for old command lines; no effect, every command runs in one process",
-        )
-    _add_common(sub.add_parser("sparsity-report", help="average position-aware similarity by gap"),
-                ["dataset", "out", "ell", "n_neighbors", "w"])
-    _add_common(sub.add_parser("synth", help="generate a synthetic interaction log"),
-                ["out", "users", "items", "min_len", "max_len", "signal",
-                 "reverse_noise", "seed", "delimiter"])
+    for name, (_, help_text, defaults) in _COMMANDS.items():
+        command_parser = sub.add_parser(name, help=help_text)
+        for key in defaults:
+            command_parser.add_argument("--" + key.replace("_", "-"), dest=key, default=None, **_FLAGS[key])
+        if name in _IGNORES_WORKERS:
+            command_parser.add_argument(
+                "--workers", type=int, default=None,
+                help="accepted for old command lines; no effect, every command runs in one process",
+            )
     return parser
 
 
@@ -371,12 +345,15 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
+    command, _, defaults = _COMMANDS[args.command]
     try:
-        config = _read_config(args.config)
-        return _COMMANDS[args.command](args, config)
+        opt = _resolve(args, _read_config(args.config), defaults)
+        command(opt)
+        _write_snapshot(opt)
     except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def entrypoint() -> None:

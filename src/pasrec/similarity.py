@@ -112,6 +112,14 @@ def _numerators(
     return np.where(forward, fixed - moving, moving - fixed)
 
 
+def _pair_keys(hist_keys: np.ndarray, width: int) -> np.ndarray:
+    """The distinct pair keys of ascending histogram keys, ascending."""
+    # one pair's entries are adjacent in the ascending keys; pair keys are
+    # >= 0, so the prepended -1 makes the first entry a step
+    pairs = hist_keys // width
+    return pairs[np.diff(pairs, prepend=-1) != 0]
+
+
 class PairStore:
     """Gap histograms and co-occurrence counts for a training corpus, as
     sorted int64 columns.
@@ -153,10 +161,7 @@ class PairStore:
         self.width = 2 * ell_max + 1
         self.hist_keys = hist_keys
         self.hist_cum = np.concatenate(([0], np.cumsum(hist_users)))
-        # one pair's entries are adjacent in the ascending keys; pair keys
-        # are >= 0, so the prepended -1 makes the first entry a step
-        pairs = hist_keys // self.width
-        self.gaps = pairs[np.diff(pairs, prepend=-1) != 0]
+        self.gaps = _pair_keys(hist_keys, self.width)
         self.last_selection: tuple | None = None
 
     @property
@@ -500,7 +505,14 @@ def _select(
     if store.ell_max < params.ell:
         raise ValueError(f"store gap band {store.ell_max} narrower than ell={params.ell}")
 
-    lo, hi = np.divmod(store.co if measure == "cosine" else store.gaps, store.n_items)
+    if measure == "cosine":
+        pairs = store.co
+    else:
+        # the pairs with a histogram entry in [-ell, ell]: those of a store
+        # banded at ell, however wide this store's band is
+        keys = store.hist_keys
+        pairs = _pair_keys(keys[np.abs(keys % store.width - store.ell_max) <= params.ell], store.width)
+    lo, hi = np.divmod(pairs, store.n_items)
     # both directions of every candidate pair
     cand, target = np.concatenate((lo, hi)), np.concatenate((hi, lo))
     if measure == "cosine":
@@ -581,10 +593,11 @@ def build_neighbor_index(
 ) -> NeighborIndex:
     """Select the top n_neighbors per item and precompute stored similarities.
 
-    Candidates are the pairs the store observed: gap-band co-occurrences for
-    the positional measures, any co-occurrence for cosine. Ranking is by the
-    measure's position-independent criterion (bidirectional value for bis and
-    pas, the t=k position-aware value for pas_uni, cosine for cosine;
+    Candidates are the pairs the store observed: for the positional measures
+    those with a gap in [-ell, ell], so a store banded wider than ell gives
+    the index of one banded at ell; any co-occurrence for cosine. Ranking is
+    by the measure's position-independent criterion (bidirectional value for
+    bis and pas, the t=k position-aware value for pas_uni, cosine for cosine;
     rank_by="max_t" switches pas to its t=k value). Ties break toward the
     smaller item identifier.
 

@@ -1,9 +1,10 @@
+import argparse
 import json
 import os
 
 import pytest
 
-from pasrec.cli import main
+from pasrec.cli import build_parser, main
 
 
 def run(*argv: str) -> int:
@@ -316,3 +317,69 @@ class TestConfigFile:
     def test_missing_required_option_fails(self, tmp_path, capsys):
         assert run("prepare", "--out", str(tmp_path / "d")) == 1
         assert "missing required" in capsys.readouterr().err
+
+
+def command_parsers():
+    """Each command's subparser, by name."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+COMMANDS = ["prepare", "build-index", "evaluate", "grid", "sparsity-report", "synth"]
+
+
+class TestCommandTable:
+    def test_every_command_is_covered(self):
+        assert sorted(command_parsers()) == sorted(COMMANDS)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_flags_are_the_snapshot_keys(self, tmp_path, raw_log, dataset_dir, command):
+        index = tmp_path / "pas.idx"
+        out = tmp_path / "out"
+        argv = {
+            "synth": ["--out", str(out)],
+            "prepare": ["--input", str(raw_log), "--out", str(out)],
+            "build-index": ["--dataset", str(dataset_dir), "--out", str(out), "--ell", "3"],
+            "evaluate": ["--dataset", str(dataset_dir), "--index", str(index), "--out", str(out)],
+            "grid": ["--dataset", str(dataset_dir), "--out", str(out), "--ells", "3"],
+            "sparsity-report": ["--dataset", str(dataset_dir), "--out", str(out), "--ell", "3"],
+        }[command]
+        if command == "evaluate":
+            assert run("build-index", "--dataset", str(dataset_dir), "--out", str(index), "--ell", "3") == 0
+        assert run(command, *argv) == 0
+        snapshot = out / "run_config.json" if out.is_dir() else tmp_path / "out.config.json"
+        keys = set(json.loads(snapshot.read_text())) - {"format_version"}
+        flags = {
+            option[2:].replace("-", "_")
+            for option in command_parsers()[command]._option_string_actions
+            if option.startswith("--") and option not in ("--help", "--workers")
+        }
+        assert flags == keys
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--help")
+        assert exc.value.code == 0
+        assert f"pasrec {command}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("line, argv", [
+        ("ell = abc", ["build-index", "--dataset", "{absent}", "--out", "{out}"]),
+        ("ells = 5,x", ["grid", "--dataset", "{absent}", "--out", "{out}"]),
+        ("rank_by = foo", ["build-index", "--dataset", "{absent}", "--out", "{out}"]),
+        ("filter = some", ["prepare", "--input", "{absent}", "--out", "{out}"]),
+        ("split = train", ["evaluate", "--dataset", "{absent}", "--index", "{absent}", "--out", "{out}"]),
+    ])
+    def test_bad_config_value_fails_with_location(self, tmp_path, capsys, line, argv):
+        # the inputs do not exist, so any error but the config's own means
+        # an input was read first
+        config = tmp_path / "run.conf"
+        config.write_text(f"# bad value on line 2\n{line}\n")
+        out = tmp_path / "out"
+        paths = {"absent": str(tmp_path / "absent"), "out": str(out)}
+        argv = [arg.format(**paths) for arg in argv]
+        assert run("--config", str(config), *argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: {config}:2: " in err
+        assert line.split(" = ")[0] in err
+        assert list(tmp_path.iterdir()) == [config]

@@ -813,6 +813,22 @@ class TestSelectionOrder:
                                              rank_by=rank_by) for ell_max in (2, 6))
         assert positive_rows(wide) == positive_rows(narrow)
 
+    @pytest.mark.parametrize("measure", MEASURES)
+    @pytest.mark.parametrize("rank_by", RANK_CRITERIA)
+    def test_wider_band_builds_the_banded_index(self, measure, rank_by):
+        # grid_search counts once at its largest ell; each smaller ell must
+        # still get the index build-index makes from a store banded at it,
+        # zero-valued rows included. Few users over many items leave pairs
+        # that meet only beyond ell and targets with free slots to fill.
+        rng = random.Random(31)
+        for trial in range(5):
+            corpus = random_corpus(rng, max_users=8, max_items=30, max_len=20)
+            params = SimilarityParams(ell=2, rho=0.5, lam=0.5, n_neighbors=6)
+            want = build_neighbor_index(count_pairs(corpus, ell_max=2), params, measure, rank_by=rank_by)
+            for ell_max in (3, 6, 14):
+                wide = count_pairs(corpus, ell_max=ell_max)
+                assert build_neighbor_index(wide, params, measure, rank_by=rank_by) == want
+
 
 class TestInvariants:
     def test_values_in_unit_interval(self):
