@@ -73,16 +73,21 @@ def _read_config(path: str | None) -> dict[str, tuple[str, str]]:
     return config
 
 
-def _csv_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part != "")
+def _csv(convert, expected: str):
+    """A flag type for a comma-separated list; a bad value names ``expected``
+    in argparse's message and in a config file's."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(convert(part.strip()) for part in text.split(",") if part.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+    return parse
 
 
-def _csv_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part != "")
-
-
-def _csv_strs(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+def _scaling(text: str) -> str:
+    if text not in SCALINGS:
+        raise ValueError(text)
+    return text
 
 
 # every option a command can take, as a flag or a config key
@@ -105,8 +110,9 @@ _FLAGS = {
     "rank_by": dict(type=str, choices=["bis", "max_t"]),
     "split": dict(type=str, choices=list(SPLITS)),
     "topk": dict(type=int),
-    "ells": dict(type=_csv_ints), "lambdas": dict(type=_csv_floats),
-    "scalings": dict(type=_csv_strs),
+    "ells": dict(type=_csv(int, "comma-separated integers")),
+    "lambdas": dict(type=_csv(float, "comma-separated numbers")),
+    "scalings": dict(type=_csv(_scaling, f"comma-separated scalings from {', '.join(SCALINGS)}")),
     "users": dict(type=int), "items": dict(type=int),
     "min_len": dict(type=int), "max_len": dict(type=int),
     "signal": dict(type=float), "reverse_noise": dict(type=float),
@@ -118,7 +124,7 @@ def _config_value(key: str, text: str, where: str):
     flag = _FLAGS[key]
     try:
         value = flag["type"](text)
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ValueError(f"{where}: {key}: {exc}") from None
     if "choices" in flag and value not in flag["choices"]:
         raise ValueError(f"{where}: unknown {key} {value!r}, expected one of {', '.join(flag['choices'])}")

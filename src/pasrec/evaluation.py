@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import MEASURES, SimilarityParams, UserSequence, make_session_window
+# make_session_window is no longer called here: perfbench/tracer.py patches
+# it, and positive_scores, by these names in this module's namespace
+from .domain import MEASURES, SimilarityParams, make_session_window  # noqa: F401
 from .ingest import Dataset
 from .predictor import positive_scores, rank_of_target
 from .similarity import NeighborIndex, build_neighbor_index, count_pairs
@@ -73,11 +75,16 @@ def evaluate(
     """Rank each eligible user's held-out item against the full catalog minus
     their known items, and average NDCG@K and 1-call@K over users.
 
-    Users are scored and ranked in blocks, in ascending user order, in this
-    process: each block's windows are scored into one [users x catalog]
-    matrix of at most _BLOCK_CELLS cells, and every row is ranked by the same
-    expression. For the test split the validation item, which precedes the
-    test item, rejoins the history.
+    The split's histories are encoded once per call as flat int64 catalog
+    positions, user after user in ascending user order, with per-user
+    offsets. For the test split the validation item, which precedes the test
+    item, ends the history. A user's known items are their whole slice, their
+    window the last min(k, n) entries of it, at L = k - d + 1 for the entry d
+    from the end, and their target one array element. Users are scored and
+    ranked in blocks, each a slice of these arrays: ``positive_scores`` scores
+    a block's windows into one [users x catalog] matrix of at most
+    _BLOCK_CELLS cells, and every row is ranked by the same expression.
+    Users with an empty history are skipped.
     """
     if split not in SPLITS:
         raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
@@ -91,6 +98,10 @@ def evaluate(
     missing = np.count_nonzero(lift < 0)
     if missing:
         raise ValueError(f"index covers {missing} items absent from the dataset; wrong dataset?")
+    # the catalog position's place in index.items, -1 for an item it lacks
+    to_index = np.full(len(universe_pos), -1, dtype=np.int64)
+    to_index[lift] = np.arange(len(lift))
+
     histories: dict[str, tuple[str, ...]] = {}
     for user in sorted(held_out):
         history = train_by_user.get(user, ())
@@ -100,19 +111,28 @@ def evaluate(
             histories[user] = history
     n_skipped = len(held_out) - len(histories)
     users = list(histories)
+    lengths = np.array([len(history) for history in histories.values()], dtype=np.int64)
+    flat = np.array([universe_pos[item] for history in histories.values() for item in history],
+                    dtype=np.int64)
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    target = np.array([universe_pos[held_out[user]] for user in users], dtype=np.int64)
+    owner = np.repeat(np.arange(len(users)), lengths)
+    # distance d from the end of the history: 1 for its last item
+    distance = offsets[1:][owner] - np.arange(len(flat))
+    k = index.params.k
+    in_window = (distance <= k) & (to_index[flat] >= 0)
+
     block_users = max(1, _BLOCK_CELLS // max(1, len(universe_pos)))
     evaluated: list[int] = []
     for start in range(0, len(users), block_users):
-        block = users[start:start + block_users]
-        windows = [make_session_window(UserSequence.from_items(user, histories[user]), index.params.k)
-                   for user in block]
-        scores = np.zeros((len(block), len(universe_pos)))
-        scores[:, lift] = positive_scores(windows, index)
-        # the known items: the training history, plus the validation item for test
-        known = [universe_pos[item] for user in block for item in histories[user]]
-        rows = np.repeat(np.arange(len(block)), [len(histories[user]) for user in block])
-        target = np.array([universe_pos[held_out[user]] for user in block], dtype=np.int64)
-        evaluated += rank_of_target(scores, target, (rows, known)).tolist()
+        stop = min(start + block_users, len(users))
+        lo, hi = offsets[start], offsets[stop]
+        rows = owner[lo:hi] - start
+        window = in_window[lo:hi]
+        scores = np.zeros((stop - start, len(universe_pos)))
+        scores[:, lift] = positive_scores(rows[window], to_index[flat[lo:hi][window]],
+                                          k + 1 - distance[lo:hi][window], stop - start, index)
+        evaluated += rank_of_target(scores, target[start:stop], (rows, flat[lo:hi])).tolist()
 
     n_users = len(evaluated)
     ndcg = math.fsum(ndcg_at_k(rank, top_k) for rank in evaluated) / n_users if n_users else 0.0

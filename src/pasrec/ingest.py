@@ -237,48 +237,60 @@ def save_dataset(dataset: Dataset, out_dir: str) -> None:
         fh.write("\n")
 
 
-def _read_split(in_dir: str, split: str) -> Iterator[list[str]]:
-    """(user, item) fields of each line of a split file; the held-out splits
-    hold one line per user."""
-    path = os.path.join(in_dir, _SPLIT_FILES[split])
-    users: set[str] = set()
+def _split_path(in_dir: str, split: str) -> str:
+    return os.path.join(in_dir, _SPLIT_FILES[split])
+
+
+def _read_split(in_dir: str, split: str) -> Iterator[tuple[int, str, str]]:
+    """(line number, user, item) of each line of a split file."""
+    path = _split_path(in_dir, split)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             fields = line.rstrip("\n").split("\t")
             if len(fields) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 2 tab-separated fields, got {len(fields)}")
-            if split != "train":
-                if fields[0] in users:
-                    raise ValueError(f"{path}:{lineno}: user {fields[0]!r} repeated")
-                users.add(fields[0])
-            yield fields
+            yield lineno, fields[0], fields[1]
 
 
 def load_dataset(in_dir: str) -> Dataset:
+    """Read a dataset that ``save_dataset`` wrote. A held-out split file
+    holds one line per user, and its item must be new to the user: neither
+    in their training sequence nor, for the test item, their validation
+    item. A line that breaks this fails with its ``path:line``.
+    """
     per_user: dict[str, list[str]] = {}
-    for user, item in _read_split(in_dir, "train"):
+    for _, user, item in _read_split(in_dir, "train"):
         per_user.setdefault(user, []).append(item)
-    splits = {split: dict(_read_split(in_dir, split)) for split in ("valid", "test")}
+    sequences = {user: UserSequence.from_items(user, items) for user, items in sorted(per_user.items())}
+    splits: dict[str, dict[str, str]] = {"valid": {}, "test": {}}
+    for split, name in (("valid", "validation"), ("test", "test")):
+        held, path = splits[split], _split_path(in_dir, split)
+        for lineno, user, item in _read_split(in_dir, split):
+            if user in held:
+                raise ValueError(f"{path}:{lineno}: user {user!r} repeated")
+            if user in sequences and item in sequences[user].position:
+                raise ValueError(f"{path}:{lineno}: {name} item {item!r} of user {user!r} is already in "
+                                 f"{_SPLIT_FILES['train']}")
+            if split == "test" and splits["valid"].get(user) == item:
+                raise ValueError(f"{path}:{lineno}: test item {item!r} of user {user!r} is also their "
+                                 "validation item")
+            held[user] = item
     # a held-out user has both a validation and a test item
     lone = sorted(splits["valid"].keys() ^ splits["test"].keys())
     if lone:
         split, other = ("valid", "test") if lone[0] in splits["valid"] else ("test", "valid")
-        path = os.path.join(in_dir, _SPLIT_FILES[split])
-        raise ValueError(f"{path}: user {lone[0]!r} has no line in {_SPLIT_FILES[other]}")
+        raise ValueError(f"{_split_path(in_dir, split)}: user {lone[0]!r} has no line in {_SPLIT_FILES[other]}")
     with open(os.path.join(in_dir, STATS_FILE), encoding="utf-8") as fh:
         payload = json.load(fh)
     payload.pop("format_version", None)
     stats = DatasetStats(**payload)
-    sequences = tuple(
-        UserSequence.from_items(user, items) for user, items in sorted(per_user.items())
-    )
     universe = sorted(
-        {item for seq in sequences for item in seq.items}
+        {item for seq in sequences.values() for item in seq.items}
         | set(splits["valid"].values())
         | set(splits["test"].values())
     )
     return Dataset(
-        sequences=sequences,
+        sequences=tuple(sequences.values()),
         validation=splits["valid"],
         test=splits["test"],
         item_universe=tuple(universe),

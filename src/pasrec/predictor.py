@@ -3,7 +3,11 @@
 A candidate's score is the sum of stored similarities from the window items
 that belong to its neighbor set; everything else contributes zero. Scoring
 fills one dense row over the index's items per window, for a block of
-windows at once, from the inverted neighbor view. The ranking order is
+windows at once, from the inverted neighbor view. A block is given as flat
+int64 arrays with one element per window item that the index holds: the
+window's row, the item's index position and its window position L.
+``evaluate`` slices them from its encoded histories; ``window_arrays``
+encodes ``SessionWindow`` objects the same way. The ranking order is
 defined in this module only: score descending, then item identifier
 ascending, so candidates that score zero rank by identifier.
 """
@@ -24,39 +28,54 @@ class ScoredItem:
     score: float
 
 
-def positive_scores(windows: Sequence[SessionWindow], index: NeighborIndex) -> np.ndarray:
-    """The float64 score of every item of ``index.items`` for each window, as
-    a [windows x items] matrix in index order; an item whose neighbors hold no
-    item of the window scores 0. Every window must have the index's k.
-
-    The inverted rows of every window item are gathered at once and added
-    with one ``np.bincount``, which adds in input order: by window, then
-    window order, so each score is the same float as adding the window's
-    items one after another.
+def window_arrays(
+    windows: Sequence[SessionWindow], index: NeighborIndex
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """``positive_scores``' block arguments for ``windows``: the row, index
+    position and L of each window item the index holds, in window order,
+    and the row count. Every window must have the index's k.
     """
     for window in windows:
         if window.k != index.params.k:
             raise ValueError(f"window of k={window.k} against an index built for k={index.params.k}")
-    positional = index.measure in ("pas", "pas_uni")
-    row, nbr, column = [], [], []
-    for r, window in enumerate(windows):
-        for item in window.items:
-            idx = index.item_index.get(item)
-            if idx is not None:
-                row.append(r)
-                nbr.append(idx)
-                # column L holds the value at window position L; bis and cosine read column 0
-                column.append(window.window_position[item] if positional else 0)
+    held = [(r, index.item_index[item], window.window_position[item])
+            for r, window in enumerate(windows) for item in window.items if item in index.item_index]
+    row, nbr, position = np.array(held, dtype=np.int64).reshape(-1, 3).T
+    return row, nbr, position, len(windows)
+
+
+def positive_scores(
+    row: np.ndarray, nbr: np.ndarray, position: np.ndarray, n_rows: int, index: NeighborIndex
+) -> np.ndarray:
+    """The float64 score of every item of ``index.items`` for each of
+    ``n_rows`` windows, as a [windows x items] matrix in index order. Element
+    j of the int64 arrays is a window item: ``row[j]`` its window,
+    ``nbr[j]`` its position in ``index.items`` and ``position[j]`` its L in
+    1..k, which only pas and pas_uni read. An item whose neighbors hold no
+    item of the window scores 0.
+
+    The inverted rows of every window item are gathered at once and added
+    with one ``np.bincount``, which adds in input order. Given the items by
+    window, then window order, each score is the same float as adding the
+    window's items one after another.
+    """
     starts, targets, values = index.inverted
-    nbr = np.array(nbr, dtype=np.int64)
+    if index.measure in ("pas", "pas_uni"):
+        # column L holds the value at window position L
+        if len(position) and not 1 <= position.min() <= position.max() <= index.params.k:
+            raise ValueError(f"window positions outside 1..{index.params.k}")
+        column = position
+    else:
+        # bis and cosine read column 0
+        column = np.zeros_like(position)
     counts = starts[nbr + 1] - starts[nbr]
     # the inverted rows of nbr[j] are starts[nbr[j]] + 0, 1, ..., counts[j] - 1
     rows = np.repeat(starts[nbr] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
     n = len(index.items)
     # a target appears at most once among one neighbor's rows
-    cells = np.repeat(np.array(row, dtype=np.int64) * n, counts) + targets[rows]
-    weights = values[rows, np.repeat(np.array(column, dtype=np.int64), counts)]
-    return np.bincount(cells, weights, minlength=len(windows) * n).reshape(len(windows), n)
+    cells = np.repeat(row * n, counts) + targets[rows]
+    weights = values[rows, np.repeat(column, counts)]
+    return np.bincount(cells, weights, minlength=n_rows * n).reshape(n_rows, n)
 
 
 def recommend_top_k(
@@ -65,7 +84,7 @@ def recommend_top_k(
     """The top_k highest-scoring candidates in ranking order."""
     if not candidates:
         raise ValueError("empty candidate set")
-    scores = positive_scores([window], index)[0].tolist()
+    scores = positive_scores(*window_arrays([window], index), index)[0].tolist()
     scored = {c: scores[index.item_index[c]] if c in index.item_index else 0.0 for c in candidates}
     ranked = sorted(scored, key=lambda c: (-scored[c], c))[:top_k]
     return [ScoredItem(item, scored[item]) for item in ranked]

@@ -6,7 +6,7 @@ import pytest
 
 from pasrec.domain import MEASURES, UserSequence
 from pasrec.oracle import oracle_bis, oracle_cosine, oracle_pas
-from pasrec.predictor import positive_scores, rank_of_target
+from pasrec.predictor import positive_scores, rank_of_target, window_arrays
 from pasrec.similarity import _uni_low, build_neighbor_index
 
 
@@ -127,15 +127,20 @@ def gap_histogram(store, i_from, i_to) -> dict[int, int]:
                                              (at_least[:-1] - at_least[1:]).tolist()) if users}
 
 
+def window_scores(windows, index) -> np.ndarray:
+    """``positive_scores`` of the ``SessionWindow``s ``windows``."""
+    return positive_scores(*window_arrays(windows, index), index)
+
+
 def predicted_score(window, target, index) -> float:
     """The score ``positive_scores`` gives ``target``; 0 outside the index."""
     idx = index.item_index.get(target)
-    return 0.0 if idx is None else float(positive_scores([window], index)[0, idx])
+    return 0.0 if idx is None else float(window_scores([window], index)[0, idx])
 
 
 def universe_scores(window, index, universe) -> np.ndarray:
     """``positive_scores`` read out over ``universe``, 0 outside the index."""
-    scores = positive_scores([window], index)[0]
+    scores = window_scores([window], index)[0]
     return np.array([scores[index.item_index[c]] if c in index.item_index else 0.0
                      for c in universe])
 

@@ -383,3 +383,42 @@ class TestCommandTable:
         assert f"error: {config}:2: " in err
         assert line.split(" = ")[0] in err
         assert list(tmp_path.iterdir()) == [config]
+
+
+class TestHeldOutItems:
+    @pytest.mark.parametrize("split", ["validation", "test"])
+    @pytest.mark.parametrize("name, item_of", [
+        ("valid.tsv", lambda train, valid: train[0]),
+        ("test.tsv", lambda train, valid: train[-1]),
+        ("test.tsv", lambda train, valid: valid),
+    ], ids=["validation-in-train", "test-in-train", "test-is-validation"])
+    def test_repeated_held_out_item_fails_at_load(self, tmp_path, capsys, dataset_dir, split, name, item_of):
+        index = tmp_path / "bis.idx"
+        assert run("build-index", "--dataset", str(dataset_dir), "--out", str(index),
+                   "--measure", "bis", "--ell", "3") == 0
+        user, valid = (dataset_dir / "valid.tsv").read_text().splitlines()[0].split("\t")
+        train = [item for line in (dataset_dir / "train.tsv").read_text().splitlines()
+                 for u, item in [line.split("\t")] if u == user]
+        path = dataset_dir / name
+        rows = path.read_text().splitlines()
+        path.write_text("\n".join([f"{user}\t{item_of(train, valid)}", *rows[1:]]) + "\n")
+        out = tmp_path / "eval"
+        assert run("evaluate", "--dataset", str(dataset_dir), "--index", str(index),
+                   "--split", split, "--out", str(out)) == 1
+        assert f"error: {path}:1: " in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestListFlags:
+    @pytest.mark.parametrize("flag, value, expected", [
+        ("--ells", "5,x", "comma-separated integers"),
+        ("--lambdas", "0.5,q", "comma-separated numbers"),
+        ("--scalings", "h_a,h_z", "comma-separated scalings from h_a, h_b, h_c"),
+    ], ids=["ells", "lambdas", "scalings"])
+    def test_bad_value_names_what_is_expected(self, tmp_path, capsys, flag, value, expected):
+        with pytest.raises(SystemExit) as exc:
+            run("grid", "--dataset", str(tmp_path / "absent"), "--out", str(tmp_path / "out"), flag, value)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected {expected}, got '{value}'" in err
+        assert "_csv" not in err

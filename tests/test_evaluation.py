@@ -1,7 +1,10 @@
 import math
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pasrec.evaluation as evaluation
 from conftest import random_corpus, rank_in_row, reference_score, universe_scores
@@ -16,6 +19,7 @@ from pasrec.evaluation import (
     write_report_tsv,
 )
 from pasrec.ingest import build_dataset
+from pasrec.predictor import recommend_top_k
 from pasrec.similarity import build_neighbor_index, count_pairs
 
 
@@ -173,6 +177,65 @@ class TestBlockRanking:
         want = evaluate(hit_and_miss_dataset, index, "validation")
         monkeypatch.setattr(evaluation, "_BLOCK_CELLS", 1)
         assert evaluate(hit_and_miss_dataset, index, "validation") == want
+
+
+# users of 3 to 8 distinct items from a small catalog; build_dataset holds
+# out the last two, so a user of 3 trains on one item
+held_out_corpora = st.lists(
+    st.lists(st.sampled_from("abcdefghij"), min_size=3, max_size=8, unique=True),
+    min_size=1, max_size=12,
+)
+
+
+class TestArrayPath:
+    @pytest.mark.parametrize("measure", ["bis", "pas", "pas_uni", "cosine"])
+    @pytest.mark.parametrize("split", ["validation", "test"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_evaluate_matches_per_user_reference(self, measure, split, data):
+        corpus = {f"u{n:02d}": " ".join(items) for n, items in enumerate(data.draw(held_out_corpora))}
+        # zz trains on x alone and holds out y and z; the index never holds
+        # them, since it is built without zz
+        dataset = build_dataset(records(*corpus.items(), ("zz", "x y z")))
+        indexed = data.draw(st.sets(st.sampled_from(sorted(corpus)), min_size=1))
+        ell = data.draw(st.integers(2, 5))
+        params = SimilarityParams(ell=ell, lam=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+                                  scaling=data.draw(st.sampled_from(["h_a", "h_b", "h_c"])),
+                                  n_neighbors=data.draw(st.integers(1, 6)))
+        store = count_pairs([seq for seq in dataset.sequences if seq.user in indexed], ell_max=ell)
+        index = build_neighbor_index(store, params, measure)
+        assert not {"x", "y", "z"} & set(index.items)
+        top_k = data.draw(st.integers(1, 5))
+        block_rows = data.draw(st.integers(1, len(dataset.test) + 1))
+
+        blocks = []
+        block_scorer = evaluation.positive_scores
+
+        def recorded(*args):
+            blocks.append(block_scorer(*args))
+            return blocks[-1]
+
+        with mock.patch.object(evaluation, "_BLOCK_CELLS", block_rows * len(dataset.item_universe)), \
+                mock.patch.object(evaluation, "positive_scores", recorded):
+            result = evaluate(dataset, index, split, top_k=top_k)
+        assert (result.n_users, result.n_skipped) == (len(dataset.test), 0)
+        assert (result.ndcg, result.one_call) == TestBlockRanking.reference(dataset, index, split, top_k)
+        assert len(blocks) == -(-len(dataset.test) // block_rows)
+
+        # recommend_top_k scores each user's window as the block scorer did
+        scores = np.concatenate(blocks)
+        train = {seq.user: seq.items for seq in dataset.sequences}
+        held_out = dataset.validation if split == "validation" else dataset.test
+        assert len(scores) == len(held_out)
+        for row, user in zip(scores, sorted(held_out)):
+            history = train[user] + ((dataset.validation[user],) if split == "test" else ())
+            window = make_session_window(UserSequence.from_items(user, history), params.k)
+            candidates = set(dataset.item_universe) - set(history)
+            ranked = recommend_top_k(window, candidates, index, len(candidates))
+            assert {scored.item for scored in ranked} == candidates
+            for scored in ranked:
+                idx = index.item_index.get(scored.item)
+                assert scored.score == (0.0 if idx is None else row[idx])
 
 
 class TestRankOfTarget:

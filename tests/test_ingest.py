@@ -217,6 +217,22 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{n_lines}: user 'u1' repeated$"):
             load_dataset(str(tmp_path))
 
+    @pytest.mark.parametrize("name, line, message", [
+        ("valid.tsv", "u1\ta", "validation item 'a' of user 'u1' is already in train.tsv"),
+        ("test.tsv", "u1\tb", "test item 'b' of user 'u1' is already in train.tsv"),
+        ("test.tsv", "u1\tc", "test item 'c' of user 'u1' is also their validation item"),
+    ], ids=["validation-in-train", "test-in-train", "test-is-validation"])
+    def test_load_rejects_repeated_held_out_item_with_location(self, tmp_path, name, line, message):
+        # u1 trains on a, b and holds out c, then d; u1's line is the first
+        records = [rec(u, i, 5, ts) for u in ("u1", "u2") for ts, i in enumerate("abcd")]
+        save_dataset(build_dataset(records), str(tmp_path))
+        path = tmp_path / name
+        rows = path.read_text().splitlines()
+        assert rows[0].startswith("u1\t")
+        path.write_text("\n".join([line, *rows[1:]]) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: {message}$"):
+            load_dataset(str(tmp_path))
+
     @pytest.mark.parametrize("name, other", [("valid.tsv", "test.tsv"), ("test.tsv", "valid.tsv")])
     def test_load_rejects_user_held_out_in_one_split(self, tmp_path, name, other):
         records = [rec(u, i, 5, ts) for u in ("u1", "u2") for ts, i in enumerate("abcd")]

@@ -3,9 +3,11 @@ import random
 import numpy as np
 import pytest
 
-from conftest import predicted_score, random_corpus, rank_in_row, reference_score, universe_scores
+from conftest import (
+    predicted_score, random_corpus, rank_in_row, reference_score, universe_scores, window_scores,
+)
 from pasrec.domain import SimilarityParams, UserSequence, make_session_window
-from pasrec.predictor import ScoredItem, positive_scores, recommend_top_k
+from pasrec.predictor import ScoredItem, recommend_top_k
 from pasrec.similarity import NeighborIndex, build_neighbor_index, count_pairs
 
 
@@ -45,7 +47,7 @@ class TestScoreItem:
         window = make_session_window(UserSequence.from_items("u", ["a", "b"]), k=3)
         index = handmade_index("pas", [(0, 0.3, (0.1, 0.3)), (1, 0.5, (0.2, 0.5))])
         with pytest.raises(ValueError, match="k=3 .* k=2"):
-            positive_scores([window], index)
+            window_scores([window], index)
 
     @pytest.mark.parametrize("measure", ["pas", "bis"])
     def test_window_shorter_than_index_k_fails(self, measure):
@@ -55,7 +57,7 @@ class TestScoreItem:
         vector = (0.2, 0.5) if measure == "pas" else ()
         index = handmade_index(measure, [(1, 0.5, vector)])
         with pytest.raises(ValueError, match="k=1 .* k=2"):
-            positive_scores([window], index)
+            window_scores([window], index)
 
 
 class TestRecommendTopK:
@@ -111,7 +113,7 @@ class TestInvertedEnumerationEquivalence:
                 window = make_session_window(seq, params.k)
                 excluded = frozenset(seq.items)
                 candidates = set(universe) - excluded
-                scores = positive_scores([window], index)[0]
+                scores = window_scores([window], index)[0]
                 assert scores.tolist() == [reference_score(window, c, index) for c in index.items]
                 want = {c: reference_score(window, c, index) for c in candidates}
                 brute_force = [

@@ -19,6 +19,7 @@ from conftest import (
     random_corpus,
     row_value,
     uni_values,
+    window_scores,
 )
 from pasrec.domain import MEASURES, SCALINGS, SimilarityParams, UserSequence, make_session_window
 from pasrec.oracle import oracle_bis, oracle_pas, oracle_predict
@@ -231,12 +232,17 @@ class TestPasUni:
         assert rows["a", "b"][2] == 0.0
 
     def test_t_out_of_range_rejected(self, toy_store, toy_corpus):
-        # an index holds a value for t = 1..k only, and its scorer rejects a
-        # window of another k, whose positions would run past k
+        # an index holds a value for t = 1..k only: a window of another k,
+        # whose positions would run past k, is rejected when encoded, and
+        # the scorer rejects a position outside 1..k
         index = build_neighbor_index(toy_store, SimilarityParams(ell=2), "pas_uni")
         assert index.values.shape[1] == 1 + 2
         with pytest.raises(ValueError, match="k=3"):
-            positive_scores([make_session_window(toy_corpus[0], 3)], index)
+            window_scores([make_session_window(toy_corpus[0], 3)], index)
+        for position in (0, 3):
+            row, nbr = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+            with pytest.raises(ValueError, match=r"outside 1\.\.2"):
+                positive_scores(row, nbr, np.array([position]), 1, index)
 
 
 class TestPas:
