@@ -12,6 +12,7 @@ import math
 import os
 import random
 from dataclasses import dataclass, asdict
+from collections import defaultdict
 from collections.abc import Iterable, Iterator
 
 from .domain import InteractionRecord, UserSequence
@@ -253,15 +254,19 @@ def _read_split(in_dir: str, split: str) -> Iterator[tuple[int, str, str]]:
 
 
 def load_dataset(in_dir: str) -> Dataset:
-    """Read a dataset that ``save_dataset`` wrote. A held-out split file
-    holds one line per user, and its item must be new to the user: neither
-    in their training sequence nor, for the test item, their validation
-    item. A line that breaks this fails with its ``path:line``.
+    """Read a dataset that ``save_dataset`` wrote. A user's training items
+    are distinct. A held-out split file holds one line per user, and its item
+    must be new to the user: neither in their training sequence nor, for the
+    test item, their validation item. A line that breaks this fails with its
+    ``path:line``.
     """
-    per_user: dict[str, list[str]] = {}
-    for _, user, item in _read_split(in_dir, "train"):
-        per_user.setdefault(user, []).append(item)
-    sequences = {user: UserSequence.from_items(user, items) for user, items in sorted(per_user.items())}
+    per_user: defaultdict[str, dict[str, int]] = defaultdict(dict)  # user -> item -> its train line
+    train_path = _split_path(in_dir, "train")
+    for lineno, user, item in _read_split(in_dir, "train"):
+        first = per_user[user].setdefault(item, lineno)
+        if first != lineno:
+            raise ValueError(f"{train_path}:{lineno}: item {item!r} of user {user!r} repeats line {first}")
+    sequences = {user: UserSequence.from_items(user, tuple(items)) for user, items in sorted(per_user.items())}
     splits: dict[str, dict[str, str]] = {"valid": {}, "test": {}}
     for split, name in (("valid", "validation"), ("test", "test")):
         held, path = splits[split], _split_path(in_dir, split)

@@ -233,36 +233,20 @@ def count_pairs(sequences: Sequence[UserSequence], ell_max: int) -> PairStore:
     return store
 
 
-_BLOCK_LINES = 8192  # index lines formatted or parsed at a time
+_BLOCK_LINES = 8192  # index lines save formats at a time
 _MEMO_LIMIT = 1 << 16  # strings a load memo holds before it starts over
 
 
-class _Parsed(dict):
-    """A memo of one parse over strings: each distinct string is parsed once,
-    to its value or to the ValueError the parse raised. It starts over when
-    it holds _MEMO_LIMIT strings, so input that seldom repeats a string loads
-    in bounded memory."""
-
-    def __init__(self, parse) -> None:
-        super().__init__()
-        self.parse = parse
-        self.errors = 0  # failed parses since creation, across clears
-
-    def __missing__(self, text: str):
-        if len(self) >= _MEMO_LIMIT:
-            self.clear()
-        try:
-            self[text] = self.parse(text)
-        except ValueError as exc:
-            self[text] = exc
-            self.errors += 1
-        return self[text]
-
-    def failed(self, parsed: list) -> np.ndarray:
-        """Which of parsed, values of this memo, are a ValueError."""
-        if not self.errors:
-            return np.zeros(len(parsed), dtype=bool)
-        return np.fromiter(map(isinstance, parsed, itertools.repeat(ValueError)), bool, len(parsed))
+def _memo(memo: dict, parse, text: str):
+    """parse(text), parsed once per distinct text through memo, which starts
+    over when it holds _MEMO_LIMIT strings, so input that seldom repeats a
+    string loads in bounded memory. A parse that raises is not kept."""
+    value = memo.get(text)
+    if value is None:
+        if len(memo) >= _MEMO_LIMIT:
+            memo.clear()
+        value = memo[text] = parse(text)
+    return value
 
 
 def _canonical(parse, write):
@@ -392,71 +376,39 @@ class NeighborIndex:
             rank_by = header(3, "rank_by", str, RANK_CRITERIA)
             params = header(4, "params", lambda v: SimilarityParams(**json.loads(v)))
             items = header(5, "items", _item_names)
-            in_range = range(len(items)).__contains__
             vector_length = params.k if measure in ("pas", "pas_uni") else 0
-            ints, floats = _Parsed(_canonical(int, str)), _Parsed(_canonical(float, repr))
+            parse_id, parse_value = _canonical(int, str), _canonical(float, repr)
+            # one memo each: a packed vector "0.5" is not the value "0.5"
+            ids, floats, vectors = {}, {}, {}
 
             def vector(packed: str) -> tuple[float, ...]:
                 cells = packed.split(",") if packed else ()
                 if len(cells) != vector_length:
                     raise ValueError(f"vector of {len(cells)} values, {measure} stores {vector_length}")
-                values = tuple(map(floats.__getitem__, cells))
-                if ValueError in map(type, values):
-                    raise next(value for value in values if isinstance(value, ValueError))
-                return values
+                return tuple(_memo(floats, parse_value, cell) for cell in cells)
 
-            vectors = _Parsed(vector)
-
-            def entry_block(lineno: int):
-                """(targets, nbrs, values) of the next block of entry lines,
-                the first of them line lineno; None at the end of the file."""
-                lines = list(itertools.islice(fh, _BLOCK_LINES))
-                if not lines:
-                    return None
-                fields = [line.rstrip("\n").split("\t") for line in lines]
-                # each check runs, in the order a line is checked, on the lines
-                # before the first failure so far: the first bad line of the
-                # block then reports the first check it fails
-                end, error = len(fields), ""
-
-                def check(bad: np.ndarray, describe) -> None:
-                    nonlocal end, error
-                    hits = np.flatnonzero(bad[:end])
-                    if len(hits):
-                        end = int(hits[0])
-                        error = describe(end)
-
-                check(np.fromiter(map(len, fields), np.intp, end) != 4,
-                      lambda i: f"expected 4 tab-separated fields, got {len(fields[i])}")
-                target_s, nbr_s, value_s, vector_s = zip(*fields[:end]) if end else ((),) * 4
-                targets = list(map(ints.__getitem__, target_s))
-                nbrs = list(map(ints.__getitem__, nbr_s))
-                check(ints.failed(targets) | ints.failed(nbrs),
-                      lambda i: targets[i] if isinstance(targets[i], ValueError) else nbrs[i])
-                check(~(np.fromiter(map(in_range, targets[:end]), bool, end)
-                        & np.fromiter(map(in_range, nbrs[:end]), bool, end)),
-                      lambda i: f"item id outside [0, {len(items)}): "
-                                f"target {targets[i]}, neighbor {nbrs[i]}")
-                values = list(map(floats.__getitem__, value_s[:end]))
-                check(floats.failed(values), values.__getitem__)
-                rows = list(map(vectors.__getitem__, vector_s[:end]))
-                check(vectors.failed(rows), rows.__getitem__)
-                if end < len(fields):
-                    raise ValueError(f"{path}:{lineno + end}: {error}")
-                flat = np.fromiter(itertools.chain.from_iterable(rows), np.float64, end * vector_length)
-                return (np.array(targets, dtype=np.int64), np.array(nbrs, dtype=np.int64),
-                        np.column_stack((np.array(values, dtype=np.float64),
-                                         flat.reshape(end, vector_length))))
-
-            blocks = [(np.empty(0, np.int64), np.empty(0, np.int64),
-                       np.empty((0, 1 + vector_length)))]
-            # entry lines follow the five header lines
-            for lineno in itertools.count(6, _BLOCK_LINES):
-                block = entry_block(lineno)
-                if block is None:
-                    break
-                blocks.append(block)
-        targets, nbrs, values = map(np.concatenate, zip(*blocks))
+            targets, nbrs, values, rows = [], [], [], []
+            # entry lines follow the five header lines; the first bad line fails
+            for lineno, line in enumerate(fh, start=6):
+                fields = line.rstrip("\n").split("\t")
+                try:
+                    if len(fields) != 4:
+                        raise ValueError(f"expected 4 tab-separated fields, got {len(fields)}")
+                    target = _memo(ids, parse_id, fields[0])
+                    nbr = _memo(ids, parse_id, fields[1])
+                    if not (0 <= target < len(items) and 0 <= nbr < len(items)):
+                        raise ValueError(f"item id outside [0, {len(items)}): target {target}, neighbor {nbr}")
+                    value = _memo(floats, parse_value, fields[2])
+                    row = _memo(vectors, vector, fields[3])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                targets.append(target)
+                nbrs.append(nbr)
+                values.append(value)
+                rows.append(row)
+        flat = np.fromiter(itertools.chain.from_iterable(rows), np.float64, len(rows) * vector_length)
+        targets, nbrs = np.array(targets, dtype=np.int64), np.array(nbrs, dtype=np.int64)
+        values = np.column_stack((np.array(values, dtype=np.float64), flat.reshape(len(rows), vector_length)))
         # scoring needs finite values and no measure is negative; a share may
         # round an ulp above 1, so there is no upper bound
         bad = np.argwhere(~((values >= 0.0) & (values < np.inf)))

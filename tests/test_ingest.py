@@ -233,6 +233,17 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: {message}$"):
             load_dataset(str(tmp_path))
 
+    def test_load_rejects_item_repeated_in_train_with_location(self, tmp_path):
+        # u1 trains on a, b; a third u1 line repeats a
+        records = [rec(u, i, 5, ts) for u in ("u1", "u2") for ts, i in enumerate("abcd")]
+        save_dataset(build_dataset(records), str(tmp_path))
+        path = tmp_path / "train.tsv"
+        rows = path.read_text().splitlines()
+        assert rows[:2] == ["u1\ta", "u1\tb"]
+        path.write_text("\n".join([*rows[:2], "u1\ta", *rows[2:]]) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: item 'a' of user 'u1' repeats line 1$"):
+            load_dataset(str(tmp_path))
+
     @pytest.mark.parametrize("name, other", [("valid.tsv", "test.tsv"), ("test.tsv", "valid.tsv")])
     def test_load_rejects_user_held_out_in_one_split(self, tmp_path, name, other):
         records = [rec(u, i, 5, ts) for u in ("u1", "u2") for ts, i in enumerate("abcd")]

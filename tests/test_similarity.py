@@ -481,6 +481,49 @@ class TestNeighborIndex:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:8: {message}"):
             NeighborIndex.load(str(path))
 
+    @pytest.mark.parametrize("measure, first, message, second", [
+        ("pas", "1\t1\t0.5\t0.5", "vector of 1 values, pas stores 2", "0\t1\t0.5"),
+        ("bis", "0\t1\t+0.5\t", r"non-canonical number '\+0.5'", "zero\t1\t0.5\t"),
+        ("bis", "0\t9999\t0.5\t", "item id outside", "0\tone\t0.5\t"),
+        ("pas", "0\t1\t0.5\t0.5,nope", "could not convert", "-1\t0\t0.5\t0.5,0.5"),
+    ], ids=["short-vector-then-three-fields", "plus-value-then-word-target",
+            "large-neighbor-then-word-neighbor", "word-cell-then-negative-target"])
+    def test_load_names_the_first_bad_line_whatever_it_fails(self, tmp_path, toy_corpus, measure,
+                                                             first, message, second):
+        index = build_neighbor_index(count_pairs(toy_corpus, ell_max=2),
+                                     SimilarityParams(ell=2, lam=0.0), measure)
+        path = tmp_path / "index.tsv"
+        index.save(str(path))
+        lines = path.read_text().splitlines()
+        # line 7 fails a later check than line 8 does
+        lines[6:6] = [first, second]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:7: .*{message}"):
+            NeighborIndex.load(str(path))
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_load_memos_that_start_over_round_trip(self, tmp_path, monkeypatch, measure):
+        monkeypatch.setattr(similarity, "_MEMO_LIMIT", 3)
+        corpus = random_corpus(random.Random(5), max_users=30, max_items=12, max_len=8)
+        index = build_neighbor_index(count_pairs(corpus, ell_max=3),
+                                     SimilarityParams(ell=3, lam=0.5, n_neighbors=3), measure)
+        # more distinct ids and values than a memo holds
+        assert len(np.unique(index.targets)) > 3 and len(np.unique(index.values)) > 3
+        first, second = tmp_path / "first.tsv", tmp_path / "second.tsv"
+        index.save(str(first))
+        loaded = NeighborIndex.load(str(first))
+        assert loaded == index
+        loaded.save(str(second))
+        assert first.read_bytes() == second.read_bytes()
+        # a bad line after the memos have started over still names its line
+        lines = first.read_text().splitlines()
+        target, _, _, vector = lines[-1].split("\t")
+        lines.append(f"{target}\t0\t0.6_25\t{vector}")
+        first.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(first))}:{len(lines)}: "
+                                             "non-canonical number '0.6_25'"):
+            NeighborIndex.load(str(first))
+
     @staticmethod
     def _one_neighbor_index(tmp_path):
         """A saved bis index with one neighbor per item over items a..d, and
