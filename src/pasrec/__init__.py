@@ -3,7 +3,6 @@
 from .domain import (
     MEASURES,
     SCALINGS,
-    InteractionRecord,
     SessionWindow,
     SimilarityParams,
     UserSequence,
@@ -22,6 +21,7 @@ from .ingest import (
     ColumnSchema,
     Dataset,
     DatasetStats,
+    Interactions,
     build_dataset,
     deduplicate,
     filter_positive,
@@ -46,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "MEASURES",
     "SCALINGS",
-    "InteractionRecord",
     "SessionWindow",
     "SimilarityParams",
     "UserSequence",
@@ -61,6 +60,7 @@ __all__ = [
     "ColumnSchema",
     "Dataset",
     "DatasetStats",
+    "Interactions",
     "build_dataset",
     "deduplicate",
     "filter_positive",

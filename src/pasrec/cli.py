@@ -158,6 +158,11 @@ def _write_snapshot(opt: dict) -> None:
 
 
 def cmd_prepare(opt: dict) -> None:
+    if opt["max_users"] < 1:
+        raise ValueError(f"--max-users must be >= 1, got {opt['max_users']}")
+    if opt["filter"] == "rating_equals_5" and opt["rating_col"] < 0:
+        raise ValueError("--filter rating_equals_5 needs a rating column: give --rating-col, "
+                         "or --filter all to keep every record")
     schema = ColumnSchema(
         delimiter=opt["delimiter"],
         user_col=opt["user_col"],
@@ -166,11 +171,16 @@ def cmd_prepare(opt: dict) -> None:
         timestamp_col=opt["timestamp_col"],
     )
     with open(opt["input"], encoding="utf-8") as fh:
-        records = parse_interactions(fh, schema, on_error=opt["on_error"])
-    records = filter_positive(records, opt["filter"])
-    records = deduplicate(records)
-    records = subsample_users(records, opt["max_users"], opt["seed"])
-    dataset = build_dataset(records)
+        table = parse_interactions(fh, schema, on_error=opt["on_error"])
+    n_parsed = len(table)
+    table = filter_positive(table, opt["filter"])
+    n_positive = len(table)
+    table = deduplicate(table)
+    n_distinct = len(table)
+    table = subsample_users(table, opt["max_users"], opt["seed"])
+    log.info("prepare: %d parsed, %d kept positive, %d after dedup, %d after subsample",
+             n_parsed, n_positive, n_distinct, len(table))
+    dataset = build_dataset(table)
     if dataset.stats.n_eval_users == 0:
         raise ValueError("no users with enough interactions to evaluate after filtering")
     save_dataset(dataset, opt["out"])
@@ -249,9 +259,9 @@ def cmd_synth(opt: dict) -> None:
         seq_length_range=(opt["min_len"], opt["max_len"]),
         signal=opt["signal"], reverse_noise=opt["reverse_noise"], seed=opt["seed"],
     )
-    records = generate(synth_config)
-    write_log(records, opt["out"], delimiter=opt["delimiter"])
-    log.info("wrote %d records to %s", len(records), opt["out"])
+    table = generate(synth_config)
+    write_log(table, opt["out"], delimiter=opt["delimiter"])
+    log.info("wrote %d records to %s", len(table), opt["out"])
 
 
 # name: (function, help, {option: default}), options in parser order; a

@@ -1,5 +1,5 @@
-"""Shared vocabulary: interaction events, ordered user sequences, similarity
-hyperparameters, and the session window used at prediction time.
+"""Shared vocabulary: ordered user sequences, similarity hyperparameters, and
+the session window used at prediction time.
 
 All types here are immutable after construction and safe to share across
 threads and processes.
@@ -10,20 +10,6 @@ from dataclasses import dataclass, field
 
 SCALINGS = ("h_a", "h_b", "h_c")
 MEASURES = ("bis", "pas", "pas_uni", "cosine")
-
-
-@dataclass(frozen=True)
-class InteractionRecord:
-    """One (user, item, rating, timestamp) event from an interaction log."""
-
-    user: str
-    item: str
-    rating: int | None
-    timestamp: int
-
-    def __post_init__(self) -> None:
-        if self.timestamp < 0:
-            raise ValueError(f"negative timestamp {self.timestamp!r} for user {self.user!r}")
 
 
 @dataclass(frozen=True)

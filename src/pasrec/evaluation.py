@@ -75,14 +75,15 @@ def evaluate(
     """Rank each eligible user's held-out item against the full catalog minus
     their known items, and average NDCG@K and 1-call@K over users.
 
-    The split's histories are encoded once per call as flat int64 catalog
-    positions, user after user in ascending user order, with per-user
-    offsets. For the test split the validation item, which precedes the test
-    item, ends the history. A user's known items are their whole slice, their
-    window the last min(k, n) entries of it, at L = k - d + 1 for the entry d
-    from the end, and their target one array element. Users are scored and
-    ranked in blocks, each a slice of these arrays: ``positive_scores`` scores
-    a block's windows into one [users x catalog] matrix of at most
+    The split's histories are sliced from the dataset's training sequences,
+    which it encodes once, into flat int64 catalog positions, user after
+    user in ascending user order, with per-user offsets. For the test split
+    the validation item, which precedes the test item, ends the history.
+    A user's known items are their whole slice, their window the last
+    min(k, n) entries of it, at L = k - d + 1 for the entry d from the end,
+    and their target one array element. Users are scored and ranked in
+    blocks, each a slice of these arrays: ``positive_scores`` scores a
+    block's windows into one [users x catalog] matrix of at most
     _BLOCK_CELLS cells, and every row is ranked by the same expression.
     Users with an empty history are skipped.
     """
@@ -92,8 +93,7 @@ def evaluate(
         raise ConfigMismatchError("measure", measure, index.measure)
     started = time.perf_counter()
     held_out = dataset.validation if split == "validation" else dataset.test
-    train_by_user = {seq.user: seq.items for seq in dataset.sequences}
-    universe_pos = {item: pos for pos, item in enumerate(dataset.item_universe)}
+    universe_pos = dataset.item_position
     lift = np.array([universe_pos.get(item, -1) for item in index.items], dtype=np.int64)
     missing = np.count_nonzero(lift < 0)
     if missing:
@@ -102,21 +102,27 @@ def evaluate(
     to_index = np.full(len(universe_pos), -1, dtype=np.int64)
     to_index[lift] = np.arange(len(lift))
 
-    histories: dict[str, tuple[str, ...]] = {}
-    for user in sorted(held_out):
-        history = train_by_user.get(user, ())
-        if split == "test":
-            history += (dataset.validation[user],)
-        if history:
-            histories[user] = history
-    n_skipped = len(held_out) - len(histories)
-    users = list(histories)
-    lengths = np.array([len(history) for history in histories.values()], dtype=np.int64)
-    flat = np.array([universe_pos[item] for history in histories.values() for item in history],
-                    dtype=np.int64)
+    # each held-out user's training slice of the dataset's encoded sequences
+    row_of, train_flat, train_offsets = dataset.encoded_sequences
+    users = sorted(held_out)
+    row = np.array([row_of.get(user, -1) for user in users], dtype=np.int64)
+    train_start = np.where(row >= 0, train_offsets[row], 0)
+    n_train = np.where(row >= 0, train_offsets[row + 1] - train_start, 0)
+    lengths = n_train + (split == "test")
+    kept = np.flatnonzero(lengths)
+    n_skipped = len(users) - len(kept)
+    users = [users[j] for j in kept.tolist()]
+    train_start, n_train, lengths = train_start[kept], n_train[kept], lengths[kept]
     offsets = np.concatenate(([0], np.cumsum(lengths)))
-    target = np.array([universe_pos[held_out[user]] for user in users], dtype=np.int64)
     owner = np.repeat(np.arange(len(users)), lengths)
+    local = np.arange(offsets[-1]) - offsets[:-1][owner]
+    from_train = local < n_train[owner]
+    flat = np.empty(offsets[-1], dtype=np.int64)
+    flat[from_train] = train_flat[(train_start[owner] + local)[from_train]]
+    if split == "test":
+        # the validation item, which precedes the test item, ends the history
+        flat[offsets[1:] - 1] = [universe_pos[dataset.validation[user]] for user in users]
+    target = np.array([universe_pos[held_out[user]] for user in users], dtype=np.int64)
     # distance d from the end of the history: 1 for its last item
     distance = offsets[1:][owner] - np.arange(len(flat))
     k = index.params.k

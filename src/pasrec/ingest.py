@@ -1,8 +1,16 @@
 """Interaction-log parsing, preprocessing, and leave-last-two-out splits.
 
-Preprocessing pipeline: parse -> keep positive feedback -> drop duplicate
-(user, item) pairs keeping the earliest -> optionally subsample users ->
-split per user into training sequence / validation item / test item.
+``parse_interactions`` reads a log into one columnar table,
+``Interactions``: user and item ids as lists of str, ratings and timestamps
+as int64 arrays. Every later stage is an array pass over that table: keep
+positive feedback (a mask) -> drop duplicate (user, item) pairs keeping the
+earliest (one lexsort) -> optionally subsample users -> split per user into
+training sequence / validation item / test item (one lexsort).
+
+Ids are interned through ``sorted(set(...))`` and a dict, so a code's order
+is its id's order under Python's string comparison. numpy's fixed-width
+strings are avoided: they drop trailing NULs and would merge 'a\\x00' with
+'a'.
 """
 from __future__ import annotations
 
@@ -14,10 +22,15 @@ import random
 from dataclasses import dataclass, asdict
 from collections import defaultdict
 from collections.abc import Iterable, Iterator
+from functools import cached_property
 
-from .domain import InteractionRecord, UserSequence
+import numpy as np
+
+from .domain import UserSequence
 
 log = logging.getLogger(__name__)
+
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
 
 class ParseError(ValueError):
@@ -47,6 +60,77 @@ class ColumnSchema:
         return cls(delimiter=",")
 
 
+def _intern(ids: list[str]) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct ids, and each id's position among them."""
+    vocab = sorted(set(ids))
+    code = {name: j for j, name in enumerate(vocab)}
+    return vocab, np.fromiter(map(code.__getitem__, ids), dtype=np.int64, count=len(ids))
+
+
+@dataclass(frozen=True, eq=False)
+class Interactions:
+    """Interaction events as columns, one row per event in log order.
+
+    ``ratings`` is None for a log without a rating column. Timestamps are
+    non-negative.
+    """
+
+    users: list[str]
+    items: list[str]
+    ratings: np.ndarray | None
+    timestamps: np.ndarray
+
+    def __post_init__(self) -> None:
+        columns = {"users": list(self.users), "items": list(self.items),
+                   "timestamps": np.asarray(self.timestamps, dtype=np.int64)}
+        if self.ratings is not None:
+            columns["ratings"] = np.asarray(self.ratings, dtype=np.int64)
+        lengths = {name: len(column) for name, column in columns.items()}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"columns differ in length: {lengths}")
+        for name, column in columns.items():
+            object.__setattr__(self, name, column)
+        if len(self.timestamps) and self.timestamps.min() < 0:
+            row = int(np.argmax(self.timestamps < 0))
+            raise ValueError(f"negative timestamp {self.timestamps[row]} for user {self.users[row]!r}")
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Interactions):
+            return NotImplemented
+        return (self.users == other.users and self.items == other.items
+                and np.array_equal(self.timestamps, other.timestamps)
+                and (self.ratings is None) == (other.ratings is None)
+                and (self.ratings is None or np.array_equal(self.ratings, other.ratings)))
+
+    # codes index a sorted vocabulary; a table cut by ``take`` keeps its
+    # parent's, which may hold ids the cut no longer uses
+    @cached_property
+    def user_codes(self) -> tuple[list[str], np.ndarray]:
+        return _intern(self.users)
+
+    @cached_property
+    def item_codes(self) -> tuple[list[str], np.ndarray]:
+        return _intern(self.items)
+
+    def take(self, rows: np.ndarray) -> "Interactions":
+        """The table of the rows at ``rows``, in that order."""
+        picked = rows.tolist()
+        cut = Interactions(
+            users=[self.users[r] for r in picked],
+            items=[self.items[r] for r in picked],
+            ratings=None if self.ratings is None else self.ratings[rows],
+            timestamps=self.timestamps[rows],
+        )
+        for name in ("user_codes", "item_codes"):
+            if name in self.__dict__:
+                vocab, codes = self.__dict__[name]
+                cut.__dict__[name] = (vocab, codes[rows])
+        return cut
+
+
 @dataclass(frozen=True)
 class DatasetStats:
     n_users: int
@@ -67,121 +151,147 @@ class Dataset:
     item_universe: tuple[str, ...]
     stats: DatasetStats
 
+    @cached_property
+    def item_position(self) -> dict[str, int]:
+        """Each item's position in ``item_universe``."""
+        return {item: pos for pos, item in enumerate(self.item_universe)}
+
+    @cached_property
+    def encoded_sequences(self) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+        """Each user's row in ``sequences``; the items of every sequence as
+        ``item_universe`` positions, concatenated in row order; and the
+        rows' n + 1 offsets into them.
+        """
+        position = self.item_position
+        flat = np.fromiter((position[item] for seq in self.sequences for item in seq.items), dtype=np.int64)
+        offsets = np.zeros(len(self.sequences) + 1, dtype=np.int64)
+        np.cumsum([len(seq) for seq in self.sequences], out=offsets[1:])
+        return {seq.user: row for row, seq in enumerate(self.sequences)}, flat, offsets
+
 
 def parse_interactions(
     lines: Iterable[str], schema: ColumnSchema, on_error: str = "raise"
-) -> list[InteractionRecord]:
-    """Parse one record per well-formed line, in file order.
+) -> Interactions:
+    """Parse one row per well-formed line, in file order.
 
-    on_error="raise" fails fast with the offending line number;
-    on_error="skip" drops malformed lines and logs how many were skipped.
+    A line is malformed when it has too few fields, a tab or line break in
+    an id, a rating or timestamp that is not an integer or does not fit in
+    int64, or a negative timestamp. on_error="raise" fails fast with the
+    offending line number; on_error="skip" drops malformed lines and logs how
+    many were skipped.
     """
     if on_error not in ("raise", "skip"):
         raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
-    needed = max(
-        schema.user_col, schema.item_col, schema.timestamp_col,
-        schema.rating_col if schema.rating_col is not None else 0,
-    )
-    records: list[InteractionRecord] = []
+    delimiter, user_col, item_col = schema.delimiter, schema.user_col, schema.item_col
+    rating_col, timestamp_col = schema.rating_col, schema.timestamp_col
+    needed = max(user_col, item_col, timestamp_col, rating_col if rating_col is not None else 0)
+    users: list[str] = []
+    items: list[str] = []
+    ratings: list[int] = []
+    timestamps: list[int] = []
     skipped = 0
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
         if not line:
             continue
-        fields = line.split(schema.delimiter)
+        fields = line.split(delimiter)
         try:
             if len(fields) <= needed:
                 raise ValueError(f"expected at least {needed + 1} fields, got {len(fields)}")
-            user, item = fields[schema.user_col], fields[schema.item_col]
+            user, item = fields[user_col], fields[item_col]
             # the split files are tab-separated, one record per line
             ids = user + item
             if "\t" in ids or "\r" in ids or "\n" in ids:
                 raise ValueError(f"user or item id contains a tab or line break: {user!r}, {item!r}")
-            rating = None
-            if schema.rating_col is not None:
-                rating = int(fields[schema.rating_col])
-            records.append(
-                InteractionRecord(
-                    user=user,
-                    item=item,
-                    rating=rating,
-                    timestamp=int(fields[schema.timestamp_col]),
-                )
-            )
+            rating = 0 if rating_col is None else int(fields[rating_col])
+            timestamp = int(fields[timestamp_col])
+            if not _INT64_MIN <= rating <= _INT64_MAX:
+                raise ValueError(f"rating {rating} does not fit in int64")
+            if not 0 <= timestamp <= _INT64_MAX:
+                raise ValueError(f"negative timestamp {timestamp} for user {user!r}" if timestamp < 0
+                                 else f"timestamp {timestamp} does not fit in int64")
         except ValueError as exc:
             if on_error == "raise":
                 raise ParseError(lineno, str(exc)) from exc
             skipped += 1
+            continue
+        users.append(user)
+        items.append(item)
+        ratings.append(rating)
+        timestamps.append(timestamp)
     if skipped:
         log.warning("skipped %d malformed lines", skipped)
-    return records
+    return Interactions(users, items, None if rating_col is None else ratings, timestamps)
 
 
-def filter_positive(
-    records: list[InteractionRecord], threshold_mode: str = "rating_equals_5"
-) -> list[InteractionRecord]:
-    """Keep positive feedback: records rated exactly 5, or everything for
+def filter_positive(table: Interactions, threshold_mode: str = "rating_equals_5") -> Interactions:
+    """Keep positive feedback: rows rated exactly 5, or everything for
     review-style logs (threshold_mode="all").
     """
     if threshold_mode == "all":
-        return list(records)
+        return table
     if threshold_mode != "rating_equals_5":
         raise ValueError(f"unknown threshold_mode {threshold_mode!r}")
-    for rec in records:
-        if rec.rating is None:
-            raise ValueError(f"record for user {rec.user!r} has no rating; use threshold_mode='all'")
-    return [rec for rec in records if rec.rating == 5]
+    if table.ratings is None:
+        raise ValueError("the interactions have no rating column; use threshold_mode='all'")
+    keep = table.ratings == 5
+    return table if keep.all() else table.take(np.flatnonzero(keep))
 
 
-def deduplicate(records: list[InteractionRecord]) -> list[InteractionRecord]:
-    """Keep only the earliest record per (user, item) pair, breaking timestamp
+def deduplicate(table: Interactions) -> Interactions:
+    """Keep only the earliest row per (user, item) pair, breaking timestamp
     ties by first occurrence. Output preserves the input order of survivors.
     """
-    best: dict[tuple[str, str], tuple[int, int]] = {}
-    for order, rec in enumerate(records):
-        key = (rec.user, rec.item)
-        seen = best.get(key)
-        if seen is None or rec.timestamp < seen[0]:
-            best[key] = (rec.timestamp, order)
-    keep = {order for _, order in best.values()}
-    return [rec for order, rec in enumerate(records) if order in keep]
+    _, user_code = table.user_codes
+    item_vocab, item_code = table.item_codes
+    pair = user_code * len(item_vocab) + item_code
+    # lexsort is stable, so rows of one pair and timestamp stay in input order
+    order = np.lexsort((table.timestamps, pair))
+    first = np.ones(len(order), dtype=bool)
+    np.not_equal(pair[order[1:]], pair[order[:-1]], out=first[1:])
+    return table if first.all() else table.take(np.sort(order[first]))
 
 
-def subsample_users(
-    records: list[InteractionRecord], max_users: int, seed: int
-) -> list[InteractionRecord]:
-    """Keep all records of a seeded uniform sample of exactly max_users users,
+def subsample_users(table: Interactions, max_users: int, seed: int) -> Interactions:
+    """Keep all rows of a seeded uniform sample of exactly max_users users,
     or everything when there are no more users than that.
     """
     if max_users < 1:
         raise ValueError(f"max_users must be >= 1, got {max_users}")
-    users = sorted({rec.user for rec in records})
-    if len(users) <= max_users:
-        return list(records)
-    chosen = set(random.Random(seed).sample(users, max_users))
-    return [rec for rec in records if rec.user in chosen]
+    _, user_code = table.user_codes
+    present = np.unique(user_code)
+    if len(present) <= max_users:
+        return table
+    # code order is id order: this draws the users that sampling the sorted
+    # ids would
+    chosen = random.Random(seed).sample(present.tolist(), max_users)
+    return table.take(np.flatnonzero(np.isin(user_code, chosen)))
 
 
-def build_dataset(records: list[InteractionRecord]) -> Dataset:
-    """Split deduplicated records into per-user training sequences and
-    held-out items: chronologically last interaction -> test, second-to-last
-    -> validation. Timestamp ties order by item identifier, then input order.
+def build_dataset(table: Interactions) -> Dataset:
+    """Split deduplicated rows into per-user training sequences and held-out
+    items: chronologically last interaction -> test, second-to-last ->
+    validation. Timestamp ties order by item identifier, then input order.
 
     Users with fewer than 3 interactions cannot hold out two items; their
     history stays in the training corpus, but they are excluded from the
     validation/test maps and counted in the stats.
     """
-    per_user: dict[str, list[tuple[int, str, int]]] = {}
-    for order, rec in enumerate(records):
-        per_user.setdefault(rec.user, []).append((rec.timestamp, rec.item, order))
+    user_vocab, user_code = table.user_codes
+    item_vocab, item_code = table.item_codes
+    # lexsort is stable, so full ties stay in input order
+    order = np.lexsort((item_code, table.timestamps, user_code))
+    by_user = user_code[order]
+    starts = np.flatnonzero(np.diff(by_user, prepend=-1))
+    ends = np.append(starts[1:], len(order))
+    ordered_items = [item_vocab[code] for code in item_code[order].tolist()]
 
     sequences: list[UserSequence] = []
     validation: dict[str, str] = {}
     test: dict[str, str] = {}
     n_dropped = 0
-    for user in sorted(per_user):
-        events = sorted(per_user[user])
-        items = [item for _, item, _ in events]
+    for code, start, end in zip(by_user[starts].tolist(), starts.tolist(), ends.tolist()):
+        user, items = user_vocab[code], ordered_items[start:end]
         if len(items) < 3:
             n_dropped += 1
             sequences.append(UserSequence.from_items(user, items))
@@ -190,19 +300,20 @@ def build_dataset(records: list[InteractionRecord]) -> Dataset:
         validation[user] = items[-2]
         test[user] = items[-1]
 
-    universe = tuple(sorted({rec.item for rec in records}))
-    n_users = len(per_user)
+    present = np.flatnonzero(np.bincount(item_code, minlength=len(item_vocab)))
+    universe = tuple(item_vocab[code] for code in present.tolist())
+    n_users, n_records = len(starts), len(table)
     stats = DatasetStats(
         n_users=n_users,
         n_items=len(universe),
-        n_records=len(records),
-        avg_length=len(records) / n_users if n_users else 0.0,
+        n_records=n_records,
+        avg_length=n_records / n_users if n_users else 0.0,
         n_eval_users=len(test),
         n_dropped_users=n_dropped,
     )
     log.info(
         "dataset: %d users (%d evaluable), %d items, %d records, avg length %.2f",
-        n_users, len(test), len(universe), len(records), stats.avg_length,
+        n_users, len(test), len(universe), n_records, stats.avg_length,
     )
     return Dataset(
         sequences=tuple(sequences),

@@ -12,7 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .domain import InteractionRecord
+import numpy as np
+
+from .ingest import Interactions
 
 _RESAMPLE_RETRIES = 30
 
@@ -74,9 +76,10 @@ def _walk(
     return seq
 
 
-def generate(config: SynthConfig) -> list[InteractionRecord]:
+def generate(config: SynthConfig) -> Interactions:
     """Generate one corpus: per-user ring walks with uniform noise, adjacent
-    swaps, and consecutive integer timestamps within each user.
+    swaps, and consecutive integer timestamps within each user. Every
+    rating is 5.
     """
     ring_rng = random.Random(config.seed)
     order = list(range(config.n_items))
@@ -88,7 +91,9 @@ def generate(config: SynthConfig) -> list[InteractionRecord]:
     item_width = len(str(config.n_items - 1))
     user_width = len(str(config.n_users - 1))
     lo, hi = config.seq_length_range
-    records: list[InteractionRecord] = []
+    users: list[str] = []
+    items: list[str] = []
+    timestamps: list[int] = []
     for u in range(config.n_users):
         rng = random.Random(config.seed * 1_000_003 + u + 1)
         length = rng.randint(lo, min(hi, config.n_items))
@@ -96,19 +101,18 @@ def generate(config: SynthConfig) -> list[InteractionRecord]:
         for j in range(len(seq) - 1):
             if rng.random() < config.reverse_noise:
                 seq[j], seq[j + 1] = seq[j + 1], seq[j]
-        user = _user_label(u, user_width)
-        records.extend(
-            InteractionRecord(user=user, item=_item_label(item, item_width), rating=5, timestamp=ts)
-            for ts, item in enumerate(seq)
-        )
-    return records
+        users += [_user_label(u, user_width)] * len(seq)
+        items += [_item_label(item, item_width) for item in seq]
+        timestamps += range(len(seq))
+    return Interactions(users, items, np.full(len(users), 5, dtype=np.int64), timestamps)
 
 
-def write_log(records: list[InteractionRecord], path: str, delimiter: str = "::") -> None:
-    """Write records in the delimiter-separated layout the ingest side reads:
-    user, item, rating, timestamp.
+def write_log(table: Interactions, path: str, delimiter: str = "::") -> None:
+    """Write the table in the delimiter-separated layout the ingest side
+    reads: user, item, rating, timestamp; the rating is left empty for a
+    table without ratings.
     """
+    ratings = [""] * len(table) if table.ratings is None else table.ratings.tolist()
+    rows = zip(table.users, table.items, ratings, table.timestamps.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            rating = rec.rating if rec.rating is not None else ""
-            fh.write(delimiter.join((rec.user, rec.item, str(rating), str(rec.timestamp))) + "\n")
+        fh.writelines(f"{u}{delimiter}{i}{delimiter}{r}{delimiter}{t}\n" for u, i, r, t in rows)

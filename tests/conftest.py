@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pasrec.domain import MEASURES, UserSequence
+from pasrec.ingest import Interactions
 from pasrec.oracle import oracle_bis, oracle_cosine, oracle_pas
 from pasrec.predictor import positive_scores, rank_of_target, window_arrays
 from pasrec.similarity import _uni_low, build_neighbor_index
@@ -18,6 +19,19 @@ def toy_corpus() -> list[UserSequence]:
         UserSequence.from_items("v2", ["a", "c", "b"]),
         UserSequence.from_items("v3", ["b", "a"]),
     ]
+
+
+def interactions(rows) -> Interactions:
+    """A table of (user, item, rating, timestamp) rows; a rating of None in
+    any row makes a table without ratings."""
+    rows = list(rows)
+    ratings = [rating for _, _, rating, _ in rows]
+    return Interactions(
+        users=[user for user, _, _, _ in rows],
+        items=[item for _, item, _, _ in rows],
+        ratings=None if None in ratings else ratings,
+        timestamps=[timestamp for _, _, _, timestamp in rows],
+    )
 
 
 def random_corpus(

@@ -1,5 +1,6 @@
 import argparse
 import json
+import logging
 import os
 
 import pytest
@@ -70,6 +71,28 @@ class TestPrepare:
         assert run("prepare", "--input", str(raw), "--out", str(tmp_path / "d")) == 1
         err = capsys.readouterr().err
         assert "line 2" in err and "tab or line break" in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-users", "0"], "--max-users must be >= 1, got 0"),
+        (["--rating-col", "-1"], "--filter rating_equals_5 needs a rating column: give --rating-col, "
+                                 "or --filter all to keep every record"),
+    ], ids=["max-users-0", "rating-filter-without-rating-column"])
+    def test_bad_option_fails_before_reading(self, tmp_path, capsys, flags, message):
+        # the input does not exist, so only a check made before reading it
+        # can give this message
+        out = tmp_path / "d"
+        assert run("prepare", "--input", str(tmp_path / "absent.dat"), "--out", str(out), *flags) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_logs_stage_counts(self, tmp_path, caplog):
+        raw = tmp_path / "log.dat"
+        # u1's i1 repeats, u2 rated i1 below 5, and the sample keeps u2
+        raw.write_text("u1::i1::5::1\nu1::i2::5::2\nu1::i1::5::3\nu1::i3::5::4\nu1::i4::5::5\n"
+                       "u2::i1::4::1\nu2::i2::5::2\nu2::i3::5::3\nu2::i4::5::4\n")
+        with caplog.at_level(logging.INFO, logger="pasrec.cli"):
+            assert run("prepare", "--input", str(raw), "--out", str(tmp_path / "d"), "--max-users", "1") == 0
+        assert "prepare: 9 parsed, 8 kept positive, 7 after dedup, 3 after subsample" in caplog.text
 
     def test_filter_all_mode(self, tmp_path):
         raw = tmp_path / "reviews.tsv"

@@ -1,7 +1,6 @@
 import pytest
 
 from pasrec.domain import (
-    InteractionRecord,
     SimilarityParams,
     UserSequence,
     make_session_window,
@@ -85,7 +84,3 @@ class TestSimilarityParams:
         with pytest.raises(ValueError):
             SimilarityParams(**kwargs)
 
-
-def test_negative_timestamp_rejected():
-    with pytest.raises(ValueError, match="timestamp"):
-        InteractionRecord(user="u", item="i", rating=5, timestamp=-1)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pasrec.evaluation as evaluation
-from conftest import random_corpus, rank_in_row, reference_score, universe_scores
-from pasrec.domain import InteractionRecord, SimilarityParams, UserSequence, make_session_window
+from conftest import interactions, random_corpus, rank_in_row, reference_score, universe_scores
+from pasrec.domain import SimilarityParams, UserSequence, make_session_window
 from pasrec.evaluation import (
     ConfigMismatchError,
     evaluate,
@@ -18,7 +18,7 @@ from pasrec.evaluation import (
     one_call_at_k,
     write_report_tsv,
 )
-from pasrec.ingest import build_dataset
+from pasrec.ingest import Interactions, build_dataset
 from pasrec.predictor import recommend_top_k
 from pasrec.similarity import build_neighbor_index, count_pairs
 
@@ -43,15 +43,15 @@ class TestMetrics:
             assert ndcg_at_k(rank, 5) <= one_call_at_k(rank, 5)
 
 
-def records(*user_items: tuple[str, str]) -> list[InteractionRecord]:
+def records(*user_items: tuple[str, str]) -> Interactions:
     out = []
     per_user: dict[str, int] = {}
     for user, items in user_items:
         for item in items.split():
             ts = per_user.get(user, 0)
             per_user[user] = ts + 1
-            out.append(InteractionRecord(user=user, item=item, rating=5, timestamp=ts))
-    return out
+            out.append((user, item, 5, ts))
+    return interactions(out)
 
 
 @pytest.fixture
@@ -104,11 +104,9 @@ class TestEvaluate:
     def test_mean_ndcg_bounded_by_one_call(self):
         rng = random.Random(31)
         corpus = random_corpus(rng, max_users=30, max_items=12, max_len=8)
-        recs = [
-            InteractionRecord(user=s.user, item=item, rating=5, timestamp=ts)
-            for s in corpus
-            for ts, item in enumerate(s.items)
-        ]
+        recs = interactions(
+            (s.user, item, 5, ts) for s in corpus for ts, item in enumerate(s.items)
+        )
         dataset = build_dataset(recs)
         store = count_pairs(dataset.sequences, ell_max=3)
         for measure in ("bis", "pas", "cosine"):
@@ -154,8 +152,8 @@ class TestBlockRanking:
     def test_block_size_does_not_change_the_result(self, monkeypatch, measure, split):
         rng = random.Random(43)
         items = [f"i{j:02d}" for j in range(20)]
-        recs = [InteractionRecord(user=f"u{u:02d}", item=item, rating=5, timestamp=ts)
-                for u in range(30) for ts, item in enumerate(rng.sample(items, rng.randint(3, 9)))]
+        recs = interactions((f"u{u:02d}", item, 5, ts) for u in range(30)
+                            for ts, item in enumerate(rng.sample(items, rng.randint(3, 9))))
         dataset = build_dataset(recs)
         # an index over half the users: window items of the others, and
         # held-out items, are often missing from it
@@ -264,11 +262,9 @@ class TestGridSearch:
     def make_dataset(self):
         rng = random.Random(41)
         corpus = random_corpus(rng, max_users=40, max_items=15, max_len=10)
-        recs = [
-            InteractionRecord(user=s.user, item=item, rating=5, timestamp=ts)
-            for s in corpus
-            for ts, item in enumerate(s.items)
-        ]
+        recs = interactions(
+            (s.user, item, 5, ts) for s in corpus for ts, item in enumerate(s.items)
+        )
         return build_dataset(recs)
 
     def test_single_configuration_selected(self):

@@ -1,11 +1,13 @@
 import logging
 import re
 
+import numpy as np
 import pytest
 
-from pasrec.domain import InteractionRecord
+from conftest import interactions
 from pasrec.ingest import (
     ColumnSchema,
+    Interactions,
     ParseError,
     build_dataset,
     check_stats_consistency,
@@ -19,25 +21,58 @@ from pasrec.ingest import (
 
 
 def rec(user, item, rating=5, ts=0):
-    return InteractionRecord(user=user, item=item, rating=rating, timestamp=ts)
+    return user, item, rating, ts
+
+
+def table(*rows):
+    return interactions(rows)
+
+
+class TestInteractions:
+    def test_columns(self):
+        records = table(rec("u", "i", 5, 1), rec("v", "j", 4, 2))
+        assert len(records) == 2
+        assert records.users == ["u", "v"] and records.items == ["i", "j"]
+        assert records.ratings.dtype == records.timestamps.dtype == np.int64
+        assert records.ratings.tolist() == [5, 4] and records.timestamps.tolist() == [1, 2]
+
+    def test_no_ratings(self):
+        assert table(rec("u", "i", None, 1)).ratings is None
+
+    def test_negative_timestamp_rejected(self):
+        with pytest.raises(ValueError, match="negative timestamp -1 for user 'u'"):
+            table(rec("u", "i", 5, -1))
+
+    def test_columns_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            Interactions(["u"], ["i", "j"], None, [1])
+
+    def test_take_keeps_interned_codes(self):
+        records = table(rec("b", "y", 5, 1), rec("a", "x", 5, 2), rec("c", "z", 5, 3))
+        vocab, codes = records.user_codes
+        assert vocab == ["a", "b", "c"] and codes.tolist() == [1, 0, 2]
+        cut = records.take(np.array([2, 0]))
+        assert cut == table(rec("c", "z", 5, 3), rec("b", "y", 5, 1))
+        assert cut.user_codes[0] is vocab
+        assert cut.user_codes[1].tolist() == [2, 1]
 
 
 class TestParse:
     def test_movielens_layout(self):
         records = parse_interactions(["1::122::5::838985046"], ColumnSchema.movielens())
-        assert records == [rec("1", "122", 5, 838985046)]
+        assert records == table(rec("1", "122", 5, 838985046))
 
     def test_csv_layout(self):
         records = parse_interactions(["u1,i9,3,100"], ColumnSchema.csv())
-        assert records == [rec("u1", "i9", 3, 100)]
+        assert records == table(rec("u1", "i9", 3, 100))
 
     def test_empty_stream(self):
-        assert parse_interactions([], ColumnSchema.movielens()) == []
+        assert parse_interactions([], ColumnSchema.movielens()) == table()
 
     def test_no_rating_column(self):
         schema = ColumnSchema(delimiter="\t", user_col=0, item_col=1, rating_col=None, timestamp_col=2)
         records = parse_interactions(["u\ti\t42"], schema)
-        assert records[0].rating is None
+        assert records.ratings is None
 
     def test_malformed_line_raises_with_line_number(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -47,7 +82,7 @@ class TestParse:
         lines = ["1::2::5::10", "bad", "3::4::x::10", "5::6::5::20"]
         with caplog.at_level(logging.WARNING):
             records = parse_interactions(lines, ColumnSchema.movielens(), on_error="skip")
-        assert [r.user for r in records] == ["1", "5"]
+        assert records.users == ["1", "5"]
         assert "skipped 2" in caplog.text
 
     @pytest.mark.parametrize(
@@ -63,75 +98,104 @@ class TestParse:
         lines = ["1::2::5::10", "u\t1::a::5::1", "3::4::5::20"]
         with caplog.at_level(logging.WARNING):
             records = parse_interactions(lines, ColumnSchema.movielens(), on_error="skip")
-        assert [r.user for r in records] == ["1", "3"]
+        assert records.users == ["1", "3"]
         assert "skipped 1" in caplog.text
+
+    def test_negative_timestamp_raises_with_line_number(self):
+        with pytest.raises(ParseError, match="^line 2: negative timestamp -1 for user 'u'$"):
+            parse_interactions(["1::2::5::10", "u::i::5::-1"], ColumnSchema.movielens())
+
+    @pytest.mark.parametrize("line, message", [
+        ("u::i::5::9223372036854775808", "timestamp 9223372036854775808 does not fit in int64"),
+        ("u::i::9223372036854775808::1", "rating 9223372036854775808 does not fit in int64"),
+        ("u::i::-9223372036854775809::1", "rating -9223372036854775809 does not fit in int64"),
+    ], ids=["timestamp-2**63", "rating-2**63", "rating-below-int64"])
+    def test_value_outside_int64_raises_with_line_number(self, line, message):
+        with pytest.raises(ParseError, match=f"^line 2: {message}$"):
+            parse_interactions(["1::2::5::10", line], ColumnSchema.movielens())
+
+    def test_int64_bounds_parse_exactly(self):
+        line = "u::i::-9223372036854775808::9223372036854775807"
+        records = parse_interactions([line], ColumnSchema.movielens())
+        assert records.ratings.tolist() == [-2**63] and records.timestamps.tolist() == [2**63 - 1]
+
+    def test_value_outside_int64_skipped_and_counted(self, caplog):
+        lines = ["1::2::5::10", "u::i::5::9223372036854775808", "u::j::9223372036854775808::1", "3::4::5::20"]
+        with caplog.at_level(logging.WARNING):
+            records = parse_interactions(lines, ColumnSchema.movielens(), on_error="skip")
+        assert records == table(rec("1", "2", 5, 10), rec("3", "4", 5, 20))
+        assert "skipped 2" in caplog.text
 
 
 class TestFilterPositive:
     def test_keeps_only_rating_five(self):
-        records = [rec("u", "i", 5, 1), rec("u", "j", 4, 2)]
-        assert filter_positive(records) == [rec("u", "i", 5, 1)]
+        records = table(rec("u", "i", 5, 1), rec("u", "j", 4, 2))
+        assert filter_positive(records) == table(rec("u", "i", 5, 1))
 
     def test_all_mode_keeps_review_records(self):
-        records = [rec("u", "i", None, 1), rec("u", "j", None, 2)]
+        records = table(rec("u", "i", None, 1), rec("u", "j", None, 2))
         assert filter_positive(records, "all") == records
 
     def test_empty_input(self):
-        assert filter_positive([]) == []
+        assert filter_positive(table()) == table()
 
     def test_missing_ratings_rejected_in_rating_mode(self):
         with pytest.raises(ValueError, match="no rating"):
-            filter_positive([rec("u", "i", None, 1)])
+            filter_positive(table(rec("u", "i", None, 1)))
 
 
 class TestDeduplicate:
     def test_keeps_minimum_timestamp(self):
-        records = [rec("u", "i", 5, 100), rec("u", "i", 5, 50)]
-        assert deduplicate(records) == [rec("u", "i", 5, 50)]
+        records = table(rec("u", "i", 5, 100), rec("u", "i", 5, 50))
+        assert deduplicate(records) == table(rec("u", "i", 5, 50))
 
     def test_timestamp_tie_keeps_first_occurrence(self):
         first = rec("u", "i", 5, 100)
         second = rec("u", "i", 4, 100)
-        assert deduplicate([first, second]) == [first]
+        assert deduplicate(table(first, second)) == table(first)
 
     def test_distinct_pairs_unchanged(self):
-        records = [rec("u", "i", 5, 1), rec("u", "j", 5, 2), rec("v", "i", 5, 3)]
+        records = table(rec("u", "i", 5, 1), rec("u", "j", 5, 2), rec("v", "i", 5, 3))
         assert deduplicate(records) == records
 
     def test_idempotent(self):
-        records = [rec("u", "i", 5, 9), rec("u", "i", 5, 3), rec("v", "j", 5, 1)]
+        records = table(rec("u", "i", 5, 9), rec("u", "i", 5, 3), rec("v", "j", 5, 1))
         once = deduplicate(records)
         assert deduplicate(once) == once
+
+    def test_ids_differing_by_a_trailing_nul_stay_apart(self):
+        records = table(rec("u", "a", 5, 1), rec("u", "a\x00", 5, 2), rec("u\x00", "a", 5, 3))
+        assert deduplicate(records) == records
 
 
 class TestSubsampleUsers:
     def test_identity_under_limit(self):
-        records = [rec(f"u{j}", "i", 5, j) for j in range(3)]
+        records = table(*(rec(f"u{j}", "i", 5, j) for j in range(3)))
         assert subsample_users(records, 20000, seed=1) == records
 
     def test_exact_user_count_and_determinism(self):
-        records = [rec(f"u{j:05d}", f"i{j % 7}", 5, j) for j in range(300)]
+        records = table(*(rec(f"u{j:05d}", f"i{j % 7}", 5, j) for j in range(300)))
         sampled = subsample_users(records, 100, seed=42)
-        assert len({r.user for r in sampled}) == 100
+        assert len(set(sampled.users)) == 100
         assert subsample_users(records, 100, seed=42) == sampled
 
     def test_seed_changes_selection(self):
-        records = [rec(f"u{j:05d}", "i", 5, j) for j in range(50)]
+        records = table(*(rec(f"u{j:05d}", "i", 5, j) for j in range(50)))
         a = subsample_users(records, 10, seed=1)
         b = subsample_users(records, 10, seed=2)
-        assert {r.user for r in a} != {r.user for r in b}
+        assert set(a.users) != set(b.users)
 
 
 class TestBuildDataset:
     def test_leave_last_two_out(self):
-        dataset = build_dataset([rec("u", "a", 5, 1), rec("u", "b", 5, 2), rec("u", "c", 5, 3)])
+        dataset = build_dataset(table(rec("u", "a", 5, 1), rec("u", "b", 5, 2), rec("u", "c", 5, 3)))
         (seq,) = dataset.sequences
         assert seq.items == ("a",)
         assert dataset.validation == {"u": "b"}
         assert dataset.test == {"u": "c"}
 
     def test_short_user_dropped_from_splits_but_counted(self):
-        dataset = build_dataset([rec("u", "a", 5, 1), rec("u", "b", 5, 2)])
+        dataset = build_dataset(table(rec("u", "a", 5, 1), rec("u", "b", 5, 2)))
         assert dataset.validation == {} and dataset.test == {}
         assert dataset.stats.n_dropped_users == 1
         assert dataset.stats.n_users == 1
@@ -140,7 +204,7 @@ class TestBuildDataset:
         assert seq.items == ("a", "b")
 
     def test_timestamp_tie_orders_by_item(self):
-        dataset = build_dataset([rec("u", "b", 5, 7), rec("u", "a", 5, 7), rec("u", "c", 5, 9)])
+        dataset = build_dataset(table(rec("u", "b", 5, 7), rec("u", "a", 5, 7), rec("u", "c", 5, 9)))
         (seq,) = dataset.sequences
         assert seq.items == ("a",)
         assert dataset.validation["u"] == "b"
@@ -152,7 +216,7 @@ class TestBuildDataset:
             for u, items in [("u1", "abcde"), ("u2", "cdb"), ("u3", "ab")]
             for ts, i in enumerate(items)
         ]
-        dataset = build_dataset(records)
+        dataset = build_dataset(table(*records))
         universe = set(dataset.item_universe)
         for user, seq in ((s.user, s) for s in dataset.sequences):
             if user in dataset.test:
@@ -164,7 +228,7 @@ class TestBuildDataset:
 
     def test_stats_consistency(self):
         records = [rec(f"u{j}", f"i{n}", 5, n) for j in range(4) for n in range(j + 3)]
-        dataset = build_dataset(records)
+        dataset = build_dataset(table(*records))
         assert check_stats_consistency(dataset.stats)
         assert dataset.stats.n_records == len(records)
 
@@ -176,14 +240,14 @@ class TestPersistence:
             for u, items in [("u1", "abcde"), ("u2", "cdb"), ("u3", "ab")]
             for ts, i in enumerate(items)
         ]
-        dataset = build_dataset(records)
+        dataset = build_dataset(table(*records))
         save_dataset(dataset, str(tmp_path))
         loaded = load_dataset(str(tmp_path))
         assert loaded == dataset
 
     def test_rerun_is_byte_identical(self, tmp_path):
         records = [rec("u", "a", 5, 1), rec("u", "b", 5, 2), rec("u", "c", 5, 3)]
-        dataset = build_dataset(records)
+        dataset = build_dataset(table(*records))
         out1, out2 = tmp_path / "one", tmp_path / "two"
         save_dataset(dataset, str(out1))
         save_dataset(dataset, str(out2))
@@ -196,7 +260,7 @@ class TestPersistence:
     )
     def test_load_rejects_bad_line_with_location(self, tmp_path, name, line, n_fields):
         records = [rec(u, i, 5, ts) for u in ("u1", "u2") for ts, i in enumerate("abcd")]
-        save_dataset(build_dataset(records), str(tmp_path))
+        save_dataset(build_dataset(table(*records)), str(tmp_path))
         path = tmp_path / name
         with path.open("a") as fh:
             fh.write(line + "\n")
@@ -209,7 +273,7 @@ class TestPersistence:
     @pytest.mark.parametrize("name", ["valid.tsv", "test.tsv"])
     def test_load_rejects_repeated_held_out_user_with_location(self, tmp_path, name):
         records = [rec(u, i, 5, ts) for u in ("u1", "u2") for ts, i in enumerate("abcd")]
-        save_dataset(build_dataset(records), str(tmp_path))
+        save_dataset(build_dataset(table(*records)), str(tmp_path))
         path = tmp_path / name
         with path.open("a") as fh:
             fh.write("u1\ta\n")
@@ -225,7 +289,7 @@ class TestPersistence:
     def test_load_rejects_repeated_held_out_item_with_location(self, tmp_path, name, line, message):
         # u1 trains on a, b and holds out c, then d; u1's line is the first
         records = [rec(u, i, 5, ts) for u in ("u1", "u2") for ts, i in enumerate("abcd")]
-        save_dataset(build_dataset(records), str(tmp_path))
+        save_dataset(build_dataset(table(*records)), str(tmp_path))
         path = tmp_path / name
         rows = path.read_text().splitlines()
         assert rows[0].startswith("u1\t")
@@ -236,7 +300,7 @@ class TestPersistence:
     def test_load_rejects_item_repeated_in_train_with_location(self, tmp_path):
         # u1 trains on a, b; a third u1 line repeats a
         records = [rec(u, i, 5, ts) for u in ("u1", "u2") for ts, i in enumerate("abcd")]
-        save_dataset(build_dataset(records), str(tmp_path))
+        save_dataset(build_dataset(table(*records)), str(tmp_path))
         path = tmp_path / "train.tsv"
         rows = path.read_text().splitlines()
         assert rows[:2] == ["u1\ta", "u1\tb"]
@@ -247,7 +311,7 @@ class TestPersistence:
     @pytest.mark.parametrize("name, other", [("valid.tsv", "test.tsv"), ("test.tsv", "valid.tsv")])
     def test_load_rejects_user_held_out_in_one_split(self, tmp_path, name, other):
         records = [rec(u, i, 5, ts) for u in ("u1", "u2") for ts, i in enumerate("abcd")]
-        save_dataset(build_dataset(records), str(tmp_path))
+        save_dataset(build_dataset(table(*records)), str(tmp_path))
         path = tmp_path / name
         with path.open("a") as fh:
             fh.write("u9\ta\n")

@@ -6,8 +6,8 @@ from pasrec.synth import SynthConfig, generate, write_log
 
 def sequences_by_user(records):
     out = {}
-    for rec in records:
-        out.setdefault(rec.user, []).append(rec.item)
+    for user, item in zip(records.users, records.items):
+        out.setdefault(user, []).append(item)
     return out
 
 
@@ -48,8 +48,9 @@ class TestGenerate:
     def test_timestamps_consecutive_per_user(self):
         config = SynthConfig(n_users=5, n_items=20, seq_length_range=(4, 6), seed=2)
         per_user = {}
-        for rec in generate(config):
-            per_user.setdefault(rec.user, []).append(rec.timestamp)
+        records = generate(config)
+        for user, timestamp in zip(records.users, records.timestamps.tolist()):
+            per_user.setdefault(user, []).append(timestamp)
         for stamps in per_user.values():
             assert stamps == list(range(len(stamps)))
 
