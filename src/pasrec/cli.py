@@ -194,7 +194,7 @@ def cmd_build_index(opt: dict) -> None:
         w=opt["w"], n_neighbors=opt["n_neighbors"],
     )
     started = time.perf_counter()
-    store = count_pairs(dataset.sequences, params.ell)
+    store = count_pairs(dataset.item_universe, dataset.train_codes, dataset.train_offsets, params.ell)
     index = build_neighbor_index(store, params, opt["measure"], rank_by=opt["rank_by"])
     index.save(opt["out"])
     elapsed = time.perf_counter() - started
@@ -239,7 +239,7 @@ def cmd_grid(opt: dict) -> None:
 
 def cmd_sparsity_report(opt: dict) -> None:
     dataset = load_dataset(opt["dataset"])
-    store = count_pairs(dataset.sequences, opt["ell"])
+    store = count_pairs(dataset.item_universe, dataset.train_codes, dataset.train_offsets, opt["ell"])
     profile = average_uni_by_gap(store, ell=opt["ell"], n_neighbors=opt["n_neighbors"], w=opt["w"])
     os.makedirs(opt["out"], exist_ok=True)
     path = os.path.join(opt["out"], "sparsity.tsv")

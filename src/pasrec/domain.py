@@ -31,9 +31,6 @@ class UserSequence:
             raise ValueError(f"duplicate items in sequence for user {user!r}")
         return cls(user=user, items=items, position=position)
 
-    def __len__(self) -> int:
-        return len(self.items)
-
 
 @dataclass(frozen=True)
 class SimilarityParams:

@@ -75,10 +75,9 @@ def evaluate(
     """Rank each eligible user's held-out item against the full catalog minus
     their known items, and average NDCG@K and 1-call@K over users.
 
-    The split's histories are sliced from the dataset's training sequences,
-    which it encodes once, into flat int64 catalog positions, user after
-    user in ascending user order, with per-user offsets. For the test split
-    the validation item, which precedes the test item, ends the history.
+    The split's histories are gathered from the dataset's int64 catalog
+    codes, user after user in ascending order; for the test split the
+    validation item, which precedes the test item, ends the history.
     A user's known items are their whole slice, their window the last
     min(k, n) entries of it, at L = k - d + 1 for the entry d from the end,
     and their target one array element. Users are scored and ranked in
@@ -92,50 +91,40 @@ def evaluate(
     if measure is not None and measure != index.measure:
         raise ConfigMismatchError("measure", measure, index.measure)
     started = time.perf_counter()
-    held_out = dataset.validation if split == "validation" else dataset.test
-    universe_pos = dataset.item_position
-    lift = np.array([universe_pos.get(item, -1) for item in index.items], dtype=np.int64)
-    missing = np.count_nonzero(lift < 0)
+    # each catalog item's place in index.items, -1 for an item it lacks
+    to_index = np.array([index.item_index.get(item, -1) for item in dataset.item_universe], dtype=np.int64)
+    catalog = np.flatnonzero(to_index >= 0)
+    missing = len(index.items) - len(catalog)
     if missing:
         raise ValueError(f"index covers {missing} items absent from the dataset; wrong dataset?")
-    # the catalog position's place in index.items, -1 for an item it lacks
-    to_index = np.full(len(universe_pos), -1, dtype=np.int64)
-    to_index[lift] = np.arange(len(lift))
+    lift = catalog[np.argsort(to_index[catalog])]  # each index item's catalog position
 
-    # each held-out user's training slice of the dataset's encoded sequences
-    row_of, train_flat, train_offsets = dataset.encoded_sequences
-    users = sorted(held_out)
-    row = np.array([row_of.get(user, -1) for user in users], dtype=np.int64)
-    train_start = np.where(row >= 0, train_offsets[row], 0)
-    n_train = np.where(row >= 0, train_offsets[row + 1] - train_start, 0)
-    lengths = n_train + (split == "test")
-    kept = np.flatnonzero(lengths)
-    n_skipped = len(users) - len(kept)
-    users = [users[j] for j in kept.tolist()]
-    train_start, n_train, lengths = train_start[kept], n_train[kept], lengths[kept]
-    offsets = np.concatenate(([0], np.cumsum(lengths)))
-    owner = np.repeat(np.arange(len(users)), lengths)
-    local = np.arange(offsets[-1]) - offsets[:-1][owner]
-    from_train = local < n_train[owner]
-    flat = np.empty(offsets[-1], dtype=np.int64)
-    flat[from_train] = train_flat[(train_start[owner] + local)[from_train]]
+    held_out = dataset.valid_codes if split == "validation" else dataset.test_codes
+    held = held_out >= 0
+    n_train = np.diff(dataset.train_offsets)
+    flat = dataset.train_codes[np.repeat(held, n_train)]
     if split == "test":
         # the validation item, which precedes the test item, ends the history
-        flat[offsets[1:] - 1] = [universe_pos[dataset.validation[user]] for user in users]
-    target = np.array([universe_pos[held_out[user]] for user in users], dtype=np.int64)
+        flat = np.insert(flat, np.cumsum(n_train[held]), dataset.valid_codes[held])
+    lengths = np.where(held, n_train + (split == "test"), 0)
+    users = np.flatnonzero(lengths)
+    n_skipped = int(np.count_nonzero(held)) - len(users)
+    lengths, target = lengths[users], held_out[users]
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    owner = np.repeat(np.arange(len(users)), lengths)
     # distance d from the end of the history: 1 for its last item
     distance = offsets[1:][owner] - np.arange(len(flat))
     k = index.params.k
     in_window = (distance <= k) & (to_index[flat] >= 0)
 
-    block_users = max(1, _BLOCK_CELLS // max(1, len(universe_pos)))
+    block_users = max(1, _BLOCK_CELLS // max(1, len(to_index)))
     evaluated: list[int] = []
     for start in range(0, len(users), block_users):
         stop = min(start + block_users, len(users))
         lo, hi = offsets[start], offsets[stop]
         rows = owner[lo:hi] - start
         window = in_window[lo:hi]
-        scores = np.zeros((stop - start, len(universe_pos)))
+        scores = np.zeros((stop - start, len(to_index)))
         scores[:, lift] = positive_scores(rows[window], to_index[flat[lo:hi][window]],
                                           k + 1 - distance[lo:hi][window], stop - start, index)
         evaluated += rank_of_target(scores, target[start:stop], (rows, flat[lo:hi])).tolist()
@@ -223,7 +212,7 @@ def grid_search(
     if not grid:
         raise ValueError("empty grid")
     ell_max = max(params.ell for _, params in grid)
-    store = count_pairs(dataset.sequences, ell_max)
+    store = count_pairs(dataset.item_universe, dataset.train_codes, dataset.train_offsets, ell_max)
 
     validation_rows: list[EvalResult] = []
     best_key: tuple | None = None

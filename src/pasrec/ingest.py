@@ -141,32 +141,48 @@ class DatasetStats:
     n_dropped_users: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Training sequences plus per-user held-out validation and test items."""
+    """Training sequences and held-out items of ascending ``users`` as int64
+    codes, an item's code being its position in ``item_universe`` (the items
+    of every split, ascending). User r's training items, in sequence order,
+    are train_codes[train_offsets[r]:train_offsets[r + 1]]; valid_codes[r]
+    and test_codes[r] are their held-out items, -1 where they have none.
+    ``sequences``, ``validation`` and ``test`` are views of these arrays,
+    built on first use."""
 
-    sequences: tuple[UserSequence, ...]
-    validation: dict[str, str]
-    test: dict[str, str]
+    users: tuple[str, ...]
     item_universe: tuple[str, ...]
+    train_codes: np.ndarray
+    train_offsets: np.ndarray
+    valid_codes: np.ndarray
+    test_codes: np.ndarray
     stats: DatasetStats
 
-    @cached_property
-    def item_position(self) -> dict[str, int]:
-        """Each item's position in ``item_universe``."""
-        return {item: pos for pos, item in enumerate(self.item_universe)}
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        arrays = ("train_codes", "train_offsets", "valid_codes", "test_codes")
+        return ((self.users, self.item_universe, self.stats) == (other.users, other.item_universe, other.stats)
+                and all(np.array_equal(getattr(self, name), getattr(other, name)) for name in arrays))
 
     @cached_property
-    def encoded_sequences(self) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
-        """Each user's row in ``sequences``; the items of every sequence as
-        ``item_universe`` positions, concatenated in row order; and the
-        rows' n + 1 offsets into them.
-        """
-        position = self.item_position
-        flat = np.fromiter((position[item] for seq in self.sequences for item in seq.items), dtype=np.int64)
-        offsets = np.zeros(len(self.sequences) + 1, dtype=np.int64)
-        np.cumsum([len(seq) for seq in self.sequences], out=offsets[1:])
-        return {seq.user: row for row, seq in enumerate(self.sequences)}, flat, offsets
+    def sequences(self) -> tuple[UserSequence, ...]:
+        """The training sequence of each user who has one, in user order."""
+        names = [self.item_universe[code] for code in self.train_codes.tolist()]
+        bounds = self.train_offsets.tolist()
+        return tuple(UserSequence.from_items(user, names[lo:hi])
+                     for user, lo, hi in zip(self.users, bounds, bounds[1:]) if hi > lo)
+
+    @cached_property
+    def validation(self) -> dict[str, str]:
+        """user -> validation item."""
+        return {self.users[r]: self.item_universe[c] for r, c in enumerate(self.valid_codes.tolist()) if c >= 0}
+
+    @cached_property
+    def test(self) -> dict[str, str]:
+        """user -> test item."""
+        return {self.users[r]: self.item_universe[c] for r, c in enumerate(self.test_codes.tolist()) if c >= 0}
 
 
 def parse_interactions(
@@ -175,10 +191,10 @@ def parse_interactions(
     """Parse one row per well-formed line, in file order.
 
     A line is malformed when it has too few fields, a tab or line break in
-    an id, a rating or timestamp that is not an integer or does not fit in
-    int64, or a negative timestamp. on_error="raise" fails fast with the
-    offending line number; on_error="skip" drops malformed lines and logs how
-    many were skipped.
+    an id, a rating or timestamp that is not an optional '-' followed by
+    ASCII digits or does not fit in int64, or a negative timestamp.
+    on_error="raise" fails fast with the offending line number;
+    on_error="skip" drops malformed lines and logs how many were skipped.
     """
     if on_error not in ("raise", "skip"):
         raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
@@ -203,8 +219,14 @@ def parse_interactions(
             ids = user + item
             if "\t" in ids or "\r" in ids or "\n" in ids:
                 raise ValueError(f"user or item id contains a tab or line break: {user!r}, {item!r}")
-            rating = 0 if rating_col is None else int(fields[rating_col])
-            timestamp = int(fields[timestamp_col])
+            # int() would also take spaces, '+', '_' and non-ASCII digits
+            rating_text = "0" if rating_col is None else fields[rating_col]
+            timestamp_text = fields[timestamp_col]
+            if not (rating_text.isascii() and rating_text.removeprefix("-").isdigit()):
+                raise ValueError(f"rating {rating_text!r} is not an integer")
+            if not (timestamp_text.isascii() and timestamp_text.removeprefix("-").isdigit()):
+                raise ValueError(f"timestamp {timestamp_text!r} is not an integer")
+            rating, timestamp = int(rating_text), int(timestamp_text)
             if not _INT64_MIN <= rating <= _INT64_MAX:
                 raise ValueError(f"rating {rating} does not fit in int64")
             if not 0 <= timestamp <= _INT64_MAX:
@@ -283,43 +305,33 @@ def build_dataset(table: Interactions) -> Dataset:
     order = np.lexsort((item_code, table.timestamps, user_code))
     by_user = user_code[order]
     starts = np.flatnonzero(np.diff(by_user, prepend=-1))
-    ends = np.append(starts[1:], len(order))
-    ordered_items = [item_vocab[code] for code in item_code[order].tolist()]
-
-    sequences: list[UserSequence] = []
-    validation: dict[str, str] = {}
-    test: dict[str, str] = {}
-    n_dropped = 0
-    for code, start, end in zip(by_user[starts].tolist(), starts.tolist(), ends.tolist()):
-        user, items = user_vocab[code], ordered_items[start:end]
-        if len(items) < 3:
-            n_dropped += 1
-            sequences.append(UserSequence.from_items(user, items))
-            continue
-        sequences.append(UserSequence.from_items(user, items[:-2]))
-        validation[user] = items[-2]
-        test[user] = items[-1]
-
+    lengths = np.diff(starts, append=len(order))
+    held = lengths >= 3
+    n_train = np.where(held, lengths - 2, lengths)
+    in_train = np.arange(len(order)) - np.repeat(starts, lengths) < np.repeat(n_train, lengths)
     present = np.flatnonzero(np.bincount(item_code, minlength=len(item_vocab)))
+    codes = np.searchsorted(present, item_code[order])
     universe = tuple(item_vocab[code] for code in present.tolist())
-    n_users, n_records = len(starts), len(table)
+    n_users, n_records, n_eval = len(starts), len(table), int(np.count_nonzero(held))
     stats = DatasetStats(
         n_users=n_users,
         n_items=len(universe),
         n_records=n_records,
         avg_length=n_records / n_users if n_users else 0.0,
-        n_eval_users=len(test),
-        n_dropped_users=n_dropped,
+        n_eval_users=n_eval,
+        n_dropped_users=n_users - n_eval,
     )
     log.info(
         "dataset: %d users (%d evaluable), %d items, %d records, avg length %.2f",
-        n_users, len(test), len(universe), n_records, stats.avg_length,
+        n_users, n_eval, len(universe), n_records, stats.avg_length,
     )
     return Dataset(
-        sequences=tuple(sequences),
-        validation=validation,
-        test=test,
+        users=tuple(user_vocab[code] for code in by_user[starts].tolist()),
         item_universe=universe,
+        train_codes=codes[in_train],
+        train_offsets=np.concatenate(([0], np.cumsum(n_train))),
+        valid_codes=np.where(held, codes[starts + lengths - 2], -1),
+        test_codes=np.where(held, codes[starts + lengths - 1], -1),
         stats=stats,
     )
 
@@ -335,14 +347,13 @@ def save_dataset(dataset: Dataset, out_dir: str) -> None:
     the canonical chronological order within each user.
     """
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, _SPLIT_FILES["train"]), "w", encoding="utf-8") as fh:
-        for seq in dataset.sequences:
-            for item in seq.items:
-                fh.write(f"{seq.user}\t{item}\n")
-    for split, mapping in (("valid", dataset.validation), ("test", dataset.test)):
-        with open(os.path.join(out_dir, _SPLIT_FILES[split]), "w", encoding="utf-8") as fh:
-            for user in sorted(mapping):
-                fh.write(f"{user}\t{mapping[user]}\n")
+    users, names = dataset.users, dataset.item_universe
+    lines = {"train": (np.repeat(np.arange(len(users)), np.diff(dataset.train_offsets)), dataset.train_codes)}
+    for split, codes in (("valid", dataset.valid_codes), ("test", dataset.test_codes)):
+        lines[split] = (np.flatnonzero(codes >= 0), codes[codes >= 0])
+    for split, (rows, codes) in lines.items():
+        with open(_split_path(out_dir, split), "w", encoding="utf-8") as fh:
+            fh.writelines(f"{users[row]}\t{names[code]}\n" for row, code in zip(rows.tolist(), codes.tolist()))
     payload = {"format_version": 1, **asdict(dataset.stats)}
     with open(os.path.join(out_dir, STATS_FILE), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -377,14 +388,13 @@ def load_dataset(in_dir: str) -> Dataset:
         first = per_user[user].setdefault(item, lineno)
         if first != lineno:
             raise ValueError(f"{train_path}:{lineno}: item {item!r} of user {user!r} repeats line {first}")
-    sequences = {user: UserSequence.from_items(user, tuple(items)) for user, items in sorted(per_user.items())}
     splits: dict[str, dict[str, str]] = {"valid": {}, "test": {}}
     for split, name in (("valid", "validation"), ("test", "test")):
         held, path = splits[split], _split_path(in_dir, split)
         for lineno, user, item in _read_split(in_dir, split):
             if user in held:
                 raise ValueError(f"{path}:{lineno}: user {user!r} repeated")
-            if user in sequences and item in sequences[user].position:
+            if item in per_user.get(user, ()):
                 raise ValueError(f"{path}:{lineno}: {name} item {item!r} of user {user!r} is already in "
                                  f"{_SPLIT_FILES['train']}")
             if split == "test" and splits["valid"].get(user) == item:
@@ -400,16 +410,19 @@ def load_dataset(in_dir: str) -> Dataset:
         payload = json.load(fh)
     payload.pop("format_version", None)
     stats = DatasetStats(**payload)
-    universe = sorted(
-        {item for seq in sequences.values() for item in seq.items}
-        | set(splits["valid"].values())
-        | set(splits["test"].values())
-    )
+    # a held-out user may have no training line
+    users = sorted(per_user.keys() | splits["valid"].keys())
+    train = [item for user in users for item in per_user.get(user, ())]
+    universe, codes = _intern(train + [held[user] for held in splits.values() for user in users if user in held])
+    held_codes = np.full((2, len(users)), -1, dtype=np.int64)
+    held_codes[:, [user in splits["valid"] for user in users]] = codes[len(train):].reshape(2, -1)
     return Dataset(
-        sequences=tuple(sequences.values()),
-        validation=splits["valid"],
-        test=splits["test"],
+        users=tuple(users),
         item_universe=tuple(universe),
+        train_codes=codes[:len(train)],
+        train_offsets=np.cumsum([0] + [len(per_user.get(user, ())) for user in users]),
+        valid_codes=held_codes[0],
+        test_codes=held_codes[1],
         stats=stats,
     )
 

@@ -6,10 +6,10 @@ fills one dense row over the index's items per window, for a block of
 windows at once, from the inverted neighbor view. A block is given as flat
 int64 arrays with one element per window item that the index holds: the
 window's row, the item's index position and its window position L.
-``evaluate`` slices them from its encoded histories; ``window_arrays``
-encodes ``SessionWindow`` objects the same way. The ranking order is
-defined in this module only: score descending, then item identifier
-ascending, so candidates that score zero rank by identifier.
+``evaluate`` slices them from the ``Dataset``'s arrays of catalog codes;
+``window_arrays`` encodes ``SessionWindow`` objects the same way. The
+ranking order is defined in this module only: score descending, then item
+identifier ascending, so candidates that score zero rank by identifier.
 """
 from __future__ import annotations
 

@@ -43,7 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .domain import MEASURES, SCALINGS, SimilarityParams, UserSequence
+from .domain import MEASURES, SCALINGS, SimilarityParams
 
 log = logging.getLogger(__name__)
 
@@ -184,20 +184,24 @@ class PairStore:
         return _numerators(self.hist_keys, self.hist_cum, base, cand < target, ell, lows)
 
 
-def count_pairs(sequences: Sequence[UserSequence], ell_max: int) -> PairStore:
+def count_pairs(catalog: Sequence[str], codes: np.ndarray, offsets: np.ndarray, ell_max: int) -> PairStore:
     """Scan the corpus once and build the pair-statistics store.
 
-    Every event is one entry of a flat item-index array; the pairs at
-    position distance d are that array against itself shifted by d, kept
-    where both events belong to one user. One vectorized pass per d packs
-    them into pair keys (all d: exact co-occurrence) and histogram keys
-    (d <= ell_max), and ``np.unique`` counts each; the in-band pair keys are
-    then one linear pass over the sorted histogram keys.
+    The corpus is int64 positions in the ascending ``catalog``: user r's
+    distinct items, in sequence order, are codes[offsets[r]:offsets[r + 1]],
+    as a ``Dataset`` holds its training items. The store's items are the
+    catalog items the corpus holds. The pairs at position distance d are the
+    corpus against itself shifted by d, kept where both events belong to one
+    user. One vectorized pass per d packs them into pair keys (all d: exact
+    co-occurrence) and histogram keys (d <= ell_max), and ``np.unique`` counts
+    each; the in-band pair keys are then one linear pass over the sorted
+    histogram keys.
     """
     if ell_max < 1:
         raise ValueError(f"ell_max must be >= 1, got {ell_max}")
-    sequences = list(sequences)
-    items = tuple(sorted({item for seq in sequences for item in seq.items}))
+    # a user's items are distinct, so an item's events are its users
+    present, flat, item_users = np.unique(codes, return_inverse=True, return_counts=True)
+    items = tuple(catalog[code] for code in present.tolist())
     n = len(items)
     width = 2 * ell_max + 1
     if n * n * width > _INT64_MAX:
@@ -205,13 +209,9 @@ def count_pairs(sequences: Sequence[UserSequence], ell_max: int) -> PairStore:
             f"histogram keys n_items**2 * (2*ell_max + 1) overflow int64 "
             f"(n_items={n}, ell_max={ell_max})"
         )
-    item_index = {item: idx for idx, item in enumerate(items)}
-
-    flat = np.array([item_index[item] for seq in sequences for item in seq.items], dtype=np.int64)
-    lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
+    lengths = np.diff(offsets)
     # 0-based position of every event within its user's sequence
-    pos = np.arange(len(flat)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    item_users = np.bincount(flat, minlength=n)
+    pos = np.arange(len(flat)) - np.repeat(offsets[:-1], lengths)
 
     co_parts = [np.empty(0, dtype=np.int64)]
     hist_parts = [np.empty(0, dtype=np.int64)]
@@ -228,7 +228,7 @@ def count_pairs(sequences: Sequence[UserSequence], ell_max: int) -> PairStore:
     store = PairStore(items, item_users, co, co_users, hist_keys, hist_users, ell_max)
     log.info(
         "counted %d sequences: %d items, %d co-occurring pairs, %d within gap band %d",
-        len(sequences), n, len(store.co), len(store.gaps), ell_max,
+        np.count_nonzero(lengths), n, len(store.co), len(store.gaps), ell_max,
     )
     return store
 

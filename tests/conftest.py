@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from pasrec.domain import MEASURES, UserSequence
-from pasrec.ingest import Interactions
+from pasrec.ingest import Interactions, _intern
 from pasrec.oracle import oracle_bis, oracle_cosine, oracle_pas
 from pasrec.predictor import positive_scores, rank_of_target, window_arrays
-from pasrec.similarity import _uni_low, build_neighbor_index
+from pasrec.similarity import _uni_low, build_neighbor_index, count_pairs
 
 
 @pytest.fixture
@@ -49,6 +49,14 @@ def random_corpus(
         length = rng.randint(1, min(max_len, n_items))
         sequences.append(UserSequence.from_items(f"u{u:03d}", rng.sample(items, length)))
     return sequences
+
+
+def count_corpus(corpus, ell_max):
+    """``count_pairs`` over the ``UserSequence``s ``corpus``, encoded over
+    their own catalog as a ``Dataset`` encodes its training items."""
+    catalog, codes = _intern([item for seq in corpus for item in seq.items])
+    offsets = np.cumsum([0] + [len(seq.items) for seq in corpus])
+    return count_pairs(catalog, codes, offsets, ell_max)
 
 
 def item_pairs(store, keys) -> list[tuple[int, int]]:

@@ -14,6 +14,7 @@ import pytest
 
 from conftest import (
     assert_pairs_match_oracle,
+    count_corpus,
     directed_pairs,
     predicted_score,
     random_corpus,
@@ -25,7 +26,7 @@ from pasrec.domain import SimilarityParams, make_session_window
 from pasrec.evaluation import expand_grid, grid_search, ndcg_at_k, one_call_at_k
 from pasrec.ingest import build_dataset, check_stats_consistency
 from pasrec.oracle import oracle_predict
-from pasrec.similarity import average_uni_by_gap, build_neighbor_index, count_pairs
+from pasrec.similarity import average_uni_by_gap, build_neighbor_index
 from pasrec.synth import SynthConfig, generate, write_log
 
 TOLERANCE = 1e-12
@@ -90,7 +91,7 @@ def test_criterion_1_oracle_equivalence(oracle_instances):
         measures = ("bis", "pas", "pas_uni", "cosine")
         for trial, (corpus, params, sample_seed) in enumerate(oracle_instances):
             rng = random.Random(sample_seed)
-            store = count_pairs(corpus, ell_max=params.ell)
+            store = count_corpus(corpus, ell_max=params.ell)
             items = sorted({i for s in corpus for i in s.items})
             pairs = [tuple(rng.sample(items, 2)) for _ in range(20)]
             pairs.append((items[0], "item-never-observed"))
@@ -112,7 +113,7 @@ def test_criterion_2_reduction_identities(oracle_instances):
     with criterion(2, "lam=0 equals bis and lam=1 equals pas_uni, exactly"):
         mismatches = 0
         for corpus, params, _ in oracle_instances:
-            mismatches += reduction_mismatches(count_pairs(corpus, ell_max=params.ell), params)
+            mismatches += reduction_mismatches(count_corpus(corpus, ell_max=params.ell), params)
         assert mismatches == 0
 
 
@@ -120,7 +121,7 @@ def test_criterion_3_position_monotonicity(oracle_instances):
     with criterion(3, "pas_uni non-decreasing in t for every stored pair"):
         violations = cells = 0
         for corpus, params, _ in oracle_instances:
-            store = count_pairs(corpus, ell_max=params.ell)
+            store = count_corpus(corpus, ell_max=params.ell)
             values = uni_values(store, *directed_pairs(store), params.ell, "h_a", 2.0)
             violations += np.count_nonzero((np.diff(values, axis=1) < 0).any(axis=1))
             cells += values.size
@@ -133,7 +134,7 @@ def test_criterion_4_scaling_dominance(oracle_instances):
     with criterion(4, "h_b and h_c thresholds never fall below h_a pointwise"):
         violations = comparisons = 0
         for corpus, params, _ in oracle_instances:
-            store = count_pairs(corpus, ell_max=params.ell)
+            store = count_corpus(corpus, ell_max=params.ell)
             pairs = directed_pairs(store)
             base = uni_values(store, *pairs, params.ell, "h_a", 2.0)
             for scaling in ("h_b", "h_c"):
@@ -146,7 +147,7 @@ def test_criterion_4_scaling_dominance(oracle_instances):
 def test_criterion_5_sparsity_profile_shape(fig2_dataset):
     with criterion(5, "per-gap averages decay, scaled variants retain mass"):
         started = time.monotonic()
-        store = count_pairs(fig2_dataset.sequences, ell_max=10)
+        store = count_corpus(fig2_dataset.sequences, ell_max=10)
         profile = average_uni_by_gap(store, ell=10, n_neighbors=20, w=2.0)
         for scaling in ("h_a", "h_b", "h_c"):
             column = profile[scaling]

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from unittest import mock
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pasrec.evaluation as evaluation
-from conftest import interactions, random_corpus, rank_in_row, reference_score, universe_scores
+from conftest import count_corpus, interactions, random_corpus, rank_in_row, reference_score, universe_scores
 from pasrec.domain import SimilarityParams, UserSequence, make_session_window
 from pasrec.evaluation import (
     ConfigMismatchError,
@@ -18,9 +19,10 @@ from pasrec.evaluation import (
     one_call_at_k,
     write_report_tsv,
 )
-from pasrec.ingest import Interactions, build_dataset
+from pasrec.cli import main
+from pasrec.ingest import Interactions, build_dataset, load_dataset
 from pasrec.predictor import recommend_top_k
-from pasrec.similarity import build_neighbor_index, count_pairs
+from pasrec.similarity import NeighborIndex, build_neighbor_index, count_pairs
 
 
 class TestMetrics:
@@ -75,7 +77,7 @@ def hit_and_miss_dataset():
 class TestEvaluate:
     def test_rank_one_user_scores_perfectly(self, hit_and_miss_dataset):
         dataset = hit_and_miss_dataset
-        store = count_pairs(dataset.sequences, ell_max=1)
+        store = count_corpus(dataset.sequences, ell_max=1)
         index = build_neighbor_index(store, SimilarityParams(ell=1, lam=0.0), "bis")
         result = evaluate(dataset, index, "validation", top_k=5)
         # u1: window [a], b scores positively, everything else 0 -> rank 1
@@ -86,7 +88,7 @@ class TestEvaluate:
 
     def test_degenerate_user_still_counted(self, hit_and_miss_dataset):
         dataset = hit_and_miss_dataset
-        store = count_pairs(dataset.sequences, ell_max=1)
+        store = count_corpus(dataset.sequences, ell_max=1)
         index = build_neighbor_index(store, SimilarityParams(ell=1, lam=0.0), "bis")
         result = evaluate(dataset, index, "test", top_k=5)
         assert result.n_users == 2
@@ -94,7 +96,7 @@ class TestEvaluate:
 
     def test_test_split_appends_validation_item_to_history(self, hit_and_miss_dataset):
         dataset = hit_and_miss_dataset
-        store = count_pairs(dataset.sequences, ell_max=2)
+        store = count_corpus(dataset.sequences, ell_max=2)
         index = build_neighbor_index(store, SimilarityParams(ell=2, lam=0.0), "bis")
         # u1 test window is [a, b]: b -> c has bis 0 (no co-occurrence), but the
         # candidate set excludes both a and b, so c competes only with zeros
@@ -108,7 +110,7 @@ class TestEvaluate:
             (s.user, item, 5, ts) for s in corpus for ts, item in enumerate(s.items)
         )
         dataset = build_dataset(recs)
-        store = count_pairs(dataset.sequences, ell_max=3)
+        store = count_corpus(dataset.sequences, ell_max=3)
         for measure in ("bis", "pas", "cosine"):
             index = build_neighbor_index(store, SimilarityParams(ell=3), measure)
             for split in ("validation", "test"):
@@ -116,16 +118,67 @@ class TestEvaluate:
                 assert result.ndcg <= result.one_call + 1e-12
 
     def test_index_from_another_corpus_fails(self, hit_and_miss_dataset, toy_corpus):
-        store = count_pairs(toy_corpus + [UserSequence.from_items("w", ["q", "r"])], ell_max=1)
+        store = count_corpus(toy_corpus + [UserSequence.from_items("w", ["q", "r"])], ell_max=1)
         index = build_neighbor_index(store, SimilarityParams(ell=1, lam=0.0), "bis")
         with pytest.raises(ValueError, match="index covers 2 items absent from the dataset"):
             evaluate(hit_and_miss_dataset, index, "validation")
 
     def test_measure_mismatch_names_field(self, hit_and_miss_dataset):
-        store = count_pairs(hit_and_miss_dataset.sequences, ell_max=1)
+        store = count_corpus(hit_and_miss_dataset.sequences, ell_max=1)
         index = build_neighbor_index(store, SimilarityParams(ell=1, lam=0.0), "bis")
         with pytest.raises(ConfigMismatchError, match="measure"):
             evaluate(hit_and_miss_dataset, index, "validation", measure="pas")
+
+
+class TestHeldOutEdges:
+    """A split written by hand: z is held out with no training line, and b
+    appears only as u3's test item."""
+
+    @pytest.fixture
+    def dataset_dir(self, tmp_path):
+        files = {
+            "train.tsv": "u1\ta\nu1\ty\nu2\ta\nu2\ty\nu3\tc\nu3\td\n",
+            "valid.tsv": "u3\ta\nz\ta\n",
+            "test.tsv": "u3\tb\nz\ty\n",
+            "stats.json": json.dumps({"n_users": 4, "n_items": 5, "n_records": 10, "avg_length": 2.5,
+                                      "n_eval_users": 2, "n_dropped_users": 2}),
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        return tmp_path
+
+    @staticmethod
+    def bis_index(dataset):
+        store = count_pairs(dataset.item_universe, dataset.train_codes, dataset.train_offsets, 1)
+        return build_neighbor_index(store, SimilarityParams(ell=1, lam=0.0), "bis")
+
+    def test_user_without_training_line_ranks_from_validation_item(self, dataset_dir):
+        dataset = load_dataset(str(dataset_dir))
+        assert dataset.users == ("u1", "u2", "u3", "z")
+        assert [seq.user for seq in dataset.sequences] == ["u1", "u2", "u3"]
+        assert dataset.validation == {"u3": "a", "z": "a"} and dataset.test == {"u3": "b", "z": "y"}
+        index = self.bis_index(dataset)
+        # z has no history to predict its validation item from
+        valid = evaluate(dataset, index, "validation", top_k=1)
+        assert (valid.n_users, valid.n_skipped, valid.one_call) == (1, 1, 1.0)
+        # z's history is its validation item a, which lifts y above the
+        # zero-score b, c and d; u3's b scores 0 and ranks behind y
+        test = evaluate(dataset, index, "test", top_k=1)
+        assert (test.n_users, test.n_skipped, test.one_call, test.ndcg) == (2, 0, 0.5, 0.5)
+
+    def test_item_only_held_out_is_a_candidate_but_not_indexed(self, dataset_dir):
+        dataset = load_dataset(str(dataset_dir))
+        assert dataset.item_universe == ("a", "b", "c", "d", "y")
+        out = dataset_dir / "bis.idx"
+        assert main(["-q", "build-index", "--dataset", str(dataset_dir), "--out", str(out),
+                     "--measure", "bis", "--ell", "1", "--lam", "0"]) == 0
+        header = dict(line.split("\t", 1) for line in out.read_text().splitlines() if line.startswith("#"))
+        assert json.loads(header["#items"]) == ["a", "c", "d", "y"]
+        index = NeighborIndex.load(str(out))
+        assert index.items == self.bis_index(dataset).items == ("a", "c", "d", "y")
+        # u3's test target b ranks second, behind y
+        result = evaluate(dataset, index, "test", top_k=2)
+        assert (result.n_users, result.one_call, result.ndcg) == (2, 1.0, (1 + 1 / math.log2(3)) / 2)
 
 
 class TestBlockRanking:
@@ -157,7 +210,7 @@ class TestBlockRanking:
         dataset = build_dataset(recs)
         # an index over half the users: window items of the others, and
         # held-out items, are often missing from it
-        store = count_pairs(dataset.sequences[::2], ell_max=3)
+        store = count_corpus(dataset.sequences[::2], ell_max=3)
         index = build_neighbor_index(store, SimilarityParams(ell=3, n_neighbors=4), measure)
         assert len(index.items) < len(dataset.item_universe)
         n_users = len(dataset.validation)
@@ -170,7 +223,7 @@ class TestBlockRanking:
         assert (results[0].ndcg, results[0].one_call) == self.reference(dataset, index, split, 5)
 
     def test_cap_below_one_row_still_ranks_a_row_at_a_time(self, monkeypatch, hit_and_miss_dataset):
-        store = count_pairs(hit_and_miss_dataset.sequences, ell_max=1)
+        store = count_corpus(hit_and_miss_dataset.sequences, ell_max=1)
         index = build_neighbor_index(store, SimilarityParams(ell=1, lam=0.0), "bis")
         want = evaluate(hit_and_miss_dataset, index, "validation")
         monkeypatch.setattr(evaluation, "_BLOCK_CELLS", 1)
@@ -200,7 +253,7 @@ class TestArrayPath:
         params = SimilarityParams(ell=ell, lam=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
                                   scaling=data.draw(st.sampled_from(["h_a", "h_b", "h_c"])),
                                   n_neighbors=data.draw(st.integers(1, 6)))
-        store = count_pairs([seq for seq in dataset.sequences if seq.user in indexed], ell_max=ell)
+        store = count_corpus([seq for seq in dataset.sequences if seq.user in indexed], ell_max=ell)
         index = build_neighbor_index(store, params, measure)
         assert not {"x", "y", "z"} & set(index.items)
         top_k = data.draw(st.integers(1, 5))
@@ -241,7 +294,7 @@ class TestRankOfTarget:
         rng = random.Random(37)
         for trial in range(10):
             corpus = random_corpus(rng, max_users=25, max_items=15, max_len=10)
-            store = count_pairs(corpus, ell_max=3)
+            store = count_corpus(corpus, ell_max=3)
             params = SimilarityParams(ell=3, lam=0.5, n_neighbors=5)
             index = build_neighbor_index(store, params, "pas")
             # i000x sorts between i000 and i001 and is absent from the index
@@ -302,7 +355,7 @@ class TestGridSearch:
         grid = expand_grid("pas", ells=(2, 3), lambdas=(0.5,))
         result = grid_search(dataset, grid)
         assert calls == {"count_pairs": 1, "build_neighbor_index": len(grid)}
-        store = count_pairs(dataset.sequences, 3)
+        store = count_pairs(dataset.item_universe, dataset.train_codes, dataset.train_offsets, 3)
         rebuilt = build_neighbor_index(store, result.best_params, result.best_measure)
         assert evaluate(dataset, rebuilt, "test") == result.test
 
@@ -320,7 +373,7 @@ class TestGridSearch:
 
 
 def test_report_tsv_layout(tmp_path, hit_and_miss_dataset):
-    store = count_pairs(hit_and_miss_dataset.sequences, ell_max=1)
+    store = count_corpus(hit_and_miss_dataset.sequences, ell_max=1)
     index = build_neighbor_index(store, SimilarityParams(ell=1, lam=0.0), "bis")
     result = evaluate(hit_and_miss_dataset, index, "validation", top_k=5)
     path = tmp_path / "report.tsv"

@@ -114,6 +114,29 @@ class TestParse:
         with pytest.raises(ParseError, match=f"^line 2: {message}$"):
             parse_interactions(["1::2::5::10", line], ColumnSchema.movielens())
 
+    @pytest.mark.parametrize("line, message", [
+        ("u::i::\u0665::1_000", "rating '\u0665' is not an integer"),
+        ("v::j:: +5 ::2", "rating ' +5 ' is not an integer"),
+        ("u::i::5::1_000", "timestamp '1_000' is not an integer"),
+        ("u::i::5::\u0661\u0662", "timestamp '\u0661\u0662' is not an integer"),
+        ("u::i::5::+2", "timestamp '+2' is not an integer"),
+        ("u::i::5:: 2", "timestamp ' 2' is not an integer"),
+        ("u::i::-::2", "rating '-' is not an integer"),
+        ("u::i::--5::2", "rating '--5' is not an integer"),
+    ], ids=["arabic-indic-rating", "spaces-and-plus", "underscore", "arabic-indic-timestamp", "plus", "space",
+            "bare-minus", "double-minus"])
+    def test_non_canonical_integer_raises_with_line_number(self, line, message):
+        with pytest.raises(ParseError, match=f"^line 2: {re.escape(message)}$"):
+            parse_interactions(["1::2::5::10", line], ColumnSchema.movielens())
+
+    def test_non_canonical_integers_skipped_and_counted(self, caplog):
+        lines = ["u::i::\u0665::1_000", "v::j:: +5 ::2", "w::k::05::007"]
+        with caplog.at_level(logging.WARNING):
+            records = parse_interactions(lines, ColumnSchema.movielens(), on_error="skip")
+        # leading zeros are still ASCII digits
+        assert records == table(rec("w", "k", 5, 7))
+        assert "skipped 2" in caplog.text
+
     def test_int64_bounds_parse_exactly(self):
         line = "u::i::-9223372036854775808::9223372036854775807"
         records = parse_interactions([line], ColumnSchema.movielens())

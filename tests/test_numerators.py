@@ -10,11 +10,11 @@ from collections import Counter, defaultdict
 
 import pytest
 
-from conftest import full_index, pair_rows, random_corpus, row_value
+from conftest import count_corpus, full_index, pair_rows, random_corpus, row_value
 from pasrec.domain import SCALINGS, SimilarityParams, UserSequence
 from pasrec.ingest import build_dataset
 from pasrec.oracle import oracle_bis, oracle_pas
-from pasrec.similarity import average_uni_by_gap, build_neighbor_index, count_pairs, scale
+from pasrec.similarity import average_uni_by_gap, build_neighbor_index, scale
 from pasrec.synth import SynthConfig, generate
 
 
@@ -89,7 +89,7 @@ INDEX_DIGESTS = {
 
 @pytest.fixture(scope="module")
 def synth_store():
-    return count_pairs(synth_sequences(), ell_max=6)
+    return count_corpus(synth_sequences(), ell_max=6)
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +101,7 @@ def test_scalar_views_match_reference_folds():
     rng = random.Random(23)
     for trial in range(15):
         corpus = random_corpus(rng)
-        store = count_pairs(corpus, ell_max=6)
+        store = count_corpus(corpus, ell_max=6)
         hist, users = recount(corpus)
         ell = rng.randint(1, 6)
         rho = rng.choice((0.2, 0.5))
@@ -199,7 +199,7 @@ def test_reverse_bound_is_exact():
         UserSequence.from_items("v2", ["b", *filler, "a"]),  # a -> b at gap -30
     ]
     params = SimilarityParams(ell=50, rho=0.58, lam=0.0, n_neighbors=40)
-    store = count_pairs(corpus, ell_max=50)
+    store = count_corpus(corpus, ell_max=50)
     # bis in column 0 and, at lam=0, pas at t=1 in column 1 of the row a -> b
     for measure, column in (("bis", 0), ("pas", 1)):
         rows = pair_rows(build_neighbor_index(store, params, measure))

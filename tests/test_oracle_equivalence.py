@@ -10,10 +10,10 @@ import random
 
 import pytest
 
-from conftest import assert_pairs_match_oracle, predicted_score, random_corpus, reduction_mismatches
+from conftest import assert_pairs_match_oracle, count_corpus, predicted_score, random_corpus, reduction_mismatches
 from pasrec.domain import SimilarityParams, UserSequence, make_session_window
 from pasrec.oracle import oracle_bis, oracle_pas, oracle_predict
-from pasrec.similarity import build_neighbor_index, count_pairs
+from pasrec.similarity import build_neighbor_index
 
 TOLERANCE = 1e-12
 
@@ -37,7 +37,7 @@ def sample_pairs(rng, items, count):
 
 
 def check_corpus(corpus, params, rng):
-    store = count_pairs(corpus, ell_max=params.ell)
+    store = count_corpus(corpus, ell_max=params.ell)
     items = sorted({i for s in corpus for i in s.items})
     assert_pairs_match_oracle(corpus, store, params, sample_pairs(rng, items, 25), TOLERANCE)
 
@@ -56,7 +56,7 @@ def test_predictions_match_oracle(measure):
     for trial in range(10):
         corpus = random_corpus(rng, max_users=30, max_items=20, max_len=12)
         params = PARAM_COMBOS[(3 * trial) % len(PARAM_COMBOS)]
-        store = count_pairs(corpus, ell_max=params.ell)
+        store = count_corpus(corpus, ell_max=params.ell)
         index = build_neighbor_index(store, params, measure)
         items = sorted({i for s in corpus for i in s.items})
         for seq in rng.sample(corpus, min(3, len(corpus))):
@@ -72,7 +72,7 @@ def test_predictions_match_oracle_under_max_t_ranking():
     for trial in range(6):
         corpus = random_corpus(rng, max_users=30, max_items=20, max_len=12)
         params = PARAM_COMBOS[(5 * trial) % len(PARAM_COMBOS)]
-        store = count_pairs(corpus, ell_max=params.ell)
+        store = count_corpus(corpus, ell_max=params.ell)
         index = build_neighbor_index(store, params, "pas", rank_by="max_t")
         items = sorted({i for s in corpus for i in s.items})
         for seq in rng.sample(corpus, min(2, len(corpus))):
@@ -88,7 +88,7 @@ def test_reductions_are_exact():
     for trial in range(12):
         corpus = random_corpus(rng)
         base = PARAM_COMBOS[trial % len(PARAM_COMBOS)]
-        assert reduction_mismatches(count_pairs(corpus, ell_max=base.ell), base) == 0
+        assert reduction_mismatches(count_corpus(corpus, ell_max=base.ell), base) == 0
 
 
 class TestOracleToyValues:
@@ -126,7 +126,7 @@ class TestOracleToyValues:
 def test_oracle_shares_no_state_with_engine(toy_corpus):
     # the oracle recounts from the sequences alone; mutating the store after
     # construction must not affect oracle values
-    store = count_pairs(toy_corpus, ell_max=5)
+    store = count_corpus(toy_corpus, ell_max=5)
     before = oracle_bis(toy_corpus, "a", "b", 2, 0.2)
     store.hist_cum[:] = 0
     store.co_users[:] = 0

@@ -9,10 +9,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_pairs_match_oracle, gap_histogram, item_pairs
+from conftest import assert_pairs_match_oracle, count_corpus, gap_histogram, item_pairs
 from pasrec.domain import MEASURES, SCALINGS, SimilarityParams, UserSequence
 from pasrec.oracle import oracle_bis, oracle_cosine, oracle_neighborhood, oracle_pas
-from pasrec.similarity import NeighborIndex, average_uni_by_gap, build_neighbor_index, count_pairs
+from pasrec.similarity import NeighborIndex, average_uni_by_gap, build_neighbor_index
 
 TOLERANCE = 1e-12
 
@@ -46,7 +46,7 @@ def edge_params(ell_max):
 @pytest.mark.parametrize("name", sorted(EDGE_CORPORA))
 def test_counted_columns(name):
     corpus, ell_max, item_users, co, gap_counts = EDGE_CORPORA[name]
-    store = count_pairs(corpus, ell_max=ell_max)
+    store = count_corpus(corpus, ell_max=ell_max)
     assert store.items == tuple(sorted(item_users))
     assert store.item_users.tolist() == [item_users[item] for item in store.items]
     got_co = {(store.items[a], store.items[b]): users
@@ -61,7 +61,7 @@ def test_counted_columns(name):
 @pytest.mark.parametrize("name", sorted(EDGE_CORPORA))
 def test_pair_views_match_oracle(name):
     corpus, ell_max, _, _, _ = EDGE_CORPORA[name]
-    store = count_pairs(corpus, ell_max=ell_max)
+    store = count_corpus(corpus, ell_max=ell_max)
     names = [*store.items, "never-seen"]
     pairs = [(i_from, i_to) for i_from in names for i_to in names if i_from != i_to]
     assert_pairs_match_oracle(corpus, store, edge_params(ell_max), pairs, TOLERANCE)
@@ -72,7 +72,7 @@ def test_pair_views_match_oracle(name):
 @pytest.mark.parametrize("name", sorted(EDGE_CORPORA))
 def test_saved_index_matches_oracle(tmp_path, name, measure, rank_by):
     corpus, ell_max, _, _, _ = EDGE_CORPORA[name]
-    store = count_pairs(corpus, ell_max=ell_max)
+    store = count_corpus(corpus, ell_max=ell_max)
     params = edge_params(ell_max)
     path = tmp_path / "index.tsv"
     build_neighbor_index(store, params, measure, rank_by=rank_by).save(str(path))
@@ -101,7 +101,7 @@ def test_saved_index_matches_oracle(tmp_path, name, measure, rank_by):
 @pytest.mark.parametrize("name", sorted(EDGE_CORPORA))
 def test_sparsity_profile_matches_oracle(name):
     corpus, ell_max, _, _, _ = EDGE_CORPORA[name]
-    store = count_pairs(corpus, ell_max=ell_max)
+    store = count_corpus(corpus, ell_max=ell_max)
     profile = average_uni_by_gap(store, ell=ell_max, n_neighbors=2, w=2.0)
     params = SimilarityParams(ell=ell_max, rho=0.2, lam=1.0, scaling="h_a", w=2.0, n_neighbors=2)
     index = build_neighbor_index(store, params, "pas_uni")
@@ -118,7 +118,7 @@ def test_sparsity_profile_matches_oracle(name):
 
 
 def test_empty_corpus_index_is_header_only(tmp_path):
-    store = count_pairs([], ell_max=2)
+    store = count_corpus([], ell_max=2)
     path = tmp_path / "index.tsv"
     build_neighbor_index(store, SimilarityParams(ell=2), "pas").save(str(path))
     assert path.read_text().splitlines()[-1] == "#items\t[]"
@@ -127,7 +127,7 @@ def test_empty_corpus_index_is_header_only(tmp_path):
 
 @pytest.mark.parametrize("measure", MEASURES)
 def test_empty_index_round_trips(tmp_path, measure):
-    index = build_neighbor_index(count_pairs([], ell_max=2), SimilarityParams(ell=2), measure)
+    index = build_neighbor_index(count_corpus([], ell_max=2), SimilarityParams(ell=2), measure)
     first, second = tmp_path / "first.tsv", tmp_path / "second.tsv"
     index.save(str(first))
     loaded = NeighborIndex.load(str(first))
@@ -142,7 +142,7 @@ def test_key_range_boundary():
     corpus = users("a b")
     widest = 2**60 - 1
     assert 4 * (2 * widest + 1) <= 2**63 - 1 < 4 * (2 * (widest + 1) + 1)
-    store = count_pairs(corpus, ell_max=widest)
+    store = count_corpus(corpus, ell_max=widest)
     # a -> b: one user at gap 1, in [1, 1] and in [-1, 1]; b -> a: none in
     # [1, 1], one in [-1, 1]
     got = store.numerators(np.array([0, 1]), np.array([1, 0]), 1, [1, -1])
@@ -150,4 +150,4 @@ def test_key_range_boundary():
     index = build_neighbor_index(store, SimilarityParams(ell=1, lam=0.0), "bis")
     assert index.entries == [[(1, 0.0, ())], [(0, 1.0, ())]]  # b -> a is gap -1
     with pytest.raises(ValueError, match=rf"n_items=2, ell_max={widest + 1}\b"):
-        count_pairs(corpus, ell_max=widest + 1)
+        count_corpus(corpus, ell_max=widest + 1)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import (
-    predicted_score, random_corpus, rank_in_row, reference_score, universe_scores, window_scores,
+    count_corpus, predicted_score, random_corpus, rank_in_row, reference_score, universe_scores, window_scores,
 )
 from pasrec.domain import SimilarityParams, UserSequence, make_session_window
 from pasrec.predictor import ScoredItem, recommend_top_k
-from pasrec.similarity import NeighborIndex, build_neighbor_index, count_pairs
+from pasrec.similarity import NeighborIndex, build_neighbor_index
 
 
 def window_ab():
@@ -63,7 +63,7 @@ class TestScoreItem:
 class TestRecommendTopK:
     @pytest.fixture
     def small_index(self, toy_corpus):
-        store = count_pairs(toy_corpus, ell_max=2)
+        store = count_corpus(toy_corpus, ell_max=2)
         params = SimilarityParams(ell=2, rho=0.2, lam=0.0, n_neighbors=20)
         return build_neighbor_index(store, params, "bis")
 
@@ -103,7 +103,7 @@ class TestInvertedEnumerationEquivalence:
         rng = random.Random(23)
         for trial in range(8):
             corpus = random_corpus(rng, max_users=25, max_items=15, max_len=10)
-            store = count_pairs(corpus, ell_max=3)
+            store = count_corpus(corpus, ell_max=3)
             params = SimilarityParams(ell=3, rho=0.2, lam=0.5, n_neighbors=4)
             index = build_neighbor_index(store, params, measure)
             # i000x sorts between i000 and i001 and is absent from the index

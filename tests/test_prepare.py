@@ -10,6 +10,7 @@ id, input order) order.
 """
 import hashlib
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -40,14 +41,11 @@ def reference_parse(lines):
             continue
         fields = line.split("::")
         row = None
-        if len(fields) >= 4 and not any(c in fields[0] + fields[1] for c in "\t\r\n"):
-            try:
-                rating, timestamp = int(fields[2]), int(fields[3])
-            except ValueError:
-                pass
-            else:
-                if INT64_MIN <= rating <= INT64_MAX and 0 <= timestamp <= INT64_MAX:
-                    row = (fields[0], fields[1], rating, timestamp)
+        if (len(fields) >= 4 and not any(c in fields[0] + fields[1] for c in "\t\r\n")
+                and all(re.fullmatch("-?[0-9]+", text) for text in fields[2:4])):
+            rating, timestamp = int(fields[2]), int(fields[3])
+            if INT64_MIN <= rating <= INT64_MAX and 0 <= timestamp <= INT64_MAX:
+                row = (fields[0], fields[1], rating, timestamp)
         if row is None:
             skipped += 1
             first_bad = first_bad or lineno
@@ -107,7 +105,7 @@ good_lines = st.builds(
 bad_lines = st.sampled_from([
     "garbage", "a::b::5", "a::b::x::1", "a::b::5::-1", "a::b::5::1.5",
     "a::b::5::9223372036854775808", "a::b::9223372036854775808::1",
-    "a\tb::c::5::1", "a::b\rc::5::1",
+    "a\tb::c::5::1", "a::b\rc::5::1", "a::b:: 5::1", "a::b::+5::1", "a::b::5::1_0", "a::b::\u0665::1",
 ])
 logs = st.lists(
     st.one_of(good_lines, good_lines, good_lines, good_lines.map(lambda line: line + "\r\n"), bad_lines,

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import pasrec.similarity as similarity
 from conftest import (
+    count_corpus,
     directed_pairs,
     full_index,
     gap_histogram,
@@ -29,7 +30,6 @@ from pasrec.similarity import (
     NeighborIndex,
     _bis_low,
     build_neighbor_index,
-    count_pairs,
     scale,
 )
 
@@ -82,19 +82,19 @@ def union(store, item_a, item_b):
 
 class TestCountPairs:
     def test_single_user(self):
-        store = count_pairs([UserSequence.from_items("v", ["a", "b", "c"])], ell_max=5)
+        store = count_corpus([UserSequence.from_items("v", ["a", "b", "c"])], ell_max=5)
         assert gap_histogram(store, "a", "c") == {2: 1}
         assert co_users(store, "a", "c") == 1
         assert union(store, "a", "c") == 1
 
     def test_toy_corpus(self, toy_corpus):
-        store = count_pairs(toy_corpus, ell_max=5)
+        store = count_corpus(toy_corpus, ell_max=5)
         assert gap_histogram(store, "a", "b") == {1: 1, 2: 1, -1: 1}
         assert co_users(store, "a", "b") == 3
         assert union(store, "a", "b") == 3
 
     def test_disjoint_users_have_no_pairs(self):
-        store = count_pairs(
+        store = count_corpus(
             [UserSequence.from_items("v1", ["a"]), UserSequence.from_items("v2", ["b"])],
             ell_max=5,
         )
@@ -105,7 +105,7 @@ class TestCountPairs:
 
     def test_gap_band_limits_histogram_not_co_counts(self):
         corpus = [UserSequence.from_items("v", ["a", "b", "c", "d"])]
-        store = count_pairs(corpus, ell_max=1)
+        store = count_corpus(corpus, ell_max=1)
         assert gap_histogram(store, "a", "d") == {}
         assert co_users(store, "a", "d") == 1
         assert union(store, "a", "d") == 1
@@ -120,7 +120,7 @@ class TestCountPairs:
             assert pair_rows(full_index(store, params, "cosine"))[i_from, i_to].tolist() == [1.0]
 
     def test_directed_view_negates_gaps(self, toy_corpus):
-        store = count_pairs(toy_corpus, ell_max=5)
+        store = count_corpus(toy_corpus, ell_max=5)
         assert gap_histogram(store, "b", "a") == {-1: 1, -2: 1, 1: 1}
 
     @settings(max_examples=40, deadline=None)
@@ -129,7 +129,7 @@ class TestCountPairs:
         corpus = data.draw(corpora)
         shuffled = data.draw(st.permutations(corpus))
         ell = data.draw(st.integers(1, 5))
-        stores = [count_pairs(c, ell_max=ell) for c in (corpus, shuffled)]
+        stores = [count_corpus(c, ell_max=ell) for c in (corpus, shuffled)]
         assert stores[0].items == stores[1].items
         for field in ("item_users", "co", "co_users", "gaps", "hist_keys", "hist_cum"):
             assert getattr(stores[0], field).tolist() == getattr(stores[1], field).tolist()
@@ -147,7 +147,7 @@ class TestCountPairs:
     def test_gaps_are_the_distinct_pair_keys_of_the_histograms(self):
         rng = random.Random(19)
         for trial in range(12):
-            assert_gaps_are_distinct_pair_keys(count_pairs(random_corpus(rng), ell_max=1 + trial % 6))
+            assert_gaps_are_distinct_pair_keys(count_corpus(random_corpus(rng), ell_max=1 + trial % 6))
 
     @pytest.mark.parametrize("corpus, entries, gaps", [
         ([], 0, []),
@@ -156,13 +156,13 @@ class TestCountPairs:
         (users("a b", "b a", "a b"), 2, [1]),  # gaps +1 and -1 of one pair
     ], ids=["empty corpus", "no pair in the band", "one pair", "one pair both ways"])
     def test_gaps_of_a_store_with_at_most_one_pair(self, corpus, entries, gaps):
-        store = count_pairs(corpus, ell_max=2)
+        store = count_corpus(corpus, ell_max=2)
         assert len(store.hist_keys) == entries
         assert store.gaps.tolist() == gaps
         assert_gaps_are_distinct_pair_keys(store)
 
     def test_unknown_items_scorable(self, toy_corpus):
-        store = count_pairs(toy_corpus, ell_max=5)
+        store = count_corpus(toy_corpus, ell_max=5)
         assert "zz" not in store.items
         assert store.item_users[store.items.index("a")] == 3  # |U_a ∪ U_zz| is |U_a|
         assert pair_value(store, "bis", "a", "zz", ell=2, rho=0.2) == 0.0
@@ -197,7 +197,7 @@ class TestScale:
 
 @pytest.fixture
 def toy_store(toy_corpus):
-    return count_pairs(toy_corpus, ell_max=5)
+    return count_corpus(toy_corpus, ell_max=5)
 
 
 class TestBis:
@@ -209,7 +209,7 @@ class TestBis:
 
     def test_never_co_occurring_is_zero(self):
         corpus = users("a", "a", "b", "b")
-        store = count_pairs(corpus, ell_max=2)
+        store = count_corpus(corpus, ell_max=2)
         assert pair_value(store, "bis", "a", "b", ell=2, rho=0.2) == 0.0
         assert oracle_bis(corpus, "a", "b", 2, 0.2) == 0.0
 
@@ -227,7 +227,7 @@ class TestPasUni:
 
     def test_no_forward_mass_is_zero(self):
         # b precedes a for both users holding the two: a -> b has gaps {-1: 2}
-        store = count_pairs(users("b a", "b a", "a"), ell_max=2)
+        store = count_corpus(users("b a", "b a", "a"), ell_max=2)
         rows = pair_rows(full_index(store, SimilarityParams(ell=2), "pas_uni"))
         assert rows["a", "b"][2] == 0.0
 
@@ -262,15 +262,15 @@ class TestPas:
 
 class TestCosine:
     def test_full_overlap(self):
-        store = count_pairs(users("a b", "a b", "b a"), ell_max=2)
+        store = count_corpus(users("a b", "a b", "b a"), ell_max=2)
         assert pair_value(store, "cosine", "a", "b", ell=2) == 1.0
 
     def test_partial_overlap(self):
-        store = count_pairs(users("a b", "b", "b", "b"), ell_max=2)
+        store = count_corpus(users("a b", "b", "b", "b"), ell_max=2)
         assert pair_value(store, "cosine", "a", "b", ell=2) == 0.5
 
     def test_disjoint(self):
-        store = count_pairs(users("a", "a", "b", "b", "b"), ell_max=2)
+        store = count_corpus(users("a", "a", "b", "b", "b"), ell_max=2)
         assert pair_value(store, "cosine", "a", "b", ell=2) == 0.0
 
     def test_zero_counts(self, toy_store):
@@ -279,7 +279,7 @@ class TestCosine:
 
 class TestNeighborIndex:
     def test_all_candidates_kept_when_under_cap(self, toy_corpus):
-        store = count_pairs(toy_corpus, ell_max=2)
+        store = count_corpus(toy_corpus, ell_max=2)
         params = SimilarityParams(ell=2, rho=0.2, lam=0.0, n_neighbors=20)
         index = build_neighbor_index(store, params, "bis")
         row = index.entries[index.item_index["b"]]
@@ -293,14 +293,14 @@ class TestNeighborIndex:
             UserSequence.from_items("v1", ["a", "x"]),
             UserSequence.from_items("v2", ["b", "x"]),
         ]
-        store = count_pairs(corpus, ell_max=2)
+        store = count_corpus(corpus, ell_max=2)
         params = SimilarityParams(ell=2, rho=0.2, lam=0.0, n_neighbors=1)
         index = build_neighbor_index(store, params, "bis")
         row = index.entries[index.item_index["x"]]
         assert [(index.items[nbr], value) for nbr, value, _ in row] == [("a", 0.5)]
 
     def test_pas_entries_carry_k_values(self, toy_corpus):
-        store = count_pairs(toy_corpus, ell_max=5)
+        store = count_corpus(toy_corpus, ell_max=5)
         params = SimilarityParams(ell=5, rho=0.2, lam=0.5, n_neighbors=20)
         index = build_neighbor_index(store, params, "pas")
         for row in index.entries:
@@ -308,17 +308,17 @@ class TestNeighborIndex:
                 assert len(vector) == 5
 
     def test_bis_entries_have_no_vector(self, toy_corpus):
-        store = count_pairs(toy_corpus, ell_max=2)
+        store = count_corpus(toy_corpus, ell_max=2)
         index = build_neighbor_index(store, SimilarityParams(ell=2, lam=0.0), "bis")
         assert all(vector == () for row in index.entries for _, _, vector in row)
 
     def test_rejects_narrow_store(self, toy_corpus):
-        store = count_pairs(toy_corpus, ell_max=2)
+        store = count_corpus(toy_corpus, ell_max=2)
         with pytest.raises(ValueError, match="band"):
             build_neighbor_index(store, SimilarityParams(ell=3), "pas")
 
     def test_round_trip_is_bit_exact(self, tmp_path, toy_corpus):
-        store = count_pairs(toy_corpus, ell_max=3)
+        store = count_corpus(toy_corpus, ell_max=3)
         params = SimilarityParams(ell=3, rho=0.2, lam=0.5, scaling="h_b", w=2.0, n_neighbors=4)
         for measure in ("bis", "pas", "pas_uni", "cosine"):
             index = build_neighbor_index(store, params, measure)
@@ -330,7 +330,7 @@ class TestNeighborIndex:
     def test_arrays_hold_rows_by_target_then_rank(self, measure, width):
         corpus = random_corpus(random.Random(5), max_users=30, max_items=12, max_len=8)
         params = SimilarityParams(ell=3, lam=0.5, n_neighbors=3)
-        index = build_neighbor_index(count_pairs(corpus, ell_max=3), params, measure)
+        index = build_neighbor_index(count_corpus(corpus, ell_max=3), params, measure)
         assert index.targets.dtype == index.nbrs.dtype == "int64"
         assert index.values.dtype == "float64" and index.values.shape == (len(index.targets), width)
         rows = [(target, nbr, value, tuple(vector))
@@ -343,7 +343,7 @@ class TestNeighborIndex:
     def test_entry_lines_shuffled_across_targets_load_in_saved_order(self, tmp_path, measure):
         corpus = random_corpus(random.Random(11), max_users=40, max_items=15, max_len=8)
         params = SimilarityParams(ell=3, lam=0.5, n_neighbors=4)
-        index = build_neighbor_index(count_pairs(corpus, ell_max=3), params, measure)
+        index = build_neighbor_index(count_corpus(corpus, ell_max=3), params, measure)
         path = tmp_path / "index.tsv"
         index.save(str(path))
         text = path.read_text()
@@ -373,7 +373,7 @@ class TestNeighborIndex:
         n_neighbors=st.integers(1, 4),
     )
     def test_save_load_round_trips_exactly(self, corpus, ell, rho, lam, scaling, w, n_neighbors):
-        store = count_pairs(corpus, ell_max=ell)
+        store = count_corpus(corpus, ell_max=ell)
         params = SimilarityParams(ell=ell, rho=rho, lam=lam, scaling=scaling, w=w,
                                   n_neighbors=n_neighbors)
         with tempfile.TemporaryDirectory() as tmp:
@@ -425,7 +425,7 @@ class TestNeighborIndex:
     )
     def test_load_rejects_bad_entry_with_location(self, tmp_path, toy_corpus, measure, line,
                                                   message, last):
-        store = count_pairs(toy_corpus, ell_max=2)
+        store = count_corpus(toy_corpus, ell_max=2)
         index = build_neighbor_index(store, SimilarityParams(ell=2, lam=0.0), measure)
         path = tmp_path / "index.tsv"
         index.save(str(path))
@@ -455,7 +455,7 @@ class TestNeighborIndex:
     )
     def test_load_rejects_non_canonical_number_with_location(self, tmp_path, toy_corpus,
                                                              measure, line, text):
-        index = build_neighbor_index(count_pairs(toy_corpus, ell_max=2),
+        index = build_neighbor_index(count_corpus(toy_corpus, ell_max=2),
                                      SimilarityParams(ell=2, lam=0.0), measure)
         path = tmp_path / "index.tsv"
         index.save(str(path))
@@ -470,7 +470,7 @@ class TestNeighborIndex:
                                                ("0\t1\t0.5\t", "repeated entry")],
                              ids=["nan-value", "repeated-pair"])
     def test_load_names_the_first_of_two_bad_entries(self, tmp_path, toy_corpus, line, message):
-        index = build_neighbor_index(count_pairs(toy_corpus, ell_max=2),
+        index = build_neighbor_index(count_corpus(toy_corpus, ell_max=2),
                                      SimilarityParams(ell=2, lam=0.0), "bis")
         path = tmp_path / "index.tsv"
         index.save(str(path))
@@ -490,7 +490,7 @@ class TestNeighborIndex:
             "large-neighbor-then-word-neighbor", "word-cell-then-negative-target"])
     def test_load_names_the_first_bad_line_whatever_it_fails(self, tmp_path, toy_corpus, measure,
                                                              first, message, second):
-        index = build_neighbor_index(count_pairs(toy_corpus, ell_max=2),
+        index = build_neighbor_index(count_corpus(toy_corpus, ell_max=2),
                                      SimilarityParams(ell=2, lam=0.0), measure)
         path = tmp_path / "index.tsv"
         index.save(str(path))
@@ -505,7 +505,7 @@ class TestNeighborIndex:
     def test_load_memos_that_start_over_round_trip(self, tmp_path, monkeypatch, measure):
         monkeypatch.setattr(similarity, "_MEMO_LIMIT", 3)
         corpus = random_corpus(random.Random(5), max_users=30, max_items=12, max_len=8)
-        index = build_neighbor_index(count_pairs(corpus, ell_max=3),
+        index = build_neighbor_index(count_corpus(corpus, ell_max=3),
                                      SimilarityParams(ell=3, lam=0.5, n_neighbors=3), measure)
         # more distinct ids and values than a memo holds
         assert len(np.unique(index.targets)) > 3 and len(np.unique(index.values)) > 3
@@ -530,7 +530,7 @@ class TestNeighborIndex:
         an item that is not target 0's neighbor."""
         corpus = [UserSequence.from_items(f"u{n}", items.split())
                   for n, items in enumerate(["a b c d", "a b d", "c d a", "b a"])]
-        index = build_neighbor_index(count_pairs(corpus, ell_max=3),
+        index = build_neighbor_index(count_corpus(corpus, ell_max=3),
                                      SimilarityParams(ell=3, n_neighbors=1), "bis")
         (nbr, _, _), = index.entries[0]
         other = next(item for item in range(1, len(index.items)) if item != nbr)
@@ -599,7 +599,7 @@ class TestNeighborIndex:
         ]
 
     def test_last_line_without_newline_loads(self, tmp_path, toy_corpus):
-        index = build_neighbor_index(count_pairs(toy_corpus, ell_max=2),
+        index = build_neighbor_index(count_corpus(toy_corpus, ell_max=2),
                                      SimilarityParams(ell=2), "pas")
         path = tmp_path / "index.tsv"
         index.save(str(path))
@@ -607,7 +607,7 @@ class TestNeighborIndex:
         assert NeighborIndex.load(str(path)) == index
 
     def test_blank_line_after_last_entry_fails_at_its_line(self, tmp_path, toy_corpus):
-        index = build_neighbor_index(count_pairs(toy_corpus, ell_max=2),
+        index = build_neighbor_index(count_corpus(toy_corpus, ell_max=2),
                                      SimilarityParams(ell=2), "pas")
         path = tmp_path / "index.tsv"
         index.save(str(path))
@@ -640,7 +640,7 @@ class TestNeighborIndex:
         # a in band before b for all 13 users: at t = k the pas vector holds
         # (0.9 * 13 + 0.1 * 13) / 13, which rounds to one ulp above 1
         corpus = [UserSequence.from_items(f"u{n:02d}", ["a", "b"]) for n in range(13)]
-        index = build_neighbor_index(count_pairs(corpus, ell_max=2),
+        index = build_neighbor_index(count_corpus(corpus, ell_max=2),
                                      SimilarityParams(ell=2, lam=0.1), "pas")
         assert max(v for row in index.entries for _, _, vec in row for v in vec) > 1.0
         path = str(tmp_path / "index.tsv")
@@ -675,7 +675,7 @@ class TestNeighborIndex:
     def test_load_rejects_bad_header_with_location(
         self, tmp_path, toy_corpus, keep, replace, lineno, message
     ):
-        store = count_pairs(toy_corpus, ell_max=2)
+        store = count_corpus(toy_corpus, ell_max=2)
         index = build_neighbor_index(store, SimilarityParams(ell=2, lam=0.0), "bis")
         path = tmp_path / "index.tsv"
         index.save(str(path))
@@ -701,7 +701,7 @@ class TestNeighborIndex:
     def test_stored_values_in_unit_interval(self):
         rng = random.Random(17)
         corpus = random_corpus(rng)
-        store = count_pairs(corpus, ell_max=4)
+        store = count_corpus(corpus, ell_max=4)
         params = SimilarityParams(ell=4, rho=0.2, lam=0.5, n_neighbors=6)
         for measure in ("bis", "pas", "pas_uni", "cosine"):
             index = build_neighbor_index(store, params, measure)
@@ -714,7 +714,7 @@ class TestNeighborIndex:
     def test_stored_vectors_non_decreasing_for_identity_scaling(self):
         rng = random.Random(19)
         corpus = random_corpus(rng)
-        store = count_pairs(corpus, ell_max=4)
+        store = count_corpus(corpus, ell_max=4)
         params = SimilarityParams(ell=4, rho=0.2, lam=1.0, scaling="h_a", n_neighbors=6)
         index = build_neighbor_index(store, params, "pas_uni")
         for row in index.entries:
@@ -734,10 +734,10 @@ class TestSelectionMemo:
         configs = rng.sample(grid, 30)
         # neighbors in the shuffled order share their selection now and then
         configs += [configs[-1], replace(configs[-1], scaling="h_c", w=2.5)]
-        store = count_pairs(corpus, ell_max=3)
+        store = count_corpus(corpus, ell_max=3)
         for params in configs:
             used = build_neighbor_index(store, params, measure, rank_by=rank_by)
-            fresh = build_neighbor_index(count_pairs(corpus, ell_max=3), params, measure,
+            fresh = build_neighbor_index(count_corpus(corpus, ell_max=3), params, measure,
                                          rank_by=rank_by)
             assert used == fresh
             assert used.values.dtype == fresh.values.dtype == np.float64
@@ -746,7 +746,7 @@ class TestSelectionMemo:
         calls = []
         real = similarity._select
         monkeypatch.setattr(similarity, "_select", lambda *args: calls.append(args) or real(*args))
-        store = count_pairs(random_corpus(random.Random(3)), ell_max=4)
+        store = count_corpus(random_corpus(random.Random(3)), ell_max=4)
         for ell in (3, 4):
             for scaling in SCALINGS:
                 build_neighbor_index(store, SimilarityParams(ell=ell, scaling=scaling), "pas")
@@ -762,7 +762,7 @@ class TestSelectionMemo:
         assert len(calls) == 5
 
     def test_indexes_cannot_change_the_shared_selection(self, toy_corpus):
-        store = count_pairs(toy_corpus, ell_max=2)
+        store = count_corpus(toy_corpus, ell_max=2)
         index = build_neighbor_index(store, SimilarityParams(ell=2), "cosine")
         with pytest.raises(ValueError, match="read-only"):
             index.nbrs[0] = 2
@@ -807,7 +807,7 @@ class TestSelectionOrder:
     @given(corpus=tie_heavy_corpora, ell=st.integers(1, 3), rho=st.sampled_from([0.2, 0.5, 0.9]),
            lam=st.sampled_from([0.0, 0.3, 0.5, 0.6, 1.0]))
     def test_rows_follow_target_then_score_then_id(self, corpus, ell, rho, lam):
-        store = count_pairs(corpus, ell_max=ell)
+        store = count_corpus(corpus, ell_max=ell)
         for n_neighbors in (1, 2, 3, store.n_items):
             params = SimilarityParams(ell=ell, rho=rho, lam=lam, n_neighbors=n_neighbors)
             for measure in MEASURES:
@@ -820,7 +820,7 @@ class TestSelectionOrder:
         # pas ranked by max_t at lam=0.6 is (0.4*bis + 0.6*uni) / union: b -> x
         # is (0.4*2 + 0.6*2) / 5 = 0.4 and a -> x (0.4*4 + 0.6*2) / 7, one ulp
         # below; both are 2/5 in exact arithmetic, but only equal floats tie
-        store = count_pairs(users("a b x", "a b x", "x a", "x a", "x", "a", "a"), ell_max=2)
+        store = count_corpus(users("a b x", "a b x", "x a", "x a", "x", "a", "a"), ell_max=2)
         params = SimilarityParams(ell=2, rho=0.5, lam=0.6, n_neighbors=2)
         index = build_neighbor_index(store, params, "pas", rank_by="max_t")
         x = index.item_index["x"]
@@ -831,8 +831,8 @@ class TestSelectionOrder:
     def test_selection_key_overflow_names_the_sizes(self, monkeypatch, measure):
         corpus = random_corpus(random.Random(23), max_users=20, max_items=8, max_len=6)
         params = SimilarityParams(ell=3, rho=0.5, lam=0.5, n_neighbors=3)
-        want = build_neighbor_index(count_pairs(corpus, ell_max=3), params, measure)
-        store = count_pairs(corpus, ell_max=3)
+        want = build_neighbor_index(count_corpus(corpus, ell_max=3), params, measure)
+        store = count_corpus(corpus, ell_max=3)
         n = store.n_items
         distinct = len(np.unique(ranking_scores(store, params, measure, "bis")[2]))
         # the largest key is n_items**2 * distinct scores - 1
@@ -858,7 +858,7 @@ class TestSelectionOrder:
             return (index.targets[keep].tolist(), index.nbrs[keep].tolist(),
                     index.values[keep].tolist())
 
-        narrow, wide = (build_neighbor_index(count_pairs(corpus, ell_max=ell_max), params, measure,
+        narrow, wide = (build_neighbor_index(count_corpus(corpus, ell_max=ell_max), params, measure,
                                              rank_by=rank_by) for ell_max in (2, 6))
         assert positive_rows(wide) == positive_rows(narrow)
 
@@ -873,9 +873,9 @@ class TestSelectionOrder:
         for trial in range(5):
             corpus = random_corpus(rng, max_users=8, max_items=30, max_len=20)
             params = SimilarityParams(ell=2, rho=0.5, lam=0.5, n_neighbors=6)
-            want = build_neighbor_index(count_pairs(corpus, ell_max=2), params, measure, rank_by=rank_by)
+            want = build_neighbor_index(count_corpus(corpus, ell_max=2), params, measure, rank_by=rank_by)
             for ell_max in (3, 6, 14):
-                wide = count_pairs(corpus, ell_max=ell_max)
+                wide = count_corpus(corpus, ell_max=ell_max)
                 assert build_neighbor_index(wide, params, measure, rank_by=rank_by) == want
 
 
@@ -884,7 +884,7 @@ class TestInvariants:
         rng = random.Random(7)
         for trial in range(10):
             corpus = random_corpus(rng)
-            store = count_pairs(corpus, ell_max=5)
+            store = count_corpus(corpus, ell_max=5)
             params = SimilarityParams(ell=5, rho=0.2, lam=0.5, n_neighbors=10)
             for measure in ("bis", "pas", "cosine"):
                 values = full_index(store, params, measure).values
@@ -893,14 +893,14 @@ class TestInvariants:
     def test_position_aware_value_non_decreasing_in_t(self):
         rng = random.Random(11)
         for trial in range(10):
-            store = count_pairs(random_corpus(rng), ell_max=4)
+            store = count_corpus(random_corpus(rng), ell_max=4)
             values = uni_values(store, *directed_pairs(store), 4, "h_a", 2.0)
             assert (np.diff(values, axis=1) >= 0).all()
 
     def test_scaled_thresholds_dominate_identity(self):
         rng = random.Random(13)
         for trial in range(10):
-            store = count_pairs(random_corpus(rng), ell_max=4)
+            store = count_corpus(random_corpus(rng), ell_max=4)
             pairs = directed_pairs(store)
             base = uni_values(store, *pairs, 4, "h_a", 2.0)
             assert (uni_values(store, *pairs, 4, "h_b", 2.0) >= base).all()
