@@ -7,15 +7,17 @@ scanned once; every measure, at every hyperparameter setting, is then a cheap
 aggregation over the per-pair histograms.
 
 The store is columnar (see ``PairStore``): sorted int64 pair keys with their
-co-occurrence counts, and all gap histograms as one sorted array of entry keys
-with the running sum of their users, so the users of one pair with gap in
-[x, y] are a difference of that running sum at two ``searchsorted`` positions.
+co-occurrence counts, and all gap histograms as entry columns in pair order,
+each entry a gap with its users, where the entries of one pair are one
+slice found by its index.
 
-One routine, ``_numerators``, does every such aggregation: for many pairs at
-once it counts the users whose directed gap lies in [low, ell] for a list of
-integer lower bounds, reading the canonical histogram of either direction
-through a sign. Neighbor selection, the stored t = 1..k vectors and the
-sparsity profile all take their numerators from it. Both bounds are exact
+One routine, ``_numerators``, does every such aggregation: given histogram
+entries and the row each one counts toward, it counts the users whose
+directed gap lies in [low, ell] for a list of integer lower bounds, one
+``np.bincount`` per bound, and either direction of a pair reads the same
+entries through a sign. Neighbor selection scans every entry, the stored
+t = 1..k vectors and the sparsity profile only the entries of the selected
+pairs; no histogram is searched. Both bounds are exact
 integers before a histogram is read: the reverse bound is -floor(rho*ell)
 with rho*ell in decimal arithmetic (0.58 * 50 is 29, where floats give
 28.999999999999996), and gap > h(k-t) is gap >= floor(h(k-t)) + 1. Every
@@ -85,55 +87,41 @@ def _uni_low(k: int, t: int, scaling: str, w: float) -> int:
 
 
 def _numerators(
-    keys: np.ndarray, cum: np.ndarray, base, forward, ell: int, lows: Sequence[int]
+    row: np.ndarray, gap: np.ndarray, users: np.ndarray, n_rows: int, ell: int, lows: Sequence[int]
 ) -> np.ndarray:
-    """Users whose directed gap lies in [low, ell], for each histogram and
-    each bound in ``lows``, as an int64 array of shape (len(base), len(lows)).
+    """Users whose directed gap lies in [low, ell], for each row and each
+    bound in ``lows``, as an int64 array of shape (n_rows, len(lows)).
 
-    Histogram h holds its entry for gap g at key base[h] + g of the ascending
-    ``keys``, and cum[j] is the users of the entries before j. The directed
-    gap is g where ``forward`` holds and -g elsewhere, so a canonical
-    histogram serves both directions uncopied.
+    Histogram entry j puts users[j] users at directed gap gap[j] into row
+    row[j]; a row's entries need be neither adjacent nor in order. Each bound
+    is one ``np.bincount`` of the entries in range, whose float64 sums of
+    whole user counts are exact.
 
     This is the only fold over gap histograms: a bis numerator is the count
     at _bis_low, a pas_uni numerator the count at _uni_low.
     """
-    lows = np.asarray(lows, dtype=np.int64)
-    forward = np.asarray(forward)[..., None]
-    base = np.asarray(base, dtype=np.int64)[:, None]
-
-    def users_upto(gap):
-        return cum[np.searchsorted(keys, base + gap, side="right")]
-
-    # stored gaps in [low, ell] forward and in [-ell, -low] backward: one end
-    # of the range is the same for every bound
-    fixed = users_upto(np.where(forward, ell, -ell - 1))
-    moving = users_upto(np.where(forward, lows - 1, -lows))
-    return np.where(forward, fixed - moving, moving - fixed)
-
-
-def _pair_keys(hist_keys: np.ndarray, width: int) -> np.ndarray:
-    """The distinct pair keys of ascending histogram keys, ascending."""
-    # one pair's entries are adjacent in the ascending keys; pair keys are
-    # >= 0, so the prepended -1 makes the first entry a step
-    pairs = hist_keys // width
-    return pairs[np.diff(pairs, prepend=-1) != 0]
+    # float64 weights, so no bound casts them again
+    users = np.multiply(users, gap <= ell, dtype=np.float64)
+    nums = np.empty((n_rows, len(lows)), dtype=np.int64)
+    for column, low in enumerate(lows):
+        nums[:, column] = np.bincount(row, weights=users * (gap >= low), minlength=n_rows)
+    return nums
 
 
 class PairStore:
     """Gap histograms and co-occurrence counts for a training corpus, as
-    sorted int64 columns.
+    int64 columns.
 
     items       item identifiers, ascending; an item's index is its position
     item_users  users per item
     co          keys lo*n + hi (lo < hi) of the co-occurring pairs, ascending
     co_users    users holding both items of each pair in ``co``
-    gaps        keys of the pairs with a histogram entry, ascending: the
-                values of hist_keys // width, each taken where it steps up
-    hist_keys   histogram entries (lo*n + hi)*(2*ell_max + 1) + gap + ell_max,
-                ascending, with gap = p(hi) - p(lo); the directed view for
-                (hi -> lo) is the negation
-    hist_cum    hist_cum[j]: users of the histogram entries before j
+    gaps        keys of the pairs with a histogram entry, ascending
+    gap_union   |U_lo ∪ U_hi| of each pair in ``gaps``
+    starts      the histogram entries of gaps[j] are starts[j]:starts[j + 1]
+    hist_gap    gap p(hi) - p(lo) of each histogram entry, ascending within
+                its pair; the directed view for (hi -> lo) is the negation
+    hist_users  users of each histogram entry
 
     Histograms are restricted to |gap| <= ell_max; co-occurrence counts and
     per-item user counts are exact regardless of the band, which keeps the
@@ -149,7 +137,9 @@ class PairStore:
         item_users: np.ndarray,
         co: np.ndarray,
         co_users: np.ndarray,
-        hist_keys: np.ndarray,
+        gaps: np.ndarray,
+        starts: np.ndarray,
+        hist_gap: np.ndarray,
         hist_users: np.ndarray,
         ell_max: int,
     ) -> None:
@@ -157,11 +147,13 @@ class PairStore:
         self.item_users = item_users
         self.co = co
         self.co_users = co_users
+        self.gaps = gaps
+        lo, hi = np.divmod(gaps, len(items))
+        self.gap_union = item_users[lo] + item_users[hi] - co_users[np.searchsorted(co, gaps)]
+        self.starts = starts
+        self.hist_gap = hist_gap
+        self.hist_users = hist_users
         self.ell_max = ell_max
-        self.width = 2 * ell_max + 1
-        self.hist_keys = hist_keys
-        self.hist_cum = np.concatenate(([0], np.cumsum(hist_users)))
-        self.gaps = _pair_keys(hist_keys, self.width)
         self.last_selection: tuple | None = None
 
     @property
@@ -172,16 +164,60 @@ class PairStore:
         """Key of each unordered item pair (a, b)."""
         return np.minimum(a, b) * self.n_items + np.maximum(a, b)
 
+    def _band_fold(self, ell: int, lows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """(pair, nums): the pairs gaps[pair] with a histogram entry in
+        [-ell, ell], ascending, and ``_numerators`` of both directions of
+        each, row r for lo -> hi and row r + len(pair) for hi -> lo.
+
+        Every entry is folded once per direction. With every low above -ell,
+        an entry outside [-ell, ell] counts at no bound, so it needs no mask.
+        """
+        n_pairs = len(self.gaps)
+        entry_pair = np.repeat(np.arange(n_pairs), np.diff(self.starts))
+        pair = np.flatnonzero(np.bincount(entry_pair, weights=np.abs(self.hist_gap) <= ell,
+                                          minlength=n_pairs))
+        nums = [_numerators(entry_pair, gap, self.hist_users, n_pairs, ell, lows)[pair]
+                for gap in (self.hist_gap, -self.hist_gap)]
+        return pair, np.concatenate(nums)
+
+    def _fold(self, begin, end, forward, ell: int, lows: Sequence[int]) -> np.ndarray:
+        """``_numerators`` of the rows r that read the histogram entries
+        begin[r]:end[r], forward where ``forward`` holds and negated elsewhere."""
+        counts = end - begin
+        row = np.repeat(np.arange(len(counts)), counts)
+        entry = np.arange(len(row)) + np.repeat(begin - np.cumsum(counts) + counts, counts)
+        gap = self.hist_gap[entry]
+        return _numerators(row, np.where(forward[row], gap, -gap), self.hist_users[entry],
+                           len(begin), ell, lows)
+
     def union(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """|U_a ∪ U_b| of co-occurring item pairs."""
-        at = np.searchsorted(self.co, self._pair_key(a, b))
-        return self.item_users[a] + self.item_users[b] - self.co_users[at]
+        """|U_a ∪ U_b| of any item pairs."""
+        key = self._pair_key(a, b)
+        at = np.searchsorted(self.co, key)
+        # users of both items: co_users where the key is in ``co`` (the -1
+        # sentinel stops a key past the last one), all of U_a where a is b
+        both = np.where(np.append(self.co, -1)[at] == key, np.append(self.co_users, 0)[at], 0)
+        both = np.where(a == b, self.item_users[a], both)
+        return self.item_users[a] + self.item_users[b] - both
 
     def numerators(self, cand: np.ndarray, target: np.ndarray, ell: int,
                    lows: Sequence[int]) -> np.ndarray:
-        """``_numerators`` for the directed pairs cand -> target."""
-        base = self._pair_key(cand, target) * self.width + self.ell_max
-        return _numerators(self.hist_keys, self.hist_cum, base, cand < target, ell, lows)
+        """``_numerators`` for the directed pairs cand -> target; a pair
+        without histogram entries counts 0."""
+        key = self._pair_key(cand, target)
+        at = np.searchsorted(self.gaps, key)
+        begin = self.starts[at]
+        found = np.append(self.gaps, -1)[at] == key
+        end = np.where(found, self.starts[np.minimum(at + 1, len(self.gaps))], begin)
+        return self._fold(begin, end, cand < target, ell, lows)
+
+
+def _counted(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys of the arrays ``parts``, ascending, with their
+    counts; ``parts`` is emptied before the sort, which then holds one copy."""
+    keys = np.concatenate(parts)
+    parts.clear()
+    return np.unique(keys, return_counts=True)
 
 
 def count_pairs(catalog: Sequence[str], codes: np.ndarray, offsets: np.ndarray, ell_max: int) -> PairStore:
@@ -193,9 +229,9 @@ def count_pairs(catalog: Sequence[str], codes: np.ndarray, offsets: np.ndarray, 
     catalog items the corpus holds. The pairs at position distance d are the
     corpus against itself shifted by d, kept where both events belong to one
     user. One vectorized pass per d packs them into pair keys (all d: exact
-    co-occurrence) and histogram keys (d <= ell_max), and ``np.unique`` counts
-    each; the in-band pair keys are then one linear pass over the sorted
-    histogram keys.
+    co-occurrence) and histogram keys (pair*(2*ell_max + 1) + gap + ell_max,
+    d <= ell_max), and ``np.unique`` counts each; the sorted histogram keys
+    then split into the entry columns in one linear pass.
     """
     if ell_max < 1:
         raise ValueError(f"ell_max must be >= 1, got {ell_max}")
@@ -222,10 +258,19 @@ def count_pairs(catalog: Sequence[str], codes: np.ndarray, offsets: np.ndarray, 
         co_parts.append(pair)
         if d <= ell_max:
             hist_parts.append(pair * width + np.where(earlier < later, d + ell_max, ell_max - d))
-    co, co_users = np.unique(np.concatenate(co_parts), return_counts=True)
-    hist_keys, hist_users = np.unique(np.concatenate(hist_parts), return_counts=True)
+    co, co_users = _counted(co_parts)
+    # hist_gap holds the histogram keys until they are split, in place
+    hist_gap, hist_users = _counted(hist_parts)
+    pair = hist_gap // width
+    hist_gap -= pair * width + ell_max
+    # one pair's entries are adjacent; pair keys are >= 0, so the prepended
+    # -1 makes the first entry a step
+    starts = np.flatnonzero(np.diff(pair, prepend=-1))
+    gaps = pair[starts]
+    starts = np.append(starts, len(pair))
+    del pair
 
-    store = PairStore(items, item_users, co, co_users, hist_keys, hist_users, ell_max)
+    store = PairStore(items, item_users, co, co_users, gaps, starts, hist_gap, hist_users, ell_max)
     log.info(
         "counted %d sequences: %d items, %d co-occurring pairs, %d within gap band %d",
         np.count_nonzero(lengths), n, len(store.co), len(store.gaps), ell_max,
@@ -440,10 +485,12 @@ class NeighborIndex:
 
 def _select(
     store: PairStore, params: SimilarityParams, measure: str, rank_by: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(target, candidate, ranking score) of the top n_neighbors candidates
-    per target, in index row order: target ascending, then score descending
-    (equal floats tie), then candidate ascending.
+) -> tuple[np.ndarray, ...]:
+    """(target, candidate, ranking score, pair, union) of the top n_neighbors
+    candidates per target, in index row order: target ascending, then score
+    descending (equal floats tie), then candidate ascending. Row r reads the
+    histogram of gaps[pair[r]], and union[r] is its |U_cand ∪ U_target|;
+    pair and union are None for cosine.
 
     The order is one ``argsort`` of an int64 key packing the target, the
     dense rank of the score among the distinct scores and the candidate;
@@ -457,33 +504,35 @@ def _select(
     if store.ell_max < params.ell:
         raise ValueError(f"store gap band {store.ell_max} narrower than ell={params.ell}")
 
+    n = store.n_items
     if measure == "cosine":
-        pairs = store.co
-    else:
-        # the pairs with a histogram entry in [-ell, ell]: those of a store
-        # banded at ell, however wide this store's band is
-        keys = store.hist_keys
-        pairs = _pair_keys(keys[np.abs(keys % store.width - store.ell_max) <= params.ell], store.width)
-    lo, hi = np.divmod(pairs, store.n_items)
-    # both directions of every candidate pair
-    cand, target = np.concatenate((lo, hi)), np.concatenate((hi, lo))
-    if measure == "cosine":
+        lo, hi = np.divmod(store.co, n)
         users = store.item_users
         score = np.tile(store.co_users / np.sqrt(users[lo] * users[hi]), 2)
+        pair = union = None
     else:
+        # the candidates are the pairs with a histogram entry in [-ell, ell]:
+        # those of a store banded at ell, however wide this store's band is;
+        # every bound is above -ell, as rho < 1
         ell = params.ell
-        bis_low = _bis_low(params.rho, ell)
-        union = np.tile(store.union(lo, hi), 2)
+        lows = [_bis_low(params.rho, ell)]
         # pas_uni, and pas ranked by its largest value, rank at t = k
-        if measure == "pas_uni" or (measure == "pas" and rank_by == "max_t"):
+        by_uni = measure == "pas_uni" or (measure == "pas" and rank_by == "max_t")
+        if by_uni:
+            lows.append(_uni_low(params.k, params.k, params.scaling, params.w))
+        pair, nums = store._band_fold(ell, lows)
+        lo, hi = np.divmod(store.gaps[pair], n)
+        union = store.gap_union[pair]
+        if by_uni:
             lam = 1.0 if measure == "pas_uni" else params.lam
-            uni_low = _uni_low(params.k, params.k, params.scaling, params.w)
-            nums = store.numerators(cand, target, ell, (bis_low, uni_low))
-            score = _combine(nums[:, 0], nums[:, 1], lam, union)
+            score = _combine(nums[:, 0], nums[:, 1], lam, np.tile(union, 2))
         else:
-            score = store.numerators(cand, target, ell, (bis_low,))[:, 0] / union
+            score = nums[:, 0] / np.tile(union, 2)
+        del nums  # not held through the sort below
+    # both directions of every candidate pair: row r is lo[r] -> hi[r], row
+    # r + len(lo) the reverse
+    cand, target = np.concatenate((lo, hi)), np.concatenate((hi, lo))
 
-    n = store.n_items
     distinct, rank = np.unique(-score, return_inverse=True)
     n_scores = len(distinct)
     if n * n * n_scores > _INT64_MAX:
@@ -498,7 +547,9 @@ def _select(
     counts = np.bincount(target, minlength=n)
     slot = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
     keep = order[slot < params.n_neighbors]
-    return target[keep], cand[keep], score[keep]
+    if pair is not None:
+        pair, union = pair[keep % len(lo)], union[keep % len(lo)]
+    return target[keep], cand[keep], score[keep], pair, union
 
 
 def _selection(
@@ -507,7 +558,8 @@ def _selection(
     """(target, candidate, ranking score, union, numerators) of ``_select``'s
     rows. Column 0 of the numerators counts the gaps in [bis_low, ell] and,
     for pas and pas_uni, column j the gaps in [j, ell] for j = 1..k; union and
-    numerators are None for cosine.
+    numerators are None for cosine. The fold reads only the histogram entries
+    of the selected rows, found through the pairs ``_select`` carries.
 
     Every ``_uni_low`` lies in [1, k], so these columns serve every scaling
     and w. The selection reads neither scaling nor w (pas_uni and max_t rank
@@ -521,14 +573,14 @@ def _selection(
     if store.last_selection is None or store.last_selection[0] != key:
         # free the old selection before making the new one
         store.last_selection = None
-        target, cand, score = _select(store, params, measure, rank_by)
-        union = nums = None
+        target, cand, score, pair, union = _select(store, params, measure, rank_by)
+        nums = None
         if measure != "cosine":
             lows = [_bis_low(params.rho, params.ell)]
             if measure in ("pas", "pas_uni"):
                 lows += range(1, params.k + 1)
-            union = store.union(cand, target)
-            nums = store.numerators(cand, target, params.ell, lows)
+            nums = store._fold(store.starts[pair], store.starts[pair + 1], cand < target,
+                               params.ell, lows)
         arrays = (target, cand, score, union, nums)
         for array in arrays:
             if array is not None:

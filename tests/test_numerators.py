@@ -8,7 +8,9 @@ import math
 import random
 from collections import Counter, defaultdict
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import count_corpus, full_index, pair_rows, random_corpus, row_value
 from pasrec.domain import SCALINGS, SimilarityParams, UserSequence
@@ -63,6 +65,30 @@ def reference_pas(gaps, union, params, t):
 
 def reference_cosine(gaps, users_from, users_to):
     return sum(gaps.values()) / math.sqrt(users_from * users_to)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pair_store_numerators_match_recounted_histograms(data):
+    ell_max = data.draw(st.integers(1, 5))
+    drawn = data.draw(st.lists(st.lists(st.sampled_from("abcdef"), max_size=6, unique=True),
+                               max_size=8))
+    # x0 -> x{ell_max} sits at the band's edge, so beyond any ell < ell_max;
+    # x0 and x{ell_max + 1} co-occur only outside the band, and z never
+    # co-occurs: neither pair has a histogram
+    corpus = [UserSequence.from_items(f"u{n}", items) for n, items in enumerate(
+        [*drawn, [f"x{j}" for j in range(ell_max + 2)], ["z"]])]
+    store = count_corpus(corpus, ell_max=ell_max)
+    hist, _ = recount(corpus)
+    ell = data.draw(st.integers(1, ell_max))
+    lows = data.draw(st.lists(st.integers(-ell_max - 1, ell_max + 2), min_size=1, max_size=4))
+    n = store.n_items
+    # every directed pair, an item with itself included, in a random order
+    pairs = data.draw(st.permutations([(a, b) for a in range(n) for b in range(n)]))
+    cand, target = (np.array(side, dtype=np.int64) for side in zip(*pairs))
+    want = [[sum(users for gap, users in hist.get((store.items[a], store.items[b]), {}).items()
+                 if max(low, -ell_max) <= gap <= ell) for low in lows] for a, b in pairs]
+    assert store.numerators(cand, target, ell, lows).tolist() == want
 
 
 def synth_sequences():

@@ -128,6 +128,6 @@ def test_oracle_shares_no_state_with_engine(toy_corpus):
     # construction must not affect oracle values
     store = count_corpus(toy_corpus, ell_max=5)
     before = oracle_bis(toy_corpus, "a", "b", 2, 0.2)
-    store.hist_cum[:] = 0
+    store.hist_users[:] = 0
     store.co_users[:] = 0
     assert oracle_bis(toy_corpus, "a", "b", 2, 0.2) == before

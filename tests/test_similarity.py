@@ -54,10 +54,21 @@ def users(*sequences):
 
 def assert_gaps_are_distinct_pair_keys(store):
     """``store.gaps`` is the ascending int64 array of the pair keys that have
-    a histogram entry."""
-    assert store.gaps.dtype == np.int64
-    assert np.array_equal(store.gaps, np.unique(store.hist_keys // store.width))
+    a histogram entry, and starts[j]:starts[j + 1] are the entries of gaps[j]:
+    at least one per pair, each a distinct nonzero gap within the band, in
+    ascending order, with its users."""
+    for column in (store.gaps, store.gap_union, store.starts, store.hist_gap, store.hist_users):
+        assert column.dtype == np.int64
     assert (np.diff(store.gaps) > 0).all()
+    lo, hi = np.divmod(store.gaps, store.n_items)
+    assert np.array_equal(store.gap_union, store.union(lo, hi))
+    assert len(store.starts) == len(store.gaps) + 1 and store.starts[0] == 0
+    assert store.starts[-1] == len(store.hist_gap) == len(store.hist_users)
+    assert (np.diff(store.starts) > 0).all()
+    same_pair = np.repeat(store.gaps, np.diff(store.starts))
+    assert (np.diff(store.hist_gap)[np.diff(same_pair) == 0] > 0).all()
+    assert ((store.hist_gap != 0) & (np.abs(store.hist_gap) <= store.ell_max)).all()
+    assert (store.hist_users > 0).all()
 
 
 def pair_value(store, measure, i_from, i_to, column=0, **params):
@@ -75,7 +86,7 @@ def co_users(store, item_a, item_b):
 
 
 def union(store, item_a, item_b):
-    """|U_a ∪ U_b| of a co-occurring pair, through ``PairStore.union``."""
+    """|U_a ∪ U_b| of an item pair, through ``PairStore.union``."""
     a, b = (np.array([store.items.index(item)]) for item in (item_a, item_b))
     return int(store.union(a, b)[0])
 
@@ -92,6 +103,18 @@ class TestCountPairs:
         assert gap_histogram(store, "a", "b") == {1: 1, 2: 1, -1: 1}
         assert co_users(store, "a", "b") == 3
         assert union(store, "a", "b") == 3
+
+    @pytest.mark.parametrize("corpus, item_a, item_b, want", [
+        (users("a b", "c d", "c d"), "a", "c", 3),
+        (users("a b", "c d", "c d"), "b", "d", 3),
+        # the key of (c, d) sorts past the last co-occurring pair's
+        (users("a b", "c", "d", "d"), "c", "d", 3),
+        (users("a b", "c d", "c d"), "c", "c", 2),
+        (users("a b", "c d", "c d"), "d", "c", 2),
+    ], ids=["a c", "b d", "past the last key", "one item", "co-occurring"])
+    def test_union_of_any_pair(self, corpus, item_a, item_b, want):
+        store = count_corpus(corpus, ell_max=2)
+        assert union(store, item_a, item_b) == want
 
     def test_disjoint_users_have_no_pairs(self):
         store = count_corpus(
@@ -131,7 +154,8 @@ class TestCountPairs:
         ell = data.draw(st.integers(1, 5))
         stores = [count_corpus(c, ell_max=ell) for c in (corpus, shuffled)]
         assert stores[0].items == stores[1].items
-        for field in ("item_users", "co", "co_users", "gaps", "hist_keys", "hist_cum"):
+        for field in ("item_users", "co", "co_users", "gaps", "gap_union", "starts", "hist_gap",
+                      "hist_users"):
             assert getattr(stores[0], field).tolist() == getattr(stores[1], field).tolist()
         params = SimilarityParams(ell=ell, rho=0.5, lam=0.5, scaling="h_b", n_neighbors=2)
         with tempfile.TemporaryDirectory() as tmp:
@@ -157,7 +181,7 @@ class TestCountPairs:
     ], ids=["empty corpus", "no pair in the band", "one pair", "one pair both ways"])
     def test_gaps_of_a_store_with_at_most_one_pair(self, corpus, entries, gaps):
         store = count_corpus(corpus, ell_max=2)
-        assert len(store.hist_keys) == entries
+        assert len(store.hist_gap) == entries
         assert store.gaps.tolist() == gaps
         assert_gaps_are_distinct_pair_keys(store)
 
