@@ -110,7 +110,7 @@ def _numerators(
 
 class PairStore:
     """Gap histograms and co-occurrence counts for a training corpus, as
-    int64 columns.
+    integer columns, int64 but for ``hist_gap``.
 
     items       item identifiers, ascending; an item's index is its position
     item_users  users per item
@@ -120,7 +120,9 @@ class PairStore:
     gap_union   |U_lo ∪ U_hi| of each pair in ``gaps``
     starts      the histogram entries of gaps[j] are starts[j]:starts[j + 1]
     hist_gap    gap p(hi) - p(lo) of each histogram entry, ascending within
-                its pair; the directed view for (hi -> lo) is the negation
+                its pair, in the narrowest signed type that holds the longest
+                sequence's length; the directed view for (hi -> lo) is the
+                negation
     hist_users  users of each histogram entry
 
     Histograms are restricted to |gap| <= ell_max; co-occurrence counts and
@@ -246,12 +248,13 @@ def count_pairs(catalog: Sequence[str], codes: np.ndarray, offsets: np.ndarray, 
             f"(n_items={n}, ell_max={ell_max})"
         )
     lengths = np.diff(offsets)
+    longest = int(lengths.max(initial=0))
     # 0-based position of every event within its user's sequence
     pos = np.arange(len(flat)) - np.repeat(offsets[:-1], lengths)
 
     co_parts = [np.empty(0, dtype=np.int64)]
     hist_parts = [np.empty(0, dtype=np.int64)]
-    for d in range(1, int(lengths.max(initial=0))):
+    for d in range(1, longest):
         same_user = pos[d:] >= d
         earlier, later = flat[:-d][same_user], flat[d:][same_user]
         pair = np.minimum(earlier, later) * n + np.maximum(earlier, later)
@@ -263,6 +266,8 @@ def count_pairs(catalog: Sequence[str], codes: np.ndarray, offsets: np.ndarray, 
     hist_gap, hist_users = _counted(hist_parts)
     pair = hist_gap // width
     hist_gap -= pair * width + ell_max
+    # every |gap| is below the longest length, and so is its negation
+    hist_gap = hist_gap.astype(np.min_scalar_type(-max(longest, 1)))
     # one pair's entries are adjacent; pair keys are >= 0, so the prepended
     # -1 makes the first entry a step
     starts = np.flatnonzero(np.diff(pair, prepend=-1))

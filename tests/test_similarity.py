@@ -57,8 +57,9 @@ def assert_gaps_are_distinct_pair_keys(store):
     a histogram entry, and starts[j]:starts[j + 1] are the entries of gaps[j]:
     at least one per pair, each a distinct nonzero gap within the band, in
     ascending order, with its users."""
-    for column in (store.gaps, store.gap_union, store.starts, store.hist_gap, store.hist_users):
+    for column in (store.gaps, store.gap_union, store.starts, store.hist_users):
         assert column.dtype == np.int64
+    assert np.issubdtype(store.hist_gap.dtype, np.signedinteger)
     assert (np.diff(store.gaps) > 0).all()
     lo, hi = np.divmod(store.gaps, store.n_items)
     assert np.array_equal(store.gap_union, store.union(lo, hi))
@@ -115,6 +116,14 @@ class TestCountPairs:
     def test_union_of_any_pair(self, corpus, item_a, item_b, want):
         store = count_corpus(corpus, ell_max=2)
         assert union(store, item_a, item_b) == want
+
+    def test_gap_column_holds_the_longest_sequence(self):
+        # gaps up to 129 do not fit in int8, whatever the band
+        items = [f"i{j:03d}" for j in range(130)]
+        store = count_corpus([UserSequence.from_items("v", items)], ell_max=200)
+        assert store.hist_gap.min() == 1 and store.hist_gap.max() == 129
+        assert gap_histogram(store, "i000", "i129") == {129: 1}
+        assert gap_histogram(store, "i129", "i000") == {-129: 1}
 
     def test_disjoint_users_have_no_pairs(self):
         store = count_corpus(
