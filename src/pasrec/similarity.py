@@ -17,7 +17,8 @@ directed gap lies in [low, ell] for a list of integer lower bounds, one
 ``np.bincount`` per bound, and either direction of a pair reads the same
 entries through a sign. Neighbor selection scans every entry, the stored
 t = 1..k vectors and the sparsity profile only the entries of the selected
-pairs; no histogram is searched. Both bounds are exact
+pairs, which it carries by index; only ``PairStore.numerators``, for
+arbitrary pairs, searches their keys in ``gaps``. Both bounds are exact
 integers before a histogram is read: the reverse bound is -floor(rho*ell)
 with rho*ell in decimal arithmetic (0.58 * 50 is 29, where floats give
 28.999999999999996), and gap > h(k-t) is gap >= floor(h(k-t)) + 1. Every
@@ -208,10 +209,9 @@ class PairStore:
         without histogram entries counts 0."""
         key = self._pair_key(cand, target)
         at = np.searchsorted(self.gaps, key)
-        begin = self.starts[at]
+        # an absent key, one past the last included, reads starts[at]:starts[at]
         found = np.append(self.gaps, -1)[at] == key
-        end = np.where(found, self.starts[np.minimum(at + 1, len(self.gaps))], begin)
-        return self._fold(begin, end, cand < target, ell, lows)
+        return self._fold(self.starts[at], self.starts[at + found], cand < target, ell, lows)
 
 
 def _counted(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
