@@ -204,7 +204,13 @@ def cmd_build_index(opt: dict) -> None:
     )
 
 
+def _check_topk(opt: dict) -> None:
+    if opt["topk"] < 1:
+        raise ValueError(f"--topk must be >= 1, got {opt['topk']}")
+
+
 def cmd_evaluate(opt: dict) -> None:
+    _check_topk(opt)
     dataset = load_dataset(opt["dataset"])
     index = NeighborIndex.load(opt["index"])
     result = evaluate(
@@ -218,6 +224,7 @@ def cmd_evaluate(opt: dict) -> None:
 
 
 def cmd_grid(opt: dict) -> None:
+    _check_topk(opt)
     grid = expand_grid(
         opt["measure"], ells=opt["ells"], lambdas=opt["lambdas"] or None,
         scalings=opt["scalings"] or None, rho=opt["rho"], w=opt["w"],

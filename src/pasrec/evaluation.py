@@ -35,6 +35,12 @@ class ConfigMismatchError(ValueError):
         self.field_name = field_name
 
 
+def _check_top_k(top_k: int) -> None:
+    # a cutoff below 1 counts every user a miss, so every configuration ties
+    if top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
+
+
 def ndcg_at_k(rank: int, top_k: int) -> float:
     """Discounted gain of the single relevant item: 1/log2(rank+1) inside the
     cutoff, 0 for a miss.
@@ -86,6 +92,7 @@ def evaluate(
     _BLOCK_CELLS cells, and every row is ranked by the same expression.
     Users with an empty history are skipped.
     """
+    _check_top_k(top_k)
     if split not in SPLITS:
         raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
     if measure is not None and measure != index.measure:
@@ -211,6 +218,7 @@ def grid_search(
     """
     if not grid:
         raise ValueError("empty grid")
+    _check_top_k(top_k)
     ell_max = max(params.ell for _, params in grid)
     store = count_pairs(dataset.item_universe, dataset.train_codes, dataset.train_offsets, ell_max)
 

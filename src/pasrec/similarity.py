@@ -17,8 +17,8 @@ directed gap lies in [low, ell] for a list of integer lower bounds, one
 ``np.bincount`` per bound, and either direction of a pair reads the same
 entries through a sign. Neighbor selection scans every entry, the stored
 t = 1..k vectors and the sparsity profile only the entries of the selected
-pairs, which it carries by index; only ``PairStore.numerators``, for
-arbitrary pairs, searches their keys in ``gaps``. Both bounds are exact
+pairs, whose keys the selection searches once in ``gaps``, as
+``PairStore.numerators`` does for arbitrary pairs. Both bounds are exact
 integers before a histogram is read: the reverse bound is -floor(rho*ell)
 with rho*ell in decimal arithmetic (0.58 * 50 is 29, where floats give
 28.999999999999996), and gap > h(k-t) is gap >= floor(h(k-t)) + 1. Every
@@ -163,6 +163,13 @@ class PairStore:
     def n_items(self) -> int:
         return len(self.items)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the store's columns."""
+        return sum(column.nbytes for column in (
+            self.item_users, self.co, self.co_users, self.gaps, self.gap_union, self.starts,
+            self.hist_gap, self.hist_users))
+
     def _pair_key(self, a, b):
         """Key of each unordered item pair (a, b)."""
         return np.minimum(a, b) * self.n_items + np.maximum(a, b)
@@ -216,10 +223,17 @@ class PairStore:
 
 def _counted(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """The distinct keys of the arrays ``parts``, ascending, with their
-    counts; ``parts`` is emptied before the sort, which then holds one copy."""
+    counts; ``parts`` is emptied before the sort, which then holds one copy,
+    sorted in place and cut into runs of equal keys."""
     keys = np.concatenate(parts)
     parts.clear()
-    return np.unique(keys, return_counts=True)
+    keys.sort()
+    step = np.empty(len(keys), dtype=bool)
+    step[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=step[1:])
+    starts = np.flatnonzero(step)
+    del step
+    return keys[starts], np.diff(starts, append=len(keys))
 
 
 def count_pairs(catalog: Sequence[str], codes: np.ndarray, offsets: np.ndarray, ell_max: int) -> PairStore:
@@ -232,8 +246,8 @@ def count_pairs(catalog: Sequence[str], codes: np.ndarray, offsets: np.ndarray, 
     corpus against itself shifted by d, kept where both events belong to one
     user. One vectorized pass per d packs them into pair keys (all d: exact
     co-occurrence) and histogram keys (pair*(2*ell_max + 1) + gap + ell_max,
-    d <= ell_max), and ``np.unique`` counts each; the sorted histogram keys
-    then split into the entry columns in one linear pass.
+    d <= ell_max), and ``_counted`` counts each by an in-place sort; the sorted
+    histogram keys then split into the entry columns in one linear pass.
     """
     if ell_max < 1:
         raise ValueError(f"ell_max must be >= 1, got {ell_max}")
@@ -276,9 +290,14 @@ def count_pairs(catalog: Sequence[str], codes: np.ndarray, offsets: np.ndarray, 
     del pair
 
     store = PairStore(items, item_users, co, co_users, gaps, starts, hist_gap, hist_users, ell_max)
+    # each pair occurrence was one key in the co-occurrence sort and, within
+    # the band, one in the histogram sort
+    occurrences = int(co_users.sum() + hist_users.sum())
     log.info(
-        "counted %d sequences: %d items, %d co-occurring pairs, %d within gap band %d",
+        "counted %d sequences: %d items, %d co-occurring pairs, %d within gap band %d; "
+        "%d pair occurrences sorted into a %.1f MB store",
         np.count_nonzero(lengths), n, len(store.co), len(store.gaps), ell_max,
+        occurrences, store.nbytes / 1e6,
     )
     return store
 
@@ -490,17 +509,18 @@ class NeighborIndex:
 
 def _select(
     store: PairStore, params: SimilarityParams, measure: str, rank_by: str
-) -> tuple[np.ndarray, ...]:
-    """(target, candidate, ranking score, pair, union) of the top n_neighbors
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(target, candidate, ranking score, ranked) of the top n_neighbors
     candidates per target, in index row order: target ascending, then score
-    descending (equal floats tie), then candidate ascending. Row r reads the
-    histogram of gaps[pair[r]], and union[r] is its |U_cand ∪ U_target|;
-    pair and union are None for cosine.
+    descending (equal floats tie), then candidate ascending. ``ranked``
+    counts the candidate rows, one per direction of each candidate pair.
 
-    The order is one ``argsort`` of an int64 key packing the target, the
-    dense rank of the score among the distinct scores and the candidate;
-    a ValueError names the sizes when n_items**2 * distinct scores does not
-    fit in int64.
+    Each candidate row is one int64 key packing its target, the dense rank
+    of its score among the distinct scores, largest first, and its
+    candidate. One in-place sort of the keys orders the rows, and the first
+    n_neighbors keys of each target decode into the kept rows, each score
+    read back from the distinct scores. A ValueError names the sizes when
+    n_items**2 * distinct scores does not fit in int64.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
@@ -514,7 +534,6 @@ def _select(
         lo, hi = np.divmod(store.co, n)
         users = store.item_users
         score = np.tile(store.co_users / np.sqrt(users[lo] * users[hi]), 2)
-        pair = union = None
     else:
         # the candidates are the pairs with a histogram entry in [-ell, ell]:
         # those of a store banded at ell, however wide this store's band is;
@@ -528,43 +547,60 @@ def _select(
         pair, nums = store._band_fold(ell, lows)
         lo, hi = np.divmod(store.gaps[pair], n)
         union = store.gap_union[pair]
+        del pair
+        # nums[0] the rows lo -> hi, nums[1] the rows hi -> lo, each over union
+        nums = nums.reshape(2, len(lo), len(lows))
         if by_uni:
             lam = 1.0 if measure == "pas_uni" else params.lam
-            score = _combine(nums[:, 0], nums[:, 1], lam, np.tile(union, 2))
+            score = _combine(nums[..., 0], nums[..., 1], lam, union).ravel()
         else:
-            score = nums[:, 0] / np.tile(union, 2)
-        del nums  # not held through the sort below
+            score = (nums[..., 0] / union).ravel()
+        del nums, union  # not held through the sort below
     # both directions of every candidate pair: row r is lo[r] -> hi[r], row
     # r + len(lo) the reverse
-    cand, target = np.concatenate((lo, hi)), np.concatenate((hi, lo))
-
-    distinct, rank = np.unique(-score, return_inverse=True)
+    ranked = len(score)
+    per_target = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
+    distinct = np.unique(score)
     n_scores = len(distinct)
     if n * n * n_scores > _INT64_MAX:
         raise ValueError(
             f"selection keys n_items**2 * distinct scores overflow int64 "
             f"(n_items={n}, distinct scores={n_scores})"
         )
+    # (target * n_scores + rank) * n + candidate, built in place one
+    # direction at a time
+    key = np.empty(ranked, dtype=np.int64)
+    for rows, to, by in ((slice(0, len(lo)), hi, lo), (slice(len(lo), ranked), lo, hi)):
+        part = key[rows]
+        part[...] = np.searchsorted(distinct, score[rows])
+        np.subtract(n_scores - 1, part, out=part)
+        part += to * n_scores
+        part *= n
+        part += by
+    # only the keys are held through the sort
+    del score, lo, hi, to, by, part
     # the (target, candidate) pairs are distinct, so the keys are too and an
     # unstable sort gives the one order
-    order = np.argsort((target * n_scores + rank) * n + cand)
-    # a row's slot is its place among its target's rows, which are adjacent
-    counts = np.bincount(target, minlength=n)
-    slot = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
-    keep = order[slot < params.n_neighbors]
-    if pair is not None:
-        pair, union = pair[keep % len(lo)], union[keep % len(lo)]
-    return target[keep], cand[keep], score[keep], pair, union
+    key.sort()
+    # a target's keys are adjacent; keep the first n_neighbors of each
+    kept = np.minimum(per_target, params.n_neighbors)
+    at = np.arange(kept.sum()) + np.repeat(np.cumsum(per_target - kept) - per_target + kept, kept)
+    target, rank_cand = np.divmod(key[at], n_scores * n)
+    del key
+    rank, cand = np.divmod(rank_cand, n)
+    return target, cand, distinct[n_scores - 1 - rank], ranked
 
 
 def _selection(
     store: PairStore, params: SimilarityParams, measure: str, rank_by: str
-) -> tuple[np.ndarray, ...]:
-    """(target, candidate, ranking score, union, numerators) of ``_select``'s
-    rows. Column 0 of the numerators counts the gaps in [bis_low, ell] and,
-    for pas and pas_uni, column j the gaps in [j, ell] for j = 1..k; union and
-    numerators are None for cosine. The fold reads only the histogram entries
-    of the selected rows, found through the pairs ``_select`` carries.
+) -> tuple[tuple[np.ndarray | None, ...], int]:
+    """((target, candidate, ranking score, union, numerators), ranked) of
+    ``_select``'s rows and count of candidate rows. Column 0 of the
+    numerators counts the gaps in [bis_low, ell] and, for pas and pas_uni,
+    column j the gaps in [j, ell] for j = 1..k; union and numerators are
+    None for cosine. The fold reads only the histogram entries of the
+    selected rows, each row's pair found by one search of its key in
+    ``gaps``.
 
     Every ``_uni_low`` lies in [1, k], so these columns serve every scaling
     and w. The selection reads neither scaling nor w (pas_uni and max_t rank
@@ -578,9 +614,11 @@ def _selection(
     if store.last_selection is None or store.last_selection[0] != key:
         # free the old selection before making the new one
         store.last_selection = None
-        target, cand, score, pair, union = _select(store, params, measure, rank_by)
-        nums = None
+        target, cand, score, ranked = _select(store, params, measure, rank_by)
+        union = nums = None
         if measure != "cosine":
+            pair = np.searchsorted(store.gaps, store._pair_key(cand, target))
+            union = store.gap_union[pair]
             lows = [_bis_low(params.rho, params.ell)]
             if measure in ("pas", "pas_uni"):
                 lows += range(1, params.k + 1)
@@ -590,8 +628,8 @@ def _selection(
         for array in arrays:
             if array is not None:
                 array.flags.writeable = False
-        store.last_selection = (key, arrays)
-    return store.last_selection[1]
+        store.last_selection = (key, arrays, ranked)
+    return store.last_selection[1:]
 
 
 def build_neighbor_index(
@@ -615,7 +653,7 @@ def build_neighbor_index(
     keeps both for the next build with the same selection inputs, which then
     only gathers its columns and combines them.
     """
-    target, cand, score, union, nums = _selection(store, params, measure, rank_by)
+    (target, cand, score, union, nums), ranked = _selection(store, params, measure, rank_by)
     if measure == "cosine":
         values = score[:, None]
     else:
@@ -629,7 +667,8 @@ def build_neighbor_index(
                                   _combine(nums[:, :1], nums[:, 1:], lam, union[:, None])))
 
     log.info(
-        "built %s index: %d items, %d neighbor entries", measure, store.n_items, len(target),
+        "built %s index: %d items, %d neighbor entries from %d candidate rows ranked",
+        measure, store.n_items, len(target), ranked,
     )
     return NeighborIndex(measure, params, store.items, target, cand, values, rank_by=rank_by)
 
@@ -646,7 +685,7 @@ def average_uni_by_gap(
     """
     params = SimilarityParams(ell=ell, rho=0.2, lam=1.0, scaling="h_a", w=w,
                               n_neighbors=n_neighbors)
-    *_, union, nums = _selection(store, params, "pas_uni", "bis")
+    (*_, union, nums), _ = _selection(store, params, "pas_uni", "bis")
     profile: dict[str, list[float]] = {}
     for scaling in SCALINGS:
         # column j of nums counts the gaps in [j, ell]

@@ -220,6 +220,18 @@ class TestEvaluate:
         ) == 1
         assert "measure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("topk", ["0", "-2"])
+    def test_topk_below_one_fails_before_reading(self, tmp_path, capsys, topk):
+        # neither input exists, so only a check made before reading them can
+        # give this message
+        out = tmp_path / "rep"
+        assert run(
+            "evaluate", "--dataset", str(tmp_path / "absent"), "--index", str(tmp_path / "no.idx"),
+            "--topk", topk, "--out", str(out),
+        ) == 1
+        assert capsys.readouterr().err == f"error: --topk must be >= 1, got {topk}\n"
+        assert not out.exists()
+
     def test_worker_reports_byte_identical(self, tmp_path, dataset_dir, index_path):
         outs = []
         for workers in ("1", "2"):
@@ -267,6 +279,16 @@ class TestGrid:
         for name in ("report.tsv", "report.json"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
         assert "workers" not in json.loads((outs[1] / "run_config.json").read_text())
+
+    @pytest.mark.parametrize("topk", ["0", "-2"])
+    def test_topk_below_one_fails_before_reading(self, tmp_path, capsys, topk):
+        out = tmp_path / "g"
+        assert run(
+            "grid", "--dataset", str(tmp_path / "absent"), "--out", str(out), "--measure", "bis",
+            "--ells", "3", "--topk", topk,
+        ) == 1
+        assert capsys.readouterr().err == f"error: --topk must be >= 1, got {topk}\n"
+        assert not out.exists()
 
     def test_empty_grid_fails(self, tmp_path, dataset_dir, capsys):
         assert run(

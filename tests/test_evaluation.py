@@ -129,6 +129,14 @@ class TestEvaluate:
         with pytest.raises(ConfigMismatchError, match="measure"):
             evaluate(hit_and_miss_dataset, index, "validation", measure="pas")
 
+    @pytest.mark.parametrize("top_k", [0, -2])
+    def test_top_k_below_one_rejected(self, hit_and_miss_dataset, top_k):
+        store = count_corpus(hit_and_miss_dataset.sequences, ell_max=1)
+        index = build_neighbor_index(store, SimilarityParams(ell=1, lam=0.0), "bis")
+        with pytest.raises(ValueError, match=rf"^top_k must be >= 1, got {top_k}$"):
+            evaluate(hit_and_miss_dataset, index, "validation", top_k=top_k)
+        assert evaluate(hit_and_miss_dataset, index, "validation", top_k=1).n_users == 2
+
 
 class TestHeldOutEdges:
     """A split written by hand: z is held out with no training line, and b
@@ -362,6 +370,13 @@ class TestGridSearch:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty grid"):
             grid_search(self.make_dataset(), [])
+
+    @pytest.mark.parametrize("top_k", [0, -2])
+    def test_top_k_below_one_rejected_before_counting(self, monkeypatch, top_k):
+        # every configuration would tie at 0 and the first would win
+        monkeypatch.setattr(evaluation, "count_pairs", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ValueError, match=rf"^top_k must be >= 1, got {top_k}$"):
+            grid_search(self.make_dataset(), [("bis", SimilarityParams(ell=2))], top_k=top_k)
 
     def test_expand_grid_defaults(self):
         grid = expand_grid("pas", ells=(5, 10, 20, 40), lambdas=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0))

@@ -3,6 +3,8 @@
 Each corpus is checked end to end: the counted columns against literal
 values, every directed pair of a full index against the oracle, the saved
 index of all four measures against the oracle, and the sparsity profile.
+The key counting under the store is checked against ``np.unique`` on
+degenerate key lists.
 """
 import math
 
@@ -12,7 +14,7 @@ import pytest
 from conftest import assert_pairs_match_oracle, count_corpus, gap_histogram, item_pairs
 from pasrec.domain import MEASURES, SCALINGS, SimilarityParams, UserSequence
 from pasrec.oracle import oracle_bis, oracle_cosine, oracle_neighborhood, oracle_pas
-from pasrec.similarity import NeighborIndex, average_uni_by_gap, build_neighbor_index
+from pasrec.similarity import NeighborIndex, _counted, average_uni_by_gap, build_neighbor_index
 
 TOLERANCE = 1e-12
 
@@ -151,3 +153,30 @@ def test_key_range_boundary():
     assert index.entries == [[(1, 0.0, ())], [(0, 1.0, ())]]  # b -> a is gap -1
     with pytest.raises(ValueError, match=rf"n_items=2, ell_max={widest + 1}\b"):
         count_corpus(corpus, ell_max=widest + 1)
+
+
+# the largest histogram key n_items**2 * (2*ell_max + 1) - 1 of a catalog
+# sized so that it sits just below 2**63
+N_WIDE = math.isqrt((2**63 - 1) // 3)
+TOP = N_WIDE * N_WIDE * 3 - 1
+
+
+@pytest.mark.parametrize("parts", [
+    [[]],
+    [[], [], []],
+    [[], [4], []],
+    [[5]],
+    [[7, 7, 7], [7, 7]],
+    [[TOP, TOP - 1, TOP], [], [TOP - 2**40, TOP, 0]],
+    [list(range(40)), list(range(40, 90)), list(range(90, 100)) * 3],
+    [list(range(99, -1, -1)), list(range(50, 0, -2))],
+], ids=["one empty part", "empty parts", "one key among empty parts", "single key",
+        "all keys equal", "keys near the int64 bound", "ascending", "descending"])
+def test_counted_matches_unique(parts):
+    parts = [np.array(part, dtype=np.int64) for part in parts]
+    want_keys, want_counts = np.unique(np.concatenate(parts), return_counts=True)
+    keys, counts = _counted(parts)
+    assert parts == []
+    assert keys.dtype == counts.dtype == np.int64
+    assert keys.tolist() == want_keys.tolist()
+    assert counts.tolist() == want_counts.tolist()

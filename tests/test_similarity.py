@@ -1,8 +1,10 @@
+import logging
 import os
 import random
 from collections import Counter
 import re
 import tempfile
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +25,7 @@ from conftest import (
     window_scores,
 )
 from pasrec.domain import MEASURES, SCALINGS, SimilarityParams, UserSequence, make_session_window
+from pasrec.ingest import build_dataset
 from pasrec.oracle import oracle_bis, oracle_pas, oracle_predict
 from pasrec.predictor import positive_scores
 from pasrec.similarity import (
@@ -30,8 +33,10 @@ from pasrec.similarity import (
     NeighborIndex,
     _bis_low,
     build_neighbor_index,
+    count_pairs,
     scale,
 )
+from pasrec.synth import SynthConfig, generate
 
 
 # users with distinct items drawn from a small catalog, so pairs recur
@@ -801,6 +806,63 @@ class TestSelectionMemo:
             index.nbrs[0] = 2
         with pytest.raises(ValueError, match="read-only"):
             index.values[0, 0] = 1.0
+
+
+class TestBuildMemory:
+    @pytest.fixture(scope="class")
+    def store(self):
+        dataset = build_dataset(generate(SynthConfig(
+            n_users=300, n_items=400, seq_length_range=(15, 40), signal=0.8, reverse_noise=0.1,
+            seed=0)))
+        return count_pairs(dataset.item_universe, dataset.train_codes, dataset.train_offsets, 10)
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_build_peak_is_a_few_int64_rows_per_candidate(self, store, measure):
+        # every pair of a store banded at ell is a candidate of its positional
+        # measures; cosine ranks every co-occurring pair
+        params = SimilarityParams(ell=10)
+        candidates = len(store.co if measure == "cosine" else store.gaps)
+        # a first build, so the measured one allocates nothing for the first time
+        build_neighbor_index(store, params, measure)
+        store.last_selection = None
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            build_neighbor_index(store, params, measure)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # an int64 row per direction of each candidate pair is one unit; a
+        # build that holds a packed key beside its argsort, inverse and
+        # gathers peaks above 10 units on this corpus
+        assert peak <= 8 * (2 * candidates * 8)
+
+
+class TestLogLines:
+    def test_count_pairs_reports_occurrences_and_store_size(self, toy_corpus, caplog):
+        with caplog.at_level(logging.INFO, logger="pasrec.similarity"):
+            store = count_corpus(toy_corpus, ell_max=5)
+        # 3 + 3 + 1 pair occurrences, each sorted once for co-occurrence and
+        # once, all inside the band, for the histograms
+        assert caplog.messages == [
+            "counted 3 sequences: 3 items, 3 co-occurring pairs, 3 within gap band 5; "
+            "14 pair occurrences sorted into a 0.0 MB store"]
+        # six int64 columns of 3 or 4 rows, and 7 histogram entries of int64
+        # users and int8 gaps
+        assert store.nbytes == 8 * (3 + 3 + 3 + 3 + 3 + 4) + 7 * (8 + 1)
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_build_reports_candidate_rows_ranked(self, toy_corpus, caplog, measure):
+        store = count_corpus(toy_corpus, ell_max=5)
+        params = SimilarityParams(ell=5, n_neighbors=1)
+        with caplog.at_level(logging.INFO, logger="pasrec.similarity"):
+            build_neighbor_index(store, params, measure)
+            # a build that reuses the selection reports the rows it was made from
+            build_neighbor_index(store, params, measure)
+        # every pair of a, b and c is a candidate both ways; one neighbor each
+        assert caplog.messages == [
+            f"built {measure} index: 3 items, 3 neighbor entries from 6 candidate rows ranked"] * 2
 
 
 def ranking_scores(store, params, measure, rank_by):
