@@ -6,7 +6,7 @@ p(i_to) - p(i_from) across users, plus user-set cardinalities. The corpus is
 scanned once; every measure, at every hyperparameter setting, is then a cheap
 aggregation over the per-pair histograms.
 
-The store is columnar (see ``PairStore``): sorted int64 pair keys with their
+The store is columnar (see ``PairStore``): sorted pair keys with their
 co-occurrence counts, and all gap histograms as entry columns in pair order,
 each entry a gap with its users, where the entries of one pair are one
 slice found by its index.
@@ -52,7 +52,13 @@ log = logging.getLogger(__name__)
 
 RANK_CRITERIA = ("bis", "max_t")
 
+_INT32_MAX = int(np.iinfo(np.int32).max)
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _int_type(largest: int) -> type:
+    """The narrower of int32 and int64 that holds ``largest``."""
+    return np.int32 if largest <= _INT32_MAX else np.int64
 
 
 def scale(x: float, scaling: str, w: float) -> float:
@@ -111,7 +117,10 @@ def _numerators(
 
 class PairStore:
     """Gap histograms and co-occurrence counts for a training corpus, as
-    integer columns, int64 but for ``hist_gap``.
+    integer columns. Pair keys (``co``, ``gaps``) take the narrower of int32
+    and int64 that holds n_items**2, counts (``co_users``, ``gap_union``,
+    ``hist_users``) the one that holds the number of sequences, ``starts``
+    the one that holds the entry count; ``item_users`` is int64.
 
     items       item identifiers, ascending; an item's index is its position
     item_users  users per item
@@ -121,9 +130,9 @@ class PairStore:
     gap_union   |U_lo ∪ U_hi| of each pair in ``gaps``
     starts      the histogram entries of gaps[j] are starts[j]:starts[j + 1]
     hist_gap    gap p(hi) - p(lo) of each histogram entry, ascending within
-                its pair, in the narrowest signed type that holds the longest
-                sequence's length; the directed view for (hi -> lo) is the
-                negation
+                its pair, in the narrowest signed type that holds the widest
+                gap stored, min(ell_max, longest sequence - 1), and one more,
+                so its negation, the directed view for (hi -> lo), fits too
     hist_users  users of each histogram entry
 
     Histograms are restricted to |gap| <= ell_max; co-occurrence counts and
@@ -152,7 +161,8 @@ class PairStore:
         self.co_users = co_users
         self.gaps = gaps
         lo, hi = np.divmod(gaps, len(items))
-        self.gap_union = item_users[lo] + item_users[hi] - co_users[np.searchsorted(co, gaps)]
+        self.gap_union = (item_users[lo] + item_users[hi]
+                          - co_users[np.searchsorted(co, gaps)]).astype(co_users.dtype)
         self.starts = starts
         self.hist_gap = hist_gap
         self.hist_users = hist_users
@@ -171,8 +181,9 @@ class PairStore:
             self.hist_gap, self.hist_users))
 
     def _pair_key(self, a, b):
-        """Key of each unordered item pair (a, b)."""
-        return np.minimum(a, b) * self.n_items + np.maximum(a, b)
+        """Key of each unordered item pair (a, b), in the type of ``co`` and
+        ``gaps``, so a search of either casts the queries, not the column."""
+        return (np.minimum(a, b) * self.n_items + np.maximum(a, b)).astype(self.co.dtype)
 
     def _band_fold(self, ell: int, lows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """(pair, nums): the pairs gaps[pair] with a histogram entry in
@@ -221,19 +232,20 @@ class PairStore:
         return self._fold(self.starts[at], self.starts[at + found], cand < target, ell, lows)
 
 
-def _counted(parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys of the arrays ``parts``, ascending, with their
-    counts; ``parts`` is emptied before the sort, which then holds one copy,
-    sorted in place and cut into runs of equal keys."""
-    keys = np.concatenate(parts)
-    parts.clear()
+def _counted(keys: np.ndarray, count_type: type) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys``, ascending, with their counts as ``count_type``;
+    ``keys`` is sorted in place and cut into runs of equal keys."""
     keys.sort()
     step = np.empty(len(keys), dtype=bool)
     step[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=step[1:])
     starts = np.flatnonzero(step)
     del step
-    return keys[starts], np.diff(starts, append=len(keys))
+    # run lengths written straight into count_type, with no int64 copy
+    counts = np.empty(len(starts), dtype=count_type)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1:] = len(keys) - starts[-1:]
+    return keys[starts], counts
 
 
 def count_pairs(catalog: Sequence[str], codes: np.ndarray, offsets: np.ndarray, ell_max: int) -> PairStore:
@@ -244,10 +256,13 @@ def count_pairs(catalog: Sequence[str], codes: np.ndarray, offsets: np.ndarray, 
     as a ``Dataset`` holds its training items. The store's items are the
     catalog items the corpus holds. The pairs at position distance d are the
     corpus against itself shifted by d, kept where both events belong to one
-    user. One vectorized pass per d packs them into pair keys (all d: exact
-    co-occurrence) and histogram keys (pair*(2*ell_max + 1) + gap + ell_max,
-    d <= ell_max), and ``_counted`` counts each by an in-place sort; the sorted
-    histogram keys then split into the entry columns in one linear pass.
+    user; a user of length L has L - d of them, so both key buffers are
+    sized before the scan. One vectorized pass per d writes them, in place,
+    as pair keys (all d: exact co-occurrence) and histogram keys
+    (pair*(2*ell_max + 1) + gap + ell_max, d <= ell_max), each buffer in the
+    narrower of int32 and int64 that holds its largest key, and ``_counted``
+    counts each by an in-place sort; the sorted histogram keys then split
+    into the entry columns in one linear pass.
     """
     if ell_max < 1:
         raise ValueError(f"ell_max must be >= 1, got {ell_max}")
@@ -261,43 +276,61 @@ def count_pairs(catalog: Sequence[str], codes: np.ndarray, offsets: np.ndarray, 
             f"histogram keys n_items**2 * (2*ell_max + 1) overflow int64 "
             f"(n_items={n}, ell_max={ell_max})"
         )
+    pair_type = _int_type(n * n)
+    # no count exceeds the number of sequences
+    count_type = _int_type(len(offsets) - 1)
     lengths = np.diff(offsets)
     longest = int(lengths.max(initial=0))
+    # the widest gap a histogram holds
+    band = max(min(ell_max, longest - 1), 0)
     # 0-based position of every event within its user's sequence
     pos = np.arange(len(flat)) - np.repeat(offsets[:-1], lengths)
+    flat = flat.astype(pair_type)
 
-    co_parts = [np.empty(0, dtype=np.int64)]
-    hist_parts = [np.empty(0, dtype=np.int64)]
+    # sum over d <= m of L - d is m*L - m*(m + 1)/2 pairs per user
+    in_band = np.minimum(lengths - 1, band).clip(0)
+    co = np.empty(int((lengths * (lengths - 1) // 2).sum()), dtype=pair_type)
+    # an empty corpus still keeps width and ell_max inside the key type
+    hist = np.empty(int((in_band * lengths - in_band * (in_band + 1) // 2).sum()),
+                    dtype=_int_type(max(n, 1) ** 2 * width))
+    occurrences, key_bytes = len(co) + len(hist), co.nbytes + hist.nbytes
+    key_types = " and ".join(sorted({co.dtype.name, hist.dtype.name}))
+    co_end = hist_end = 0
     for d in range(1, longest):
         same_user = pos[d:] >= d
         earlier, later = flat[:-d][same_user], flat[d:][same_user]
-        pair = np.minimum(earlier, later) * n + np.maximum(earlier, later)
-        co_parts.append(pair)
-        if d <= ell_max:
-            hist_parts.append(pair * width + np.where(earlier < later, d + ell_max, ell_max - d))
-    co, co_users = _counted(co_parts)
-    # hist_gap holds the histogram keys until they are split, in place
-    hist_gap, hist_users = _counted(hist_parts)
-    pair = hist_gap // width
-    hist_gap -= pair * width + ell_max
-    # every |gap| is below the longest length, and so is its negation
-    hist_gap = hist_gap.astype(np.min_scalar_type(-max(longest, 1)))
+        pair = np.minimum(earlier, later)
+        pair *= n
+        pair += np.maximum(earlier, later)
+        co[co_end:co_end + len(pair)] = pair
+        co_end += len(pair)
+        if d <= band:
+            # the histogram key may be wider than the pair key
+            hist[hist_end:hist_end + len(pair)] = (np.multiply(pair, width, dtype=hist.dtype)
+                                                   + np.where(earlier < later, d + ell_max, ell_max - d))
+            hist_end += len(pair)
+    del pos, flat
+    co, co_users = _counted(co, count_type)
+    hist, hist_users = _counted(hist, count_type)
+    pair = hist // width
+    hist -= pair * width + ell_max
+    # every |gap| is at most band, and the type holds -(band + 1), so the
+    # negation of every gap fits too
+    hist_gap = hist.astype(np.min_scalar_type(-(band + 1)))
+    del hist
     # one pair's entries are adjacent; pair keys are >= 0, so the prepended
     # -1 makes the first entry a step
     starts = np.flatnonzero(np.diff(pair, prepend=-1))
-    gaps = pair[starts]
-    starts = np.append(starts, len(pair))
+    gaps = pair[starts].astype(pair_type)
+    starts = np.append(starts, len(pair)).astype(_int_type(len(pair)))
     del pair
 
     store = PairStore(items, item_users, co, co_users, gaps, starts, hist_gap, hist_users, ell_max)
-    # each pair occurrence was one key in the co-occurrence sort and, within
-    # the band, one in the histogram sort
-    occurrences = int(co_users.sum() + hist_users.sum())
     log.info(
         "counted %d sequences: %d items, %d co-occurring pairs, %d within gap band %d; "
-        "%d pair occurrences sorted into a %.1f MB store",
+        "%d pair occurrences sorted as %s keys (%.1f MB) into a %.1f MB store",
         np.count_nonzero(lengths), n, len(store.co), len(store.gaps), ell_max,
-        occurrences, store.nbytes / 1e6,
+        occurrences, key_types, key_bytes / 1e6, store.nbytes / 1e6,
     )
     return store
 
@@ -568,13 +601,15 @@ def _select(
             f"(n_items={n}, distinct scores={n_scores})"
         )
     # (target * n_scores + rank) * n + candidate, built in place one
-    # direction at a time
+    # direction at a time; lo and hi may be int32, so every product is
+    # taken in the int64 key
     key = np.empty(ranked, dtype=np.int64)
     for rows, to, by in ((slice(0, len(lo)), hi, lo), (slice(len(lo), ranked), lo, hi)):
         part = key[rows]
-        part[...] = np.searchsorted(distinct, score[rows])
-        np.subtract(n_scores - 1, part, out=part)
-        part += to * n_scores
+        part[...] = to
+        part *= n_scores
+        part += n_scores - 1
+        part -= np.searchsorted(distinct, score[rows])
         part *= n
         part += by
     # only the keys are held through the sort

@@ -6,6 +6,7 @@ index of all four measures against the oracle, and the sparsity profile.
 The key counting under the store is checked against ``np.unique`` on
 degenerate key lists.
 """
+import logging
 import math
 
 import numpy as np
@@ -173,10 +174,52 @@ TOP = N_WIDE * N_WIDE * 3 - 1
 ], ids=["one empty part", "empty parts", "one key among empty parts", "single key",
         "all keys equal", "keys near the int64 bound", "ascending", "descending"])
 def test_counted_matches_unique(parts):
-    parts = [np.array(part, dtype=np.int64) for part in parts]
-    want_keys, want_counts = np.unique(np.concatenate(parts), return_counts=True)
-    keys, counts = _counted(parts)
-    assert parts == []
-    assert keys.dtype == counts.dtype == np.int64
-    assert keys.tolist() == want_keys.tolist()
-    assert counts.tolist() == want_counts.tolist()
+    # the parts lie end to end in one buffer, as count_pairs fills it; the
+    # keys and counts are int32 too where the keys fit
+    buffer = np.array([key for part in parts for key in part], dtype=np.int64)
+    want_keys, want_counts = np.unique(buffer, return_counts=True)
+    key_types = [np.int64, np.int32] if buffer.max(initial=0) <= 2**31 - 1 else [np.int64]
+    for key_type in key_types:
+        keys = buffer.astype(key_type)
+        got_keys, counts = _counted(keys, key_type)
+        assert keys.tolist() == sorted(buffer.tolist())  # sorted in place
+        assert got_keys.dtype == counts.dtype == key_type
+        assert got_keys.tolist() == want_keys.tolist()
+        assert counts.tolist() == want_counts.tolist()
+
+
+# n_items**2 * (2*ell_max + 1) <= 2**31 - 1 holds up to ell_max = 2**28 - 1
+# for two items: the histogram keys are int32 there and int64 one above,
+# while the pair keys stay int32
+WIDEST_INT32 = 2**28 - 1
+KEY_WIDTHS = {WIDEST_INT32: "int32 keys", WIDEST_INT32 + 1: "int32 and int64 keys"}
+WIDTH_CORPUS = users("a b", "b a", "a b", "a", "b", "b")
+
+
+def test_key_width_boundary_counts_the_same(caplog):
+    assert 4 * (2 * WIDEST_INT32 + 1) <= 2**31 - 1 < 4 * (2 * (WIDEST_INT32 + 1) + 1)
+    stores = []
+    for ell_max, key_types in KEY_WIDTHS.items():
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="pasrec.similarity"):
+            stores.append(count_corpus(WIDTH_CORPUS, ell_max=ell_max))
+        assert f"sorted as {key_types} (" in caplog.messages[0]
+    narrow, wide = stores
+    assert narrow.items == wide.items == ("a", "b")
+    for field in ("item_users", "co", "co_users", "gaps", "gap_union", "starts", "hist_gap",
+                  "hist_users"):
+        assert getattr(narrow, field).dtype == getattr(wide, field).dtype
+        assert getattr(narrow, field).tolist() == getattr(wide, field).tolist()
+    # a -> b at gap 1 for two users, at gap -1 for one
+    assert narrow.hist_gap.tolist() == [-1, 1] and narrow.hist_users.tolist() == [1, 2]
+    for store in stores:
+        got = store.numerators(np.array([0, 1]), np.array([1, 0]), 1, [1, -1])
+        assert got.tolist() == [[2, 3], [1, 3]]
+
+
+@pytest.mark.parametrize("ell_max", sorted(KEY_WIDTHS), ids=["int32 keys", "int64 keys"])
+def test_key_width_boundary_indexes_match_oracle(ell_max):
+    store = count_corpus(WIDTH_CORPUS, ell_max=ell_max)
+    pairs = [("a", "b"), ("b", "a")]
+    for ell in (1, 2):
+        assert_pairs_match_oracle(WIDTH_CORPUS, store, edge_params(ell), pairs, TOLERANCE)

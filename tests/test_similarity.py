@@ -57,13 +57,23 @@ def users(*sequences):
     return [UserSequence.from_items(f"v{n}", items.split()) for n, items in enumerate(sequences)]
 
 
-def assert_gaps_are_distinct_pair_keys(store):
-    """``store.gaps`` is the ascending int64 array of the pair keys that have
-    a histogram entry, and starts[j]:starts[j + 1] are the entries of gaps[j]:
+def narrowest(largest):
+    """The narrower of int32 and int64 that holds ``largest``."""
+    return np.int32 if largest <= 2**31 - 1 else np.int64
+
+
+def assert_gaps_are_distinct_pair_keys(store, n_sequences):
+    """``store.gaps`` is the ascending array of the pair keys that have a
+    histogram entry, and starts[j]:starts[j + 1] are the entries of gaps[j]:
     at least one per pair, each a distinct nonzero gap within the band, in
-    ascending order, with its users."""
-    for column in (store.gaps, store.gap_union, store.starts, store.hist_users):
-        assert column.dtype == np.int64
+    ascending order, with its users. Each integer column is the narrower of
+    int32 and int64 that holds its largest value: n_items**2 for pair keys,
+    the ``n_sequences`` counted for counts and unions, the entry count for
+    ``starts``."""
+    assert store.co.dtype == store.gaps.dtype == narrowest(store.n_items**2)
+    for column in (store.co_users, store.gap_union, store.hist_users):
+        assert column.dtype == narrowest(n_sequences)
+    assert store.starts.dtype == narrowest(len(store.hist_gap))
     assert np.issubdtype(store.hist_gap.dtype, np.signedinteger)
     assert (np.diff(store.gaps) > 0).all()
     lo, hi = np.divmod(store.gaps, store.n_items)
@@ -130,6 +140,21 @@ class TestCountPairs:
         assert gap_histogram(store, "i000", "i129") == {129: 1}
         assert gap_histogram(store, "i129", "i000") == {-129: 1}
 
+    @pytest.mark.parametrize("length, ell_max, gap_type", [
+        (200, 5, np.int8), (200, 127, np.int8), (200, 128, np.int16), (128, 200, np.int8),
+        (129, 200, np.int16),
+    ])
+    def test_gap_column_holds_the_band(self, length, ell_max, gap_type):
+        # the widest gap stored is min(ell_max, length - 1), whose negation,
+        # the reverse direction, must fit too
+        items = [f"i{j:03d}" for j in range(length)]
+        store = count_corpus([UserSequence.from_items("v", items)], ell_max=ell_max)
+        band = min(ell_max, length - 1)
+        assert store.hist_gap.dtype == gap_type
+        assert store.hist_gap.min() == 1 and store.hist_gap.max() == band
+        assert gap_histogram(store, items[0], items[band]) == {band: 1}
+        assert gap_histogram(store, items[band], items[0]) == {-band: 1}
+
     def test_disjoint_users_have_no_pairs(self):
         store = count_corpus(
             [UserSequence.from_items("v1", ["a"]), UserSequence.from_items("v2", ["b"])],
@@ -185,7 +210,8 @@ class TestCountPairs:
     def test_gaps_are_the_distinct_pair_keys_of_the_histograms(self):
         rng = random.Random(19)
         for trial in range(12):
-            assert_gaps_are_distinct_pair_keys(count_corpus(random_corpus(rng), ell_max=1 + trial % 6))
+            corpus = random_corpus(rng)
+            assert_gaps_are_distinct_pair_keys(count_corpus(corpus, ell_max=1 + trial % 6), len(corpus))
 
     @pytest.mark.parametrize("corpus, entries, gaps", [
         ([], 0, []),
@@ -197,7 +223,7 @@ class TestCountPairs:
         store = count_corpus(corpus, ell_max=2)
         assert len(store.hist_gap) == entries
         assert store.gaps.tolist() == gaps
-        assert_gaps_are_distinct_pair_keys(store)
+        assert_gaps_are_distinct_pair_keys(store, len(corpus))
 
     def test_unknown_items_scorable(self, toy_corpus):
         store = count_corpus(toy_corpus, ell_max=5)
@@ -808,13 +834,42 @@ class TestSelectionMemo:
             index.values[0, 0] = 1.0
 
 
+@pytest.fixture(scope="module")
+def memory_dataset():
+    return build_dataset(generate(SynthConfig(
+        n_users=300, n_items=400, seq_length_range=(15, 40), signal=0.8, reverse_noise=0.1, seed=0)))
+
+
+class TestCountMemory:
+    def test_count_peak_is_under_two_int64_rows_per_occurrence(self, memory_dataset, caplog):
+        args = (memory_dataset.item_universe, memory_dataset.train_codes,
+                memory_dataset.train_offsets, 10)
+        # a first count, so the measured one allocates nothing for the first time
+        count_pairs(*args)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            with caplog.at_level(logging.INFO, logger="pasrec.similarity"):
+                count_pairs(*args)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        occurrences, key_mb = re.search(r"(\d+) pair occurrences sorted as int32 keys \(([\d.]+) MB\)",
+                                        caplog.messages[-1]).groups()
+        occurrences = int(occurrences)
+        assert key_mb == f"{occurrences * 4 / 1e6:.1f}"
+        # an int64 row per pair occurrence is one unit; a count that holds
+        # the occurrences as int64 lists beside their concatenation peaks at
+        # 2.5 units on this corpus, one that fills one int32 buffer at 1.5
+        assert peak <= 2 * occurrences * 8
+
+
 class TestBuildMemory:
     @pytest.fixture(scope="class")
-    def store(self):
-        dataset = build_dataset(generate(SynthConfig(
-            n_users=300, n_items=400, seq_length_range=(15, 40), signal=0.8, reverse_noise=0.1,
-            seed=0)))
-        return count_pairs(dataset.item_universe, dataset.train_codes, dataset.train_offsets, 10)
+    def store(self, memory_dataset):
+        return count_pairs(memory_dataset.item_universe, memory_dataset.train_codes,
+                           memory_dataset.train_offsets, 10)
 
     @pytest.mark.parametrize("measure", MEASURES)
     def test_build_peak_is_a_few_int64_rows_per_candidate(self, store, measure):
@@ -847,10 +902,10 @@ class TestLogLines:
         # once, all inside the band, for the histograms
         assert caplog.messages == [
             "counted 3 sequences: 3 items, 3 co-occurring pairs, 3 within gap band 5; "
-            "14 pair occurrences sorted into a 0.0 MB store"]
-        # six int64 columns of 3 or 4 rows, and 7 histogram entries of int64
-        # users and int8 gaps
-        assert store.nbytes == 8 * (3 + 3 + 3 + 3 + 3 + 4) + 7 * (8 + 1)
+            "14 pair occurrences sorted as int32 keys (0.0 MB) into a 0.0 MB store"]
+        # int64 item users, five int32 columns of 3 or 4 rows, and 7
+        # histogram entries of int32 users and int8 gaps
+        assert store.nbytes == 8 * 3 + 4 * (3 + 3 + 3 + 3 + 4) + 7 * (4 + 1)
 
     @pytest.mark.parametrize("measure", MEASURES)
     def test_build_reports_candidate_rows_ranked(self, toy_corpus, caplog, measure):
