@@ -58,7 +58,8 @@ def _read_config(path: str | None) -> dict[str, tuple[str, str]]:
     if path is None:
         return {}
     config: dict[str, tuple[str, str]] = {}
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig drops a byte-order mark, which would join the first key
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -170,7 +171,9 @@ def cmd_prepare(opt: dict) -> None:
         rating_col=opt["rating_col"] if opt["rating_col"] >= 0 else None,
         timestamp_col=opt["timestamp_col"],
     )
-    with open(opt["input"], encoding="utf-8") as fh:
+    # utf-8-sig drops a byte-order mark, which would join the first user id;
+    # a byte that is not UTF-8 reaches the parser, which names its line
+    with open(opt["input"], encoding="utf-8-sig", errors="surrogateescape") as fh:
         table = parse_interactions(fh, schema, on_error=opt["on_error"])
     n_parsed = len(table)
     table = filter_positive(table, opt["filter"])

@@ -2,25 +2,34 @@
 
 ``parse_interactions`` reads a log into one columnar table,
 ``Interactions``: user and item ids as lists of str, ratings and timestamps
-as int64 arrays. Every later stage is an array pass over that table: keep
-positive feedback (a mask) -> drop duplicate (user, item) pairs keeping the
-earliest (one lexsort) -> optionally subsample users -> split per user into
-training sequence / validation item / test item (one lexsort).
+as int64 arrays. It reads ``_BLOCK_LINES`` lines at a time: each block is
+joined and split into columns once, each distinct rating or timestamp text
+is checked and converted once, and ids are encoded as they come, so the
+table leaves with its codes. Every later stage is an array pass over that
+table: keep positive feedback (a mask) -> drop duplicate (user, item) pairs
+keeping the earliest (one lexsort) -> optionally subsample users -> split
+per user into training sequence / validation item / test item (one
+lexsort).
 
-Ids are interned through ``sorted(set(...))`` and a dict, so a code's order
-is its id's order under Python's string comparison. numpy's fixed-width
-strings are avoided: they drop trailing NULs and would merge 'a\\x00' with
-'a'.
+``save_dataset`` writes the split files one ``%`` format per block of
+lines. ``load_dataset`` reads them back in blocks into user and item codes,
+and checks them with array passes over the codes. Both readers name the
+line of the first fault they meet, and hold one block of text at a time.
+
+Ids are interned through a dict and ``sorted``, so a code's order is its
+id's order under Python's string comparison. numpy's fixed-width strings
+are avoided: they drop trailing NULs and would merge 'a\\x00' with 'a'.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
 import os
 import random
+import re
 from dataclasses import dataclass, asdict
-from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from functools import cached_property
 
@@ -31,6 +40,9 @@ from .domain import UserSequence
 log = logging.getLogger(__name__)
 
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
+_BLOCK_LINES = 4096  # input lines read, split and checked at a time
+# how errors="surrogateescape" decodes a byte that is not UTF-8
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 class ParseError(ValueError):
@@ -60,11 +72,27 @@ class ColumnSchema:
         return cls(delimiter=",")
 
 
+def _encode(names: list[str], codes: dict[str, int]) -> np.ndarray:
+    """Each name's code in ``codes``, a name new to it taking the next code."""
+    codes.update(zip(set(names).difference(codes), itertools.count(len(codes))))
+    return np.fromiter(map(codes.__getitem__, names), dtype=np.int64, count=len(names))
+
+
+def _ranks(codes: dict[str, int]) -> tuple[list[str], np.ndarray]:
+    """The names of ``codes`` in ascending order, and each code's position
+    among them."""
+    vocab = sorted(codes)
+    rank = np.empty(len(vocab), dtype=np.int64)
+    rank[np.fromiter(map(codes.__getitem__, vocab), dtype=np.int64, count=len(vocab))] = np.arange(len(vocab))
+    return vocab, rank
+
+
 def _intern(ids: list[str]) -> tuple[list[str], np.ndarray]:
     """The sorted distinct ids, and each id's position among them."""
-    vocab = sorted(set(ids))
-    code = {name: j for j, name in enumerate(vocab)}
-    return vocab, np.fromiter(map(code.__getitem__, ids), dtype=np.int64, count=len(ids))
+    codes: dict[str, int] = {}
+    first = _encode(ids, codes)
+    vocab, rank = _ranks(codes)
+    return vocab, rank[first]
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,65 +213,199 @@ class Dataset:
         return {self.users[r]: self.item_universe[c] for r, c in enumerate(self.test_codes.tolist()) if c >= 0}
 
 
+def _blocks(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """Consecutive blocks of at most ``_BLOCK_LINES`` lines, each with the
+    1-based number of its first line."""
+    lines = iter(lines)
+    start = 1
+    while block := list(itertools.islice(lines, _BLOCK_LINES)):
+        yield start, block
+        start += len(block)
+
+
+def _breaks(text: str) -> bool:
+    """Whether ``text`` holds a tab or a line break."""
+    return "\t" in text or "\r" in text or "\n" in text
+
+
+def _escaped(line: str) -> str | None:
+    """Why ``line`` is not text, when it holds a byte that is not UTF-8
+    (decoded by errors="surrogateescape"), or None."""
+    found = _ESCAPED_BYTE.search(line)
+    return found and f"byte 0x{ord(found.group()) - 0xDC00:02x} is not valid UTF-8"
+
+
+def _cells(rows: list[str], delimiter: str) -> tuple[list[str], np.ndarray]:
+    """The fields of every row, row after row, and each row's count of them.
+    The rows are joined and split once, unless a row ending in the start of
+    a multi-character delimiter could join the delimiter after it."""
+    joined = delimiter.join(rows)
+    if any(delimiter[:k] + delimiter in joined for k in range(1, len(delimiter))):
+        cells = [cell for row in rows for cell in row.split(delimiter)]
+    else:
+        cells = joined.split(delimiter)
+    return cells, _counts(rows, delimiter) + 1
+
+
+def _counts(lines: list[str], text: str) -> np.ndarray:
+    """How many times ``text`` occurs in each line."""
+    return np.fromiter(map(str.count, lines, itertools.repeat(text)), dtype=np.int64, count=len(lines))
+
+
+def _fields(cells: list[str], widths: np.ndarray, columns: list[int]) -> list[list[str]]:
+    """The cells at ``columns`` of each line that has them, one list per
+    column, for lines of ``widths`` cells laid end to end in ``cells``."""
+    if len(widths) and widths[0] > max(columns) and (widths == widths[0]).all():
+        return [cells[column::widths[0]] for column in columns]
+    first = (np.cumsum(widths) - widths)[widths > max(columns)]
+    table = np.array(cells, dtype=object)
+    return [table[first + column].tolist() for column in columns]
+
+
+def _concatenate(parts: list[np.ndarray]) -> np.ndarray:
+    """The parts end to end. The list is emptied, freeing each part."""
+    whole = np.concatenate(parts)
+    parts.clear()
+    return whole
+
+
+def _decimal(text: str) -> str:
+    """An optional '-' and ASCII digits as ``int`` would print them; ``int``
+    itself refuses more than 4,300 digits, leading zeros included."""
+    digits = text.lstrip("-").lstrip("0") or "0"
+    return "-" + digits if text.startswith("-") and digits != "0" else digits
+
+
+def _integers(texts: list[str], lowest: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each text's int64 value, and its fault: 1 when it is not an optional
+    '-' followed by ASCII digits (``int`` would also take spaces, '+', '_'
+    and non-ASCII digits), 2 when its value is outside [lowest, 2**63 - 1],
+    else 0. A faulty text's value is 0. Each distinct text is checked and
+    converted once."""
+    values: dict[str, int] = {}
+    faults: dict[str, int] = {}
+    for text in set(texts):
+        if not (text.isascii() and text.removeprefix("-").isdigit()):
+            faults[text] = 1
+        elif len(decimal := _decimal(text)) <= 20 and lowest <= (number := int(decimal)) <= _INT64_MAX:
+            values[text] = number
+        else:
+            faults[text] = 2
+    n = len(texts)
+    if len(values) == 1 and not faults:
+        return np.full(n, values.popitem()[1], dtype=np.int64), np.zeros(n, dtype=np.int8)
+    if not faults:
+        return np.fromiter(map(values.__getitem__, texts), np.int64, n), np.zeros(n, dtype=np.int8)
+    return (np.fromiter(map(values.get, texts, itertools.repeat(0)), np.int64, n),
+            np.fromiter(map(faults.get, texts, itertools.repeat(0)), np.int8, n))
+
+
 def parse_interactions(
     lines: Iterable[str], schema: ColumnSchema, on_error: str = "raise"
 ) -> Interactions:
-    """Parse one row per well-formed line, in file order.
+    """Parse one row per well-formed line, in file order; blank lines are
+    skipped.
 
-    A line is malformed when it has too few fields, a tab or line break in
-    an id, a rating or timestamp that is not an optional '-' followed by
-    ASCII digits or does not fit in int64, or a negative timestamp.
-    on_error="raise" fails fast with the offending line number;
-    on_error="skip" drops malformed lines and logs how many were skipped.
+    A line is malformed when it holds a byte that is not UTF-8 (a file
+    opened with errors="surrogateescape" yields it as a lone surrogate), has
+    too few fields, has a tab or line break in an id, has a rating or
+    timestamp that is not an optional '-' followed by ASCII digits or does
+    not fit in int64, or has a negative timestamp; the first of these that
+    fails names it. on_error="raise" fails fast with the first malformed
+    line's number; on_error="skip" drops malformed lines and logs how many
+    were skipped.
+
+    Lines are read ``_BLOCK_LINES`` at a time. Each block is joined and split
+    into columns once, and each distinct rating or timestamp text of a block
+    is checked and converted once. Equal ids share one string.
     """
     if on_error not in ("raise", "skip"):
         raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
-    delimiter, user_col, item_col = schema.delimiter, schema.user_col, schema.item_col
-    rating_col, timestamp_col = schema.rating_col, schema.timestamp_col
-    needed = max(user_col, item_col, timestamp_col, rating_col if rating_col is not None else 0)
-    users: list[str] = []
-    items: list[str] = []
-    ratings: list[int] = []
-    timestamps: list[int] = []
+    if not schema.delimiter:
+        raise ValueError("the delimiter must not be empty")
+    columns = [schema.user_col, schema.item_col, schema.timestamp_col]
+    if schema.rating_col is not None:
+        columns.append(schema.rating_col)
+    needed = max(columns)
+    codes: tuple[dict[str, int], dict[str, int]] = ({}, {})  # user and item ids
+    columns_read: list[list[np.ndarray]] = [[np.zeros(0, dtype=np.int64)] for _ in range(4)]
     skipped = 0
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
-        if not line:
-            continue
-        fields = line.split(delimiter)
-        try:
-            if len(fields) <= needed:
-                raise ValueError(f"expected at least {needed + 1} fields, got {len(fields)}")
-            user, item = fields[user_col], fields[item_col]
-            # the split files are tab-separated, one record per line
-            ids = user + item
-            if "\t" in ids or "\r" in ids or "\n" in ids:
-                raise ValueError(f"user or item id contains a tab or line break: {user!r}, {item!r}")
-            # int() would also take spaces, '+', '_' and non-ASCII digits
-            rating_text = "0" if rating_col is None else fields[rating_col]
-            timestamp_text = fields[timestamp_col]
-            if not (rating_text.isascii() and rating_text.removeprefix("-").isdigit()):
-                raise ValueError(f"rating {rating_text!r} is not an integer")
-            if not (timestamp_text.isascii() and timestamp_text.removeprefix("-").isdigit()):
-                raise ValueError(f"timestamp {timestamp_text!r} is not an integer")
-            rating, timestamp = int(rating_text), int(timestamp_text)
-            if not _INT64_MIN <= rating <= _INT64_MAX:
-                raise ValueError(f"rating {rating} does not fit in int64")
-            if not 0 <= timestamp <= _INT64_MAX:
-                raise ValueError(f"negative timestamp {timestamp} for user {user!r}" if timestamp < 0
-                                 else f"timestamp {timestamp} does not fit in int64")
-        except ValueError as exc:
-            if on_error == "raise":
-                raise ParseError(lineno, str(exc)) from exc
-            skipped += 1
-            continue
-        users.append(user)
-        items.append(item)
-        ratings.append(rating)
-        timestamps.append(timestamp)
+    for start, block in _blocks(lines):
+        rows = [line.rstrip("\r\n") for line in block]
+        lineno = np.arange(start, start + len(rows))
+        if "" in rows:
+            kept = [j for j, row in enumerate(rows) if row]
+            rows, lineno = [rows[j] for j in kept], lineno[kept]
+        cells, widths = _cells(rows, schema.delimiter)
+        # a line's fault is the first of its checks to fail, in this order:
+        # 1 a byte not UTF-8, 2 too few fields, 3 a tab or line break in an
+        # id, 4 rating and 5 timestamp not integers, 6 rating and 7
+        # timestamp outside their range
+        fault = np.zeros(len(rows), dtype=np.int8)
+        text = "".join(rows)
+        if not text.isascii() and _ESCAPED_BYTE.search(text):
+            fault[[_ESCAPED_BYTE.search(row) is not None for row in rows]] = 1
+        full = widths > needed
+        fault[(fault == 0) & ~full] = 2
+        user, item, stamp, *rating = _fields(cells, widths, columns)
+        stamp_value, stamp_fault = _integers(stamp, 0)
+        rating_value, rating_fault = _integers(rating[0], _INT64_MIN) if rating else (None, 0)
+        broken = False
+        if _breaks("".join(user)) or _breaks("".join(item)):
+            broken = np.array([_breaks(u + i) for u, i in zip(user, item)])
+        row_fault = fault[full]
+        checks = (broken, rating_fault == 1, stamp_fault == 1, rating_fault == 2, stamp_fault == 2)
+        for code, failed in enumerate(checks, start=3):
+            row_fault[(row_fault == 0) & failed] = code
+        fault[full] = row_fault
+        bad = np.flatnonzero(fault)
+        if len(bad) and on_error == "raise":
+            row = bad[0]
+            k = int(np.count_nonzero(full[:row]))
+            raise ParseError(int(lineno[row]), _fault_message(
+                int(fault[row]), rows[row], int(widths[row]), needed,
+                *((user[k], item[k], rating[0][k] if rating else "0", stamp[k]) if full[row] else ())))
+        skipped += len(bad)
+        keep = row_fault == 0
+        if not keep.all():
+            picked = np.flatnonzero(keep).tolist()
+            user, item = [user[j] for j in picked], [item[j] for j in picked]
+            stamp_value = stamp_value[keep]
+            rating_value = None if rating_value is None else rating_value[keep]
+        for read, column in zip(columns_read, (_encode(user, codes[0]), _encode(item, codes[1]),
+                                               stamp_value, rating_value)):
+            if column is not None:
+                read.append(column)
     if skipped:
         log.warning("skipped %d malformed lines", skipped)
-    return Interactions(users, items, None if rating_col is None else ratings, timestamps)
+    user_code, item_code, timestamps, ratings = map(_concatenate, columns_read)
+    (user_vocab, user_rank), (item_vocab, item_rank) = map(_ranks, codes)
+    user_code, item_code = user_rank[user_code], item_rank[item_code]
+    # equal ids share one string
+    table = Interactions(np.array(user_vocab, dtype=object)[user_code].tolist(),
+                         np.array(item_vocab, dtype=object)[item_code].tolist(),
+                         None if schema.rating_col is None else ratings, timestamps)
+    table.__dict__.update(user_codes=(user_vocab, user_code), item_codes=(item_vocab, item_code))
+    return table
+
+
+def _fault_message(fault: int, line: str, width: int, needed: int,
+                   user: str = "", item: str = "", rating: str = "", stamp: str = "") -> str:
+    """Why a line with the ``fault`` of ``parse_interactions`` is malformed."""
+    if fault == 1:
+        return _escaped(line)
+    if fault == 2:
+        return f"expected at least {needed + 1} fields, got {width}"
+    if fault == 3:
+        return f"user or item id contains a tab or line break: {user!r}, {item!r}"
+    if fault in (4, 5):
+        name, text = ("rating", rating) if fault == 4 else ("timestamp", stamp)
+        return f"{name} {text!r} is not an integer"
+    if fault == 6:
+        return f"rating {_decimal(rating)} does not fit in int64"
+    value = _decimal(stamp)
+    return (f"negative timestamp {value} for user {user!r}" if value.startswith("-")
+            else f"timestamp {value} does not fit in int64")
 
 
 def filter_positive(table: Interactions, threshold_mode: str = "rating_equals_5") -> Interactions:
@@ -310,7 +472,9 @@ def build_dataset(table: Interactions) -> Dataset:
     n_train = np.where(held, lengths - 2, lengths)
     in_train = np.arange(len(order)) - np.repeat(starts, lengths) < np.repeat(n_train, lengths)
     present = np.flatnonzero(np.bincount(item_code, minlength=len(item_vocab)))
-    codes = np.searchsorted(present, item_code[order])
+    remap = np.empty(len(item_vocab), dtype=np.int64)
+    remap[present] = np.arange(len(present))
+    codes = remap[item_code[order]]
     universe = tuple(item_vocab[code] for code in present.tolist())
     n_users, n_records, n_eval = len(starts), len(table), int(np.count_nonzero(held))
     stats = DatasetStats(
@@ -344,16 +508,20 @@ def save_dataset(dataset: Dataset, out_dir: str) -> None:
     """Persist as three sorted TSV split files plus a stats JSON.
 
     train.tsv holds one row per (user, item) in sequence order; file order is
-    the canonical chronological order within each user.
+    the canonical chronological order within each user. Each block of
+    ``_BLOCK_LINES`` lines is formatted in one pass.
     """
     os.makedirs(out_dir, exist_ok=True)
-    users, names = dataset.users, dataset.item_universe
+    users, names = np.array(dataset.users, dtype=object), np.array(dataset.item_universe, dtype=object)
     lines = {"train": (np.repeat(np.arange(len(users)), np.diff(dataset.train_offsets)), dataset.train_codes)}
     for split, codes in (("valid", dataset.valid_codes), ("test", dataset.test_codes)):
         lines[split] = (np.flatnonzero(codes >= 0), codes[codes >= 0])
     for split, (rows, codes) in lines.items():
         with open(_split_path(out_dir, split), "w", encoding="utf-8") as fh:
-            fh.writelines(f"{users[row]}\t{names[code]}\n" for row, code in zip(rows.tolist(), codes.tolist()))
+            for start in range(0, len(rows), _BLOCK_LINES):
+                block = slice(start, start + _BLOCK_LINES)
+                cells = np.column_stack((users[rows[block]], names[codes[block]]))
+                fh.write("%s\t%s\n" * len(cells) % tuple(cells.ravel().tolist()))
     payload = {"format_version": 1, **asdict(dataset.stats)}
     with open(os.path.join(out_dir, STATS_FILE), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -364,63 +532,131 @@ def _split_path(in_dir: str, split: str) -> str:
     return os.path.join(in_dir, _SPLIT_FILES[split])
 
 
-def _read_split(in_dir: str, split: str) -> Iterator[tuple[int, str, str]]:
-    """(line number, user, item) of each line of a split file."""
-    path = _split_path(in_dir, split)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 tab-separated fields, got {len(fields)}")
-            yield lineno, fields[0], fields[1]
+def _split_codes(
+    path: str, users: dict[str, int], items: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray, str | None]:
+    """The user and item codes of each line of a split file before its first
+    malformed line, and that line's ``path:line`` error, or None. A line is
+    malformed when it holds a byte that is not UTF-8 or does not hold two
+    tab-separated fields. ``users`` and ``items`` give the codes, and take
+    each new name."""
+    columns: list[list[np.ndarray]] = [[np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]]
+    error = None
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for start, block in _blocks(fh):
+            text = "".join(block)
+            tabs = _counts(block, "\t")
+            bad = tabs != 1
+            if not text.isascii() and _ESCAPED_BYTE.search(text):
+                bad |= np.array([_ESCAPED_BYTE.search(line) is not None for line in block])
+            if bad.any():
+                row = int(np.argmax(bad))
+                reason = _escaped(block[row]) or f"expected 2 tab-separated fields, got {tabs[row] + 1}"
+                error = f"{path}:{start + row}: {reason}"
+                text = "".join(block[:row])
+            # a line read from a file ends in its one newline (the last line
+            # perhaps in none), so with one tab in each line the cells of the
+            # block alternate user and item
+            cells = text.replace("\n", "\t").split("\t") if text else []
+            for read, names, codes in zip(columns, (cells[0::2], cells[1::2]), (users, items)):
+                read.append(_encode(names[:len(cells) // 2], codes))
+            if error:
+                break
+    return _concatenate(columns[0]), _concatenate(columns[1]), error
+
+
+def _repeats(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each key equals one at an earlier position, and the keys in
+    ascending order."""
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    repeat = np.zeros(len(key), dtype=bool)
+    repeat[order[1:]] = ordered[1:] == ordered[:-1]
+    return repeat, ordered
+
+
+def _name(codes: dict[str, int], code: int) -> str:
+    """The name of ``code``; ``_encode`` adds names in code order."""
+    return next(itertools.islice(codes, int(code), None))
 
 
 def load_dataset(in_dir: str) -> Dataset:
     """Read a dataset that ``save_dataset`` wrote. A user's training items
     are distinct. A held-out split file holds one line per user, and its item
     must be new to the user: neither in their training sequence nor, for the
-    test item, their validation item. A line that breaks this fails with its
-    ``path:line``.
+    test item, their validation item. A line that breaks this, or that
+    ``_split_codes`` finds malformed, fails with its ``path:line``; the
+    first such line wins.
+
+    Each file is read ``_BLOCK_LINES`` lines at a time into user and item
+    codes, and every check is an array pass over the codes.
     """
-    per_user: defaultdict[str, dict[str, int]] = defaultdict(dict)  # user -> item -> its train line
-    train_path = _split_path(in_dir, "train")
-    for lineno, user, item in _read_split(in_dir, "train"):
-        first = per_user[user].setdefault(item, lineno)
-        if first != lineno:
-            raise ValueError(f"{train_path}:{lineno}: item {item!r} of user {user!r} repeats line {first}")
-    splits: dict[str, dict[str, str]] = {"valid": {}, "test": {}}
-    for split, name in (("valid", "validation"), ("test", "test")):
-        held, path = splits[split], _split_path(in_dir, split)
-        for lineno, user, item in _read_split(in_dir, split):
-            if user in held:
-                raise ValueError(f"{path}:{lineno}: user {user!r} repeated")
-            if item in per_user.get(user, ()):
-                raise ValueError(f"{path}:{lineno}: {name} item {item!r} of user {user!r} is already in "
+    users: dict[str, int] = {}
+    items: dict[str, int] = {}
+    path = _split_path(in_dir, "train")
+    train_users, train_items, error = _split_codes(path, users, items)
+    # (user, item) keys, unique while items keep their codes below n_train
+    n_train = len(items)
+    key = train_users * n_train + train_items
+    repeat, ordered = _repeats(key)
+    if repeat.any():
+        row = int(np.argmax(repeat))
+        first = int(np.argmax(key == key[row]))
+        raise ValueError(f"{path}:{row + 1}: item {_name(items, train_items[row])!r} of user "
+                         f"{_name(users, train_users[row])!r} repeats line {first + 1}")
+    if error:
+        raise ValueError(error)
+    train_keys = np.append(ordered, _INT64_MAX)  # the last key ends every search
+    held: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    for split, label in (("valid", "validation"), ("test", "test")):
+        path = _split_path(in_dir, split)
+        user, item, error = _split_codes(path, users, items)
+        query = user * n_train + item
+        in_train = (item < n_train) & (train_keys[np.searchsorted(train_keys, query)] == query)
+        same = np.zeros(len(item), dtype=bool)
+        if split == "test":
+            validation = np.full(len(users), -1, dtype=np.int64)
+            validation[held["valid"][0]] = held["valid"][1]
+            same = validation[user] == item
+        faults = (_repeats(user)[0], in_train, same)
+        bad = np.flatnonzero(np.logical_or.reduce(faults))
+        if len(bad):
+            row = int(bad[0])
+            where, who, what = f"{path}:{row + 1}", _name(users, user[row]), _name(items, item[row])
+            if faults[0][row]:
+                raise ValueError(f"{where}: user {who!r} repeated")
+            if faults[1][row]:
+                raise ValueError(f"{where}: {label} item {what!r} of user {who!r} is already in "
                                  f"{_SPLIT_FILES['train']}")
-            if split == "test" and splits["valid"].get(user) == item:
-                raise ValueError(f"{path}:{lineno}: test item {item!r} of user {user!r} is also their "
-                                 "validation item")
-            held[user] = item
+            raise ValueError(f"{where}: test item {what!r} of user {who!r} is also their validation item")
+        if error:
+            raise ValueError(error)
+        held[split] = (user, item)
     # a held-out user has both a validation and a test item
-    lone = sorted(splits["valid"].keys() ^ splits["test"].keys())
-    if lone:
-        split, other = ("valid", "test") if lone[0] in splits["valid"] else ("test", "valid")
-        raise ValueError(f"{_split_path(in_dir, split)}: user {lone[0]!r} has no line in {_SPLIT_FILES[other]}")
+    has = np.zeros((2, len(users)), dtype=bool)
+    for side, (user, _) in enumerate(held.values()):
+        has[side, user] = True
+    lone = np.flatnonzero(has[0] != has[1])
+    if len(lone):
+        names = list(users)
+        code = min(lone.tolist(), key=names.__getitem__)
+        split, other = ("valid", "test") if has[0, code] else ("test", "valid")
+        raise ValueError(f"{_split_path(in_dir, split)}: user {names[code]!r} has no line in {_SPLIT_FILES[other]}")
     with open(os.path.join(in_dir, STATS_FILE), encoding="utf-8") as fh:
         payload = json.load(fh)
     payload.pop("format_version", None)
     stats = DatasetStats(**payload)
-    # a held-out user may have no training line
-    users = sorted(per_user.keys() | splits["valid"].keys())
-    train = [item for user in users for item in per_user.get(user, ())]
-    universe, codes = _intern(train + [held[user] for held in splits.values() for user in users if user in held])
+    (user_vocab, user_rank), (item_vocab, item_rank) = _ranks(users), _ranks(items)
+    owner = user_rank[train_users]
+    order = np.argsort(owner, kind="stable")
     held_codes = np.full((2, len(users)), -1, dtype=np.int64)
-    held_codes[:, [user in splits["valid"] for user in users]] = codes[len(train):].reshape(2, -1)
+    for side, (user, item) in enumerate(held.values()):
+        held_codes[side, user_rank[user]] = item_rank[item]
     return Dataset(
-        users=tuple(users),
-        item_universe=tuple(universe),
-        train_codes=codes[:len(train)],
-        train_offsets=np.cumsum([0] + [len(per_user.get(user, ())) for user in users]),
+        users=tuple(user_vocab),
+        item_universe=tuple(item_vocab),
+        train_codes=item_rank[train_items[order]],
+        train_offsets=np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=len(users))))),
         valid_codes=held_codes[0],
         test_codes=held_codes[1],
         stats=stats,

@@ -72,6 +72,23 @@ class TestPrepare:
         err = capsys.readouterr().err
         assert "line 2" in err and "tab or line break" in err
 
+    def test_byte_order_mark_is_not_part_of_the_first_user(self, tmp_path):
+        raw = tmp_path / "bom.dat"
+        raw.write_bytes("\ufeffu1::i1::5::1\nu1::i2::5::2\nu1::i3::5::3\nu1::i4::5::4\n".encode("utf-8"))
+        out = tmp_path / "d"
+        assert run("prepare", "--input", str(raw), "--out", str(out)) == 0
+        assert (out / "train.tsv").read_text(encoding="utf-8") == "u1\ti1\nu1\ti2\n"
+        assert json.loads((out / "stats.json").read_text())["n_users"] == 1
+
+    def test_byte_not_utf8_fails_with_line_number(self, tmp_path, capsys):
+        raw = tmp_path / "latin1.dat"
+        raw.write_bytes(b"u1::i1::5::1\nu1::i2::5::2\nu\xff::i3::5::3\nu1::i4::5::4\n")
+        out = tmp_path / "d"
+        assert run("prepare", "--input", str(raw), "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: line 3: byte 0xff is not valid UTF-8\n"
+        assert run("prepare", "--input", str(raw), "--out", str(out), "--on-error", "skip") == 0
+        assert (out / "test.tsv").read_text() == "u1\ti4\n"
+
     @pytest.mark.parametrize("flags, message", [
         (["--max-users", "0"], "--max-users must be >= 1, got 0"),
         (["--rating-col", "-1"], "--filter rating_equals_5 needs a rating column: give --rating-col, "
@@ -331,6 +348,13 @@ class TestConfigFile:
         assert snapshot["seed"] == 4  # flag wins
         stats = json.loads((out / "stats.json").read_text())
         assert stats["n_users"] == 50
+
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path, raw_log):
+        config = tmp_path / "bom.conf"
+        config.write_bytes(f"\ufeffmax-users = 7\ninput = {raw_log}\n".encode("utf-8"))
+        out = tmp_path / "data"
+        assert run("--config", str(config), "prepare", "--out", str(out)) == 0
+        assert json.loads((out / "stats.json").read_text())["n_users"] == 7
 
     def test_malformed_config_fails(self, tmp_path, capsys):
         config = tmp_path / "bad.conf"

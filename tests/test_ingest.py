@@ -137,6 +137,13 @@ class TestParse:
         assert records == table(rec("w", "k", 5, 7))
         assert "skipped 2" in caplog.text
 
+    def test_byte_not_utf8_raises_with_line_number(self, tmp_path):
+        path = tmp_path / "log.dat"
+        path.write_bytes(b"1::2::5::10\n3::4\xc3::5::20\n")
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            with pytest.raises(ParseError, match="^line 2: byte 0xc3 is not valid UTF-8$"):
+                parse_interactions(fh, ColumnSchema.movielens())
+
     def test_int64_bounds_parse_exactly(self):
         line = "u::i::-9223372036854775808::9223372036854775807"
         records = parse_interactions([line], ColumnSchema.movielens())
@@ -291,6 +298,16 @@ class TestPersistence:
         with pytest.raises(
             ValueError, match=f"^{re.escape(str(path))}:{n_lines}: expected 2 tab-separated fields, got {n_fields}$"
         ):
+            load_dataset(str(tmp_path))
+
+    @pytest.mark.parametrize("name", ["train.tsv", "valid.tsv", "test.tsv"])
+    def test_load_rejects_byte_not_utf8_with_location(self, tmp_path, name):
+        records = [rec(u, i, 5, ts) for u in ("u1", "u2") for ts, i in enumerate("abcd")]
+        save_dataset(build_dataset(table(*records)), str(tmp_path))
+        path = tmp_path / name
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(lines[0] + b"u2\t\xffx\n" + b"".join(lines[1:]))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: byte 0xff is not valid UTF-8$"):
             load_dataset(str(tmp_path))
 
     @pytest.mark.parametrize("name", ["valid.tsv", "test.tsv"])
