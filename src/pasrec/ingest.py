@@ -292,8 +292,6 @@ def _integers(texts: list[str], lowest: int) -> tuple[np.ndarray, np.ndarray]:
         else:
             faults[text] = 2
     n = len(texts)
-    if len(values) == 1 and not faults:
-        return np.full(n, values.popitem()[1], dtype=np.int64), np.zeros(n, dtype=np.int8)
     if not faults:
         return np.fromiter(map(values.__getitem__, texts), np.int64, n), np.zeros(n, dtype=np.int8)
     return (np.fromiter(map(values.get, texts, itertools.repeat(0)), np.int64, n),
@@ -472,9 +470,7 @@ def build_dataset(table: Interactions) -> Dataset:
     n_train = np.where(held, lengths - 2, lengths)
     in_train = np.arange(len(order)) - np.repeat(starts, lengths) < np.repeat(n_train, lengths)
     present = np.flatnonzero(np.bincount(item_code, minlength=len(item_vocab)))
-    remap = np.empty(len(item_vocab), dtype=np.int64)
-    remap[present] = np.arange(len(present))
-    codes = remap[item_code[order]]
+    codes = np.searchsorted(present, item_code[order])
     universe = tuple(item_vocab[code] for code in present.tolist())
     n_users, n_records, n_eval = len(starts), len(table), int(np.count_nonzero(held))
     stats = DatasetStats(
