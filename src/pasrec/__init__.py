@@ -30,7 +30,6 @@ from .ingest import (
     save_dataset,
     subsample_users,
 )
-from .predictor import ScoredItem, recommend_top_k
 from .similarity import (
     NeighborIndex,
     PairStore,
@@ -68,8 +67,6 @@ __all__ = [
     "parse_interactions",
     "save_dataset",
     "subsample_users",
-    "ScoredItem",
-    "recommend_top_k",
     "NeighborIndex",
     "PairStore",
     "average_uni_by_gap",

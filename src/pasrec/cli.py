@@ -34,6 +34,7 @@ from .evaluation import (
 )
 from .ingest import (
     ColumnSchema,
+    _escaped,
     build_dataset,
     deduplicate,
     filter_positive,
@@ -59,8 +60,10 @@ def _read_config(path: str | None) -> dict[str, tuple[str, str]]:
         return {}
     config: dict[str, tuple[str, str]] = {}
     # utf-8-sig drops a byte-order mark, which would join the first key
-    with open(path, encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if reason := _escaped(raw):
+                raise ValueError(f"{path}:{lineno}: {reason}")
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -25,11 +25,10 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-import math
 import os
 import random
 import re
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from collections.abc import Iterable, Iterator
 from functools import cached_property
 
@@ -576,6 +575,25 @@ def _name(codes: dict[str, int], code: int) -> str:
     return next(itertools.islice(codes, int(code), None))
 
 
+def _read_stats(path: str) -> DatasetStats:
+    """The ``DatasetStats`` that ``save_dataset`` wrote to ``path``; a file
+    that is not a JSON object of exactly its fields fails with the path."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # a JSON or UTF-8 decoding error
+            raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+    payload.pop("format_version", None)
+    names = [f.name for f in fields(DatasetStats)]
+    if missing := [name for name in names if name not in payload]:
+        raise ValueError(f"{path}: missing key {missing[0]!r}")
+    if unknown := sorted(payload.keys() - set(names)):
+        raise ValueError(f"{path}: unknown key {unknown[0]!r}")
+    return DatasetStats(**payload)
+
+
 def load_dataset(in_dir: str) -> Dataset:
     """Read a dataset that ``save_dataset`` wrote. A user's training items
     are distinct. A held-out split file holds one line per user, and its item
@@ -638,10 +656,7 @@ def load_dataset(in_dir: str) -> Dataset:
         code = min(lone.tolist(), key=names.__getitem__)
         split, other = ("valid", "test") if has[0, code] else ("test", "valid")
         raise ValueError(f"{_split_path(in_dir, split)}: user {names[code]!r} has no line in {_SPLIT_FILES[other]}")
-    with open(os.path.join(in_dir, STATS_FILE), encoding="utf-8") as fh:
-        payload = json.load(fh)
-    payload.pop("format_version", None)
-    stats = DatasetStats(**payload)
+    stats = _read_stats(os.path.join(in_dir, STATS_FILE))
     (user_vocab, user_rank), (item_vocab, item_rank) = _ranks(users), _ranks(items)
     owner = user_rank[train_users]
     order = np.argsort(owner, kind="stable")
@@ -657,11 +672,3 @@ def load_dataset(in_dir: str) -> Dataset:
         test_codes=held_codes[1],
         stats=stats,
     )
-
-
-def check_stats_consistency(stats: DatasetStats, tolerance: float = 0.01) -> bool:
-    """users * average length must reproduce the record count within tolerance."""
-    if stats.n_records == 0:
-        return stats.n_users == 0
-    implied = stats.n_users * stats.avg_length
-    return math.isclose(implied, stats.n_records, rel_tol=tolerance)

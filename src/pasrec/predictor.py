@@ -6,42 +6,16 @@ fills one dense row over the index's items per window, for a block of
 windows at once, from the inverted neighbor view. A block is given as flat
 int64 arrays with one element per window item that the index holds: the
 window's row, the item's index position and its window position L.
-``evaluate`` slices them from the ``Dataset``'s arrays of catalog codes;
-``window_arrays`` encodes ``SessionWindow`` objects the same way. The
-ranking order is defined in this module only: score descending, then item
-identifier ascending, so candidates that score zero rank by identifier.
+``evaluate``, the one caller, slices them from the ``Dataset``'s arrays of
+catalog codes. The ranking order is written in ``rank_of_target`` only:
+score descending, then item identifier ascending, so candidates that score
+zero rank by identifier.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass
-
 import numpy as np
 
-from .domain import SessionWindow
 from .similarity import NeighborIndex
-
-
-@dataclass(frozen=True)
-class ScoredItem:
-    item: str
-    score: float
-
-
-def window_arrays(
-    windows: Sequence[SessionWindow], index: NeighborIndex
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """``positive_scores``' block arguments for ``windows``: the row, index
-    position and L of each window item the index holds, in window order,
-    and the row count. Every window must have the index's k.
-    """
-    for window in windows:
-        if window.k != index.params.k:
-            raise ValueError(f"window of k={window.k} against an index built for k={index.params.k}")
-    held = [(r, index.item_index[item], window.window_position[item])
-            for r, window in enumerate(windows) for item in window.items if item in index.item_index]
-    row, nbr, position = np.array(held, dtype=np.int64).reshape(-1, 3).T
-    return row, nbr, position, len(windows)
 
 
 def positive_scores(
@@ -76,18 +50,6 @@ def positive_scores(
     cells = np.repeat(row * n, counts) + targets[rows]
     weights = values[rows, np.repeat(column, counts)]
     return np.bincount(cells, weights, minlength=n_rows * n).reshape(n_rows, n)
-
-
-def recommend_top_k(
-    window: SessionWindow, candidates: set[str], index: NeighborIndex, top_k: int
-) -> list[ScoredItem]:
-    """The top_k highest-scoring candidates in ranking order."""
-    if not candidates:
-        raise ValueError("empty candidate set")
-    scores = positive_scores(*window_arrays([window], index), index)[0].tolist()
-    scored = {c: scores[index.item_index[c]] if c in index.item_index else 0.0 for c in candidates}
-    ranked = sorted(scored, key=lambda c: (-scored[c], c))[:top_k]
-    return [ScoredItem(item, scored[item]) for item in ranked]
 
 
 def rank_of_target(scores: np.ndarray, target_pos: np.ndarray, excluded: tuple) -> np.ndarray:

@@ -47,6 +47,7 @@ from fractions import Fraction
 import numpy as np
 
 from .domain import MEASURES, SCALINGS, SimilarityParams
+from .ingest import _escaped
 
 log = logging.getLogger(__name__)
 
@@ -456,6 +457,14 @@ class NeighborIndex:
 
     @classmethod
     def load(cls, path: str) -> "NeighborIndex":
+        try:
+            return cls._read(path)
+        except UnicodeDecodeError:
+            # the line is found only here, so a valid index takes no per-line check
+            raise ValueError(_not_utf8(path)) from None
+
+    @classmethod
+    def _read(cls, path: str) -> "NeighborIndex":
         with open(path, encoding="utf-8") as fh:
             if fh.readline().rstrip("\n").split("\t") != [f"#{cls.FORMAT}", str(cls.VERSION)]:
                 raise ValueError(f"{path}: not a {cls.FORMAT} v{cls.VERSION} artifact")
@@ -538,6 +547,15 @@ class NeighborIndex:
             raise ValueError(f"{path}:{row + 6}: target {targets[row]} has more than "
                              f"n_neighbors={params.n_neighbors} entries")
         return cls(measure, params, items, targets[order], nbrs[order], values[order], rank_by=rank_by)
+
+
+def _not_utf8(path: str) -> str:
+    """``path:line:`` and the first byte that is not UTF-8, of the file at ``path``."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if reason := _escaped(line):
+                return f"{path}:{lineno}: {reason}"
+    return f"{path}: not valid UTF-8"
 
 
 def _select(

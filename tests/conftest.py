@@ -7,7 +7,7 @@ import pytest
 from pasrec.domain import MEASURES, UserSequence
 from pasrec.ingest import Interactions, _intern
 from pasrec.oracle import oracle_bis, oracle_cosine, oracle_pas
-from pasrec.predictor import positive_scores, rank_of_target, window_arrays
+from pasrec.predictor import positive_scores, rank_of_target
 from pasrec.similarity import _uni_low, build_neighbor_index, count_pairs
 
 
@@ -150,8 +150,14 @@ def gap_histogram(store, i_from, i_to) -> dict[int, int]:
 
 
 def window_scores(windows, index) -> np.ndarray:
-    """``positive_scores`` of the ``SessionWindow``s ``windows``."""
-    return positive_scores(*window_arrays(windows, index), index)
+    """``positive_scores`` of the ``SessionWindow``s ``windows``, encoded as
+    its int64 arguments: the row, index position and L of each window item
+    the index holds, in window order. The scorer checks L against the
+    index's k."""
+    held = [(r, index.item_index[item], window.window_position[item])
+            for r, window in enumerate(windows) for item in window.items if item in index.item_index]
+    row, nbr, position = np.array(held, dtype=np.int64).reshape(-1, 3).T
+    return positive_scores(row, nbr, position, len(windows), index)
 
 
 def predicted_score(window, target, index) -> float:

@@ -24,7 +24,7 @@ from conftest import (
 from pasrec.cli import main as cli_main
 from pasrec.domain import SimilarityParams, make_session_window
 from pasrec.evaluation import expand_grid, grid_search, ndcg_at_k, one_call_at_k
-from pasrec.ingest import build_dataset, check_stats_consistency
+from pasrec.ingest import build_dataset
 from pasrec.oracle import oracle_predict
 from pasrec.similarity import average_uni_by_gap, build_neighbor_index
 from pasrec.synth import SynthConfig, generate, write_log
@@ -270,10 +270,10 @@ def test_criterion_9_desk_scale_smoke_run(tmp_path):
                          "--split", "test", "--topk", "5", "--out", str(report)]) == 0
 
         stats = json.loads((data / "stats.json").read_text())
-        from pasrec.ingest import DatasetStats
-
-        stats.pop("format_version")
-        assert check_stats_consistency(DatasetStats(**stats), tolerance=0.01)
+        n_lines = sum(len((data / name).read_text().splitlines())
+                      for name in ("train.tsv", "valid.tsv", "test.tsv"))
+        assert stats["n_records"] == n_lines
+        assert stats["avg_length"] == stats["n_records"] / stats["n_users"]
 
         payload = json.loads((report / "report.json").read_text())
         (row,) = payload["rows"]

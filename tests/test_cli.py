@@ -222,6 +222,16 @@ class TestEvaluate:
         ) == 1
         assert f"{index_path}:{n_lines}: item id outside" in capsys.readouterr().err
 
+    def test_index_byte_not_utf8_fails_with_location(self, tmp_path, dataset_dir, index_path, capsys):
+        lines = index_path.read_bytes().splitlines(keepends=True)
+        lines[7] = lines[7].replace(b"\t", b"\t\xff", 1)
+        index_path.write_bytes(b"".join(lines))
+        assert run(
+            "evaluate", "--dataset", str(dataset_dir), "--index", str(index_path),
+            "--out", str(tmp_path / "rep"),
+        ) == 1
+        assert f"{index_path}:8: byte 0xff is not valid UTF-8" in capsys.readouterr().err
+
     def test_truncated_index_header_fails_with_location(self, tmp_path, dataset_dir, index_path, capsys):
         index_path.write_text("#pasrec-index\t1\n")
         assert run(
@@ -355,6 +365,13 @@ class TestConfigFile:
         out = tmp_path / "data"
         assert run("--config", str(config), "prepare", "--out", str(out)) == 0
         assert json.loads((out / "stats.json").read_text())["n_users"] == 7
+
+    def test_config_byte_that_is_not_utf8_fails_with_location(self, tmp_path, capsys):
+        config = tmp_path / "bad.conf"
+        config.write_bytes(b"users = 5\n\xff = 3\n")
+        assert run("--config", str(config), "synth", "--out", str(tmp_path / "x")) == 1
+        assert f"{config}:2: byte 0xff is not valid UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_malformed_config_fails(self, tmp_path, capsys):
         config = tmp_path / "bad.conf"

@@ -21,7 +21,6 @@ from pasrec.evaluation import (
 )
 from pasrec.cli import main
 from pasrec.ingest import Interactions, build_dataset, load_dataset
-from pasrec.predictor import recommend_top_k
 from pasrec.similarity import NeighborIndex, build_neighbor_index, count_pairs
 
 
@@ -281,20 +280,23 @@ class TestArrayPath:
         assert (result.ndcg, result.one_call) == TestBlockRanking.reference(dataset, index, split, top_k)
         assert len(blocks) == -(-len(dataset.test) // block_rows)
 
-        # recommend_top_k scores each user's window as the block scorer did
+        # each block row holds the reference scores of its user's window
+        # and ranks the user's candidates in the brute-force order
         scores = np.concatenate(blocks)
         train = {seq.user: seq.items for seq in dataset.sequences}
         held_out = dataset.validation if split == "validation" else dataset.test
         assert len(scores) == len(held_out)
+        universe = dataset.item_universe
         for row, user in zip(scores, sorted(held_out)):
             history = train[user] + ((dataset.validation[user],) if split == "test" else ())
             window = make_session_window(UserSequence.from_items(user, history), params.k)
-            candidates = set(dataset.item_universe) - set(history)
-            ranked = recommend_top_k(window, candidates, index, len(candidates))
-            assert {scored.item for scored in ranked} == candidates
-            for scored in ranked:
-                idx = index.item_index.get(scored.item)
-                assert scored.score == (0.0 if idx is None else row[idx])
+            want = {c: reference_score(window, c, index) for c in universe}
+            assert row.tolist() == [want[c] for c in index.items]
+            lifted = np.array([row[index.item_index[c]] if c in index.item_index else 0.0 for c in universe])
+            known = [pos for pos, c in enumerate(universe) if c in history]
+            candidates = sorted(set(universe) - set(history), key=lambda c: (-want[c], c))
+            for position, item in enumerate(candidates, start=1):
+                assert rank_in_row(lifted, universe.index(item), known) == position
 
 
 class TestRankOfTarget:

@@ -10,7 +10,6 @@ from pasrec.ingest import (
     Interactions,
     ParseError,
     build_dataset,
-    check_stats_consistency,
     deduplicate,
     filter_positive,
     load_dataset,
@@ -259,8 +258,8 @@ class TestBuildDataset:
     def test_stats_consistency(self):
         records = [rec(f"u{j}", f"i{n}", 5, n) for j in range(4) for n in range(j + 3)]
         dataset = build_dataset(table(*records))
-        assert check_stats_consistency(dataset.stats)
         assert dataset.stats.n_records == len(records)
+        assert dataset.stats.avg_length == dataset.stats.n_records / dataset.stats.n_users
 
 
 class TestPersistence:
@@ -356,4 +355,18 @@ class TestPersistence:
         with path.open("a") as fh:
             fh.write("u9\ta\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: user 'u9' has no line in {other}$"):
+            load_dataset(str(tmp_path))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text[:len(text) // 2], "Expecting "),
+        (lambda text: text.replace('"n_items"', '"n_things"'), "missing key 'n_items'"),
+        (lambda text: text.replace("{", '{"extra": 1, ', 1), "unknown key 'extra'"),
+        (lambda text: "[" + text + "]", "expected a JSON object, got list"),
+    ], ids=["cut-short", "missing-key", "unknown-key", "not-an-object"])
+    def test_load_rejects_bad_stats_with_path(self, tmp_path, edit, message):
+        records = [rec(u, i, 5, ts) for u in ("u1", "u2") for ts, i in enumerate("abcd")]
+        save_dataset(build_dataset(table(*records)), str(tmp_path))
+        path = tmp_path / "stats.json"
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
             load_dataset(str(tmp_path))

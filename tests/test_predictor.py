@@ -7,7 +7,6 @@ from conftest import (
     count_corpus, predicted_score, random_corpus, rank_in_row, reference_score, universe_scores, window_scores,
 )
 from pasrec.domain import SimilarityParams, UserSequence, make_session_window
-from pasrec.predictor import ScoredItem, recommend_top_k
 from pasrec.similarity import NeighborIndex, build_neighbor_index
 
 
@@ -46,55 +45,8 @@ class TestScoreItem:
         # a window of k=3 puts b at L=3; the index stores t = 1..2
         window = make_session_window(UserSequence.from_items("u", ["a", "b"]), k=3)
         index = handmade_index("pas", [(0, 0.3, (0.1, 0.3)), (1, 0.5, (0.2, 0.5))])
-        with pytest.raises(ValueError, match="k=3 .* k=2"):
+        with pytest.raises(ValueError, match=r"outside 1\.\.2"):
             window_scores([window], index)
-
-    @pytest.mark.parametrize("measure", ["pas", "bis"])
-    def test_window_shorter_than_index_k_fails(self, measure):
-        # a k=1 window puts b at L=1, which would read the index's t=1 value
-        # where a k=2 window reads t=2
-        window = make_session_window(UserSequence.from_items("u", ["a", "b"]), k=1)
-        vector = (0.2, 0.5) if measure == "pas" else ()
-        index = handmade_index(measure, [(1, 0.5, vector)])
-        with pytest.raises(ValueError, match="k=1 .* k=2"):
-            window_scores([window], index)
-
-
-class TestRecommendTopK:
-    @pytest.fixture
-    def small_index(self, toy_corpus):
-        store = count_corpus(toy_corpus, ell_max=2)
-        params = SimilarityParams(ell=2, rho=0.2, lam=0.0, n_neighbors=20)
-        return build_neighbor_index(store, params, "bis")
-
-    def test_highest_scores_first(self, small_index):
-        window = make_session_window(UserSequence.from_items("v3", ["b", "a"]), k=2)
-        ranked = recommend_top_k(window, {"b", "c"}, small_index, top_k=2)
-        assert [s.item for s in ranked] == ["c", "b"]
-        assert ranked[0].score > ranked[1].score >= 0.0
-
-    def test_all_zero_scores_rank_by_identifier(self):
-        index = handmade_index("bis", [])
-        window = window_ab()
-        ranked = recommend_top_k(window, {"z", "y", "x"}, index, top_k=2)
-        assert [s.item for s in ranked] == ["x", "y"]
-        assert all(s.score == 0.0 for s in ranked)
-
-    def test_top_k_larger_than_candidates_ranks_all(self, small_index):
-        window = make_session_window(UserSequence.from_items("v3", ["b", "a"]), k=2)
-        ranked = recommend_top_k(window, {"b", "c"}, small_index, top_k=10)
-        assert len(ranked) == 2
-
-    def test_empty_candidates_rejected(self, small_index):
-        window = make_session_window(UserSequence.from_items("v3", ["b", "a"]), k=2)
-        with pytest.raises(ValueError, match="empty"):
-            recommend_top_k(window, set(), small_index, top_k=3)
-
-    def test_deterministic(self, small_index):
-        window = make_session_window(UserSequence.from_items("v3", ["b", "a"]), k=2)
-        first = recommend_top_k(window, {"a", "b", "c"}, small_index, top_k=3)
-        second = recommend_top_k(window, {"a", "b", "c"}, small_index, top_k=3)
-        assert first == second
 
 
 class TestInvertedEnumerationEquivalence:
@@ -113,18 +65,12 @@ class TestInvertedEnumerationEquivalence:
                 window = make_session_window(seq, params.k)
                 excluded = frozenset(seq.items)
                 candidates = set(universe) - excluded
-                scores = window_scores([window], index)[0]
-                assert scores.tolist() == [reference_score(window, c, index) for c in index.items]
-                want = {c: reference_score(window, c, index) for c in candidates}
-                brute_force = [
-                    ScoredItem(c, want[c]) for c in sorted(candidates, key=lambda c: (-want[c], c))
-                ]
-                ranked = recommend_top_k(window, candidates, index, len(candidates))
-                assert ranked == brute_force
-                assert recommend_top_k(window, candidates, index, 5) == brute_force[:5]
+                want = {c: reference_score(window, c, index) for c in universe}
                 lifted = universe_scores(window, index, universe)
+                assert lifted.tolist() == [want[c] for c in universe]
+                brute_force = sorted(candidates, key=lambda c: (-want[c], c))
                 excluded_pos = [universe_pos[c] for c in excluded]
-                for position, scored in enumerate(brute_force, start=1):
-                    assert rank_in_row(lifted, universe_pos[scored.item], excluded_pos) == position
+                for position, item in enumerate(brute_force, start=1):
+                    assert rank_in_row(lifted, universe_pos[item], excluded_pos) == position
                 # a score sums at most k window similarities, each in [0, 1]
-                assert all(0.0 <= s.score <= params.k for s in ranked)
+                assert all(0.0 <= want[c] <= params.k for c in candidates)

@@ -296,12 +296,11 @@ class TestPasUni:
         assert rows["a", "b"][2] == 0.0
 
     def test_t_out_of_range_rejected(self, toy_store, toy_corpus):
-        # an index holds a value for t = 1..k only: a window of another k,
-        # whose positions would run past k, is rejected when encoded, and
-        # the scorer rejects a position outside 1..k
+        # an index holds a value for t = 1..k only: the scorer rejects a
+        # position outside 1..k, such as a k=3 window's L=3
         index = build_neighbor_index(toy_store, SimilarityParams(ell=2), "pas_uni")
         assert index.values.shape[1] == 1 + 2
-        with pytest.raises(ValueError, match="k=3"):
+        with pytest.raises(ValueError, match=r"outside 1\.\.2"):
             window_scores([make_session_window(toy_corpus[0], 3)], index)
         for position in (0, 3):
             row, nbr = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
@@ -748,6 +747,27 @@ class TestNeighborIndex:
             lines.append(replace)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: .*{re.escape(message)}"):
+            NeighborIndex.load(str(path))
+
+    @pytest.mark.parametrize("lineno, edit, byte", [
+        (5, lambda line: line.replace(b'"a"', b'"a\xff"'), 0xff),
+        (8, lambda line: line + b"\xff", 0xff),
+        (8, lambda line: line.replace(b"\t", b"\xc3\t", 1), 0xc3),
+        # past the first block that the text reader decodes
+        (2006, lambda line: line + b"\xff", 0xff),
+    ], ids=["header-line", "entry-line", "cut-two-byte-sequence", "after-2000-lines"])
+    def test_load_rejects_byte_not_utf8_with_location(self, tmp_path, toy_corpus, lineno, edit, byte):
+        index = build_neighbor_index(count_corpus(toy_corpus, ell_max=2),
+                                     SimilarityParams(ell=2, lam=0.0), "bis")
+        path = tmp_path / "index.tsv"
+        index.save(str(path))
+        lines = path.read_bytes().splitlines()
+        # repeated entries fail only once every line is read
+        lines += [lines[5]] * max(0, lineno - len(lines))
+        lines[lineno - 1] = edit(lines[lineno - 1])
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: "
+                                             f"byte 0x{byte:02x} is not valid UTF-8$"):
             NeighborIndex.load(str(path))
 
     def test_rejects_foreign_artifact(self, tmp_path):
