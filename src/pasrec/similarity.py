@@ -36,10 +36,10 @@ Measures:
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import logging
 import math
+import os
 from dataclasses import asdict, dataclass
 from collections.abc import Sequence
 from fractions import Fraction
@@ -337,19 +337,48 @@ def count_pairs(catalog: Sequence[str], codes: np.ndarray, offsets: np.ndarray, 
 
 
 _BLOCK_LINES = 8192  # index lines save formats at a time
-_MEMO_LIMIT = 1 << 16  # strings a load memo holds before it starts over
+_MEMO_LIMIT = 1 << 16  # texts a load memo holds before it starts over
 
 
-def _memo(memo: dict, parse, text: str):
-    """parse(text), parsed once per distinct text through memo, which starts
-    over when it holds _MEMO_LIMIT strings, so input that seldom repeats a
-    string loads in bounded memory. A parse that raises is not kept."""
-    value = memo.get(text)
-    if value is None:
-        if len(memo) >= _MEMO_LIMIT:
-            memo.clear()
-        value = memo[text] = parse(text)
-    return value
+class _Rows(dict):
+    """The value-and-vector texts of index entry lines, each mapped to its
+    row of ``rows``, a float64 [rows x width] buffer. A text is parsed once,
+    into the next row; its float texts go through the memo ``floats``,
+    which holds canonical ones only. Both memos start over at _MEMO_LIMIT
+    texts, so an index that seldom repeats a text loads in bounded memory,
+    and ``rows`` keeps every row. Looking up a text that is not a value and
+    a vector of ``width - 1`` canonical floats raises ValueError."""
+
+    def __init__(self, width: int):
+        super().__init__()
+        self.rows = np.empty((256, width))
+        self.count = 0
+        self.floats: dict[str, float] = {}
+
+    def __missing__(self, text: str) -> int:
+        value, tab, vector = text.rstrip("\n").partition("\t")
+        # a tab in the vector lands in a cell, which no float is written as
+        cells = [value, *vector.split(",")] if vector else [value]
+        if not tab or len(cells) != self.rows.shape[1]:
+            raise ValueError(f"{len(cells)} values in a row of {self.rows.shape[1]}")
+        try:
+            row = list(map(self.floats.__getitem__, cells))
+        except KeyError:
+            # a text not seen yet: parse and check every cell of the row
+            row = list(map(float, cells))
+            if list(map(repr, row)) != cells:
+                raise ValueError("non-canonical number") from None
+            if len(self.floats) >= _MEMO_LIMIT:
+                self.floats.clear()
+            self.floats.update(zip(cells, row))
+        if self.count == len(self.rows):
+            self.rows = np.concatenate((self.rows, np.empty_like(self.rows)))
+        self.rows[self.count] = row
+        if len(self) >= _MEMO_LIMIT:
+            self.clear()
+        code = self[text] = self.count
+        self.count += 1
+        return code
 
 
 def _canonical(parse, write):
@@ -364,6 +393,9 @@ def _canonical(parse, write):
     return parse_canonical
 
 
+_parse_id, _parse_float = _canonical(int, str), _canonical(float, repr)
+
+
 def _item_names(text: str) -> tuple[str, ...]:
     """The #items header value: a JSON list of distinct item name strings."""
     names = json.loads(text)
@@ -372,6 +404,30 @@ def _item_names(text: str) -> tuple[str, ...]:
             or len(set(items)) < len(items)):
         raise ValueError("expected a JSON list of distinct item name strings")
     return items
+
+
+def _entry_error(line: str, n_items: int, measure: str, vector_length: int) -> str | None:
+    """Why the index entry ``line`` is refused, or None. The checks run in
+    this order: bytes that are not UTF-8, the field count, the ids, their
+    range, the value, the vector length, then its cells."""
+    if reason := _escaped(line):
+        return reason
+    fields = line.rstrip("\n").split("\t")
+    try:
+        if len(fields) != 4:
+            raise ValueError(f"expected 4 tab-separated fields, got {len(fields)}")
+        target, nbr = _parse_id(fields[0]), _parse_id(fields[1])
+        if not (0 <= target < n_items and 0 <= nbr < n_items):
+            raise ValueError(f"item id outside [0, {n_items}): target {target}, neighbor {nbr}")
+        _parse_float(fields[2])
+        cells = fields[3].split(",") if fields[3] else ()
+        if len(cells) != vector_length:
+            raise ValueError(f"vector of {len(cells)} values, {measure} stores {vector_length}")
+        for cell in cells:
+            _parse_float(cell)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 @dataclass(eq=False)
@@ -435,38 +491,49 @@ class NeighborIndex:
         )
 
     def save(self, path: str) -> None:
+        """Write the index to ``path`` as format v1 text. The lines go to a
+        new file beside ``path``, which replaces ``path`` once complete: v1
+        holds no entry count, so a file cut at a line boundary would load."""
         values = np.asarray(self.values, dtype=np.float64)
         names = np.array([str(item) for item in range(len(self.items))], dtype=object)
         line = "%s\t%s\t%s\t" + ",".join(["%s"] * (values.shape[1] - 1)) + "\n"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"#{self.FORMAT}\t{self.VERSION}\n")
-            fh.write(f"#measure\t{self.measure}\n")
-            fh.write(f"#rank_by\t{self.rank_by}\n")
-            fh.write(f"#params\t{json.dumps(asdict(self.params), sort_keys=True)}\n")
-            fh.write(f"#items\t{json.dumps(list(self.items))}\n")
-            for start in range(0, len(self.targets), _BLOCK_LINES):
-                block = slice(start, start + _BLOCK_LINES)
-                # the values are ratios of small counts and repeat heavily: repr
-                # each distinct float of the block once, keyed by its bits so
-                # -0.0 stays apart from 0.0
-                bits, cell = np.unique(values[block].view(np.int64), return_inverse=True)
-                texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-                cells = np.column_stack((names[self.targets[block]], names[self.nbrs[block]],
-                                         texts[cell.reshape(values[block].shape)]))
-                fh.write(line * len(cells) % tuple(cells.ravel().tolist()))
+        # not tempfile, whose files only their owner may read: the index
+        # keeps the permissions that the umask gives a new file
+        partial = f"{path}.{os.urandom(4).hex()}.partial"
+        fh = open(partial, "x", encoding="utf-8")
+        try:
+            with fh:
+                fh.write(f"#{self.FORMAT}\t{self.VERSION}\n")
+                fh.write(f"#measure\t{self.measure}\n")
+                fh.write(f"#rank_by\t{self.rank_by}\n")
+                fh.write(f"#params\t{json.dumps(asdict(self.params), sort_keys=True)}\n")
+                fh.write(f"#items\t{json.dumps(list(self.items))}\n")
+                for start in range(0, len(self.targets), _BLOCK_LINES):
+                    block = slice(start, start + _BLOCK_LINES)
+                    # the values are ratios of small counts and repeat heavily:
+                    # repr each distinct float of the block once, keyed by its
+                    # bits so -0.0 stays apart from 0.0
+                    bits, cell = np.unique(values[block].view(np.int64), return_inverse=True)
+                    texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+                    cells = np.column_stack((names[self.targets[block]], names[self.nbrs[block]],
+                                             texts[cell.reshape(values[block].shape)]))
+                    fh.write(line * len(cells) % tuple(cells.ravel().tolist()))
+            os.replace(partial, path)
+        except BaseException:
+            os.unlink(partial)
+            raise
 
     @classmethod
     def load(cls, path: str) -> "NeighborIndex":
-        try:
-            return cls._read(path)
-        except UnicodeDecodeError:
-            # the line is found only here, so a valid index takes no per-line check
-            raise ValueError(_not_utf8(path)) from None
-
-    @classmethod
-    def _read(cls, path: str) -> "NeighborIndex":
-        with open(path, encoding="utf-8") as fh:
-            if fh.readline().rstrip("\n").split("\t") != [f"#{cls.FORMAT}", str(cls.VERSION)]:
+        """The index saved at ``path``. A file that is not a valid index
+        fails as ``path:line: reason`` at its first bad line."""
+        # a byte that is not UTF-8 reads as a lone surrogate, which no check
+        # takes, and each line names its own bad bytes before any other fault
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            magic = fh.readline()
+            if reason := _escaped(magic):
+                raise ValueError(f"{path}:1: {reason}")
+            if magic.rstrip("\n").split("\t") != [f"#{cls.FORMAT}", str(cls.VERSION)]:
                 raise ValueError(f"{path}: not a {cls.FORMAT} v{cls.VERSION} artifact")
 
             def header(lineno: int, key: str, parse, choices=None):
@@ -475,6 +542,8 @@ class NeighborIndex:
                 try:
                     if not line:
                         raise ValueError(f"file ends before the #{key} header line")
+                    if reason := _escaped(line):
+                        raise ValueError(reason)
                     if name != f"#{key}" or not tab:
                         raise ValueError(f"expected a '#{key}<tab>value' header line")
                     if choices is not None and value not in choices:
@@ -488,44 +557,37 @@ class NeighborIndex:
             params = header(4, "params", lambda v: SimilarityParams(**json.loads(v)))
             items = header(5, "items", _item_names)
             vector_length = params.k if measure in ("pas", "pas_uni") else 0
-            parse_id, parse_value = _canonical(int, str), _canonical(float, repr)
-            # one memo each: a packed vector "0.5" is not the value "0.5"
-            ids, floats, vectors = {}, {}, {}
-
-            def vector(packed: str) -> tuple[float, ...]:
-                cells = packed.split(",") if packed else ()
-                if len(cells) != vector_length:
-                    raise ValueError(f"vector of {len(cells)} values, {measure} stores {vector_length}")
-                return tuple(_memo(floats, parse_value, cell) for cell in cells)
-
-            targets, nbrs, values, rows = [], [], [], []
-            # entry lines follow the five header lines; the first bad line fails
-            for lineno, line in enumerate(fh, start=6):
-                fields = line.rstrip("\n").split("\t")
-                try:
-                    if len(fields) != 4:
-                        raise ValueError(f"expected 4 tab-separated fields, got {len(fields)}")
-                    target = _memo(ids, parse_id, fields[0])
-                    nbr = _memo(ids, parse_id, fields[1])
-                    if not (0 <= target < len(items) and 0 <= nbr < len(items)):
-                        raise ValueError(f"item id outside [0, {len(items)}): target {target}, neighbor {nbr}")
-                    value = _memo(floats, parse_value, fields[2])
-                    row = _memo(vectors, vector, fields[3])
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
-                targets.append(target)
-                nbrs.append(nbr)
-                values.append(value)
-                rows.append(row)
-        flat = np.fromiter(itertools.chain.from_iterable(rows), np.float64, len(rows) * vector_length)
-        targets, nbrs = np.array(targets, dtype=np.int64), np.array(nbrs, dtype=np.int64)
-        values = np.column_stack((np.array(values, dtype=np.float64), flat.reshape(len(rows), vector_length)))
+            # each entry line is split once at its first two tabs: a hit in
+            # ``ids`` is an id in canonical form and in range, and ``memo``
+            # parses each distinct value-and-vector text once. This takes
+            # exactly the lines ``_entry_error`` takes, so a valid index takes
+            # no per-line check, and the first line refused is the first bad
+            # line: only it is checked again, for the reason
+            ids = {str(item): item for item in range(len(items))}
+            memo = _Rows(1 + vector_length)
+            targets, nbrs, codes = [], [], []
+            try:
+                for line in fh:
+                    target, nbr, rest = line.split("\t", 2)
+                    targets.append(ids[target])
+                    nbrs.append(ids[nbr])
+                    codes.append(memo[rest])
+            except (KeyError, ValueError):
+                if reason := _entry_error(line, len(items), measure, vector_length):
+                    raise ValueError(f"{path}:{len(codes) + 6}: {reason}") from None
+                raise  # not reached: every line refused fails a check
+        targets, nbrs, codes = (np.array(column, dtype=np.int64) for column in (targets, nbrs, codes))
+        rows = memo.rows[:memo.count]
+        del memo  # its texts: only their rows are read from here on
         # scoring needs finite values and no measure is negative; a share may
-        # round an ulp above 1, so there is no upper bound
-        bad = np.argwhere(~((values >= 0.0) & (values < np.inf)))
+        # round an ulp above 1, so there is no upper bound. The distinct rows
+        # are checked, and the first line holding a bad one fails
+        ok = (rows >= 0.0) & (rows < np.inf)
+        bad = np.flatnonzero(~ok.all(axis=1)[codes])
         if len(bad):
-            row, column = bad[0]
-            raise ValueError(f"{path}:{row + 6}: {float(values[row, column])!r} outside [0, inf)")
+            row = codes[bad[0]]
+            raise ValueError(f"{path}:{bad[0] + 6}: {float(rows[row, np.argmin(ok[row])])!r} outside [0, inf)")
+        values = rows[codes]
         # scoring adds one value per (target, neighbor) entry
         keys = targets * len(items) + nbrs
         by_key = np.argsort(keys, kind="stable")
@@ -539,23 +601,18 @@ class NeighborIndex:
         if len(selves):
             row = selves[0]
             raise ValueError(f"{path}:{row + 6}: item {targets[row]} is its own neighbor")
-        order = np.argsort(targets, kind="stable")
+        # save writes the entries by target, which then need no sort
+        ascending = not np.any(targets[1:] < targets[:-1])
+        order = np.arange(len(targets)) if ascending else np.argsort(targets, kind="stable")
         slot = np.arange(len(order)) - np.searchsorted(targets[order], targets[order])
         extra = order[slot >= params.n_neighbors]
         if len(extra):
             row = extra.min()
             raise ValueError(f"{path}:{row + 6}: target {targets[row]} has more than "
                              f"n_neighbors={params.n_neighbors} entries")
-        return cls(measure, params, items, targets[order], nbrs[order], values[order], rank_by=rank_by)
-
-
-def _not_utf8(path: str) -> str:
-    """``path:line:`` and the first byte that is not UTF-8, of the file at ``path``."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if reason := _escaped(line):
-                return f"{path}:{lineno}: {reason}"
-    return f"{path}: not valid UTF-8"
+        if not ascending:
+            targets, nbrs, values = targets[order], nbrs[order], values[order]
+        return cls(measure, params, items, targets, nbrs, values, rank_by=rank_by)
 
 
 def _select(

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 import re
 import tempfile
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -769,6 +770,78 @@ class TestNeighborIndex:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: "
                                              f"byte 0x{byte:02x} is not valid UTF-8$"):
             NeighborIndex.load(str(path))
+
+    @pytest.mark.parametrize("edits, lineno, message", [
+        ({7: b"0\t1", 8: b"0\t1\t0.5\t\xff"}, 7, "expected 4 tab-separated fields, got 2"),
+        ({7: b"0\t1\t0.5\t\xff", 8: b"0\t1"}, 7, "byte 0xff is not valid UTF-8"),
+        ({3: b"#rank_by\tmin_t", 8: b"0\t1\t0.5\t\xff"}, 3, "unknown rank_by 'min_t'"),
+        ({3: b"#rank_by\tmin_t\xff", 7: b"0\t1"}, 3, "byte 0xff is not valid UTF-8"),
+    ], ids=["fields-then-byte", "byte-then-fields", "header-value-then-byte", "header-byte-first"])
+    def test_load_names_the_first_bad_line_beside_a_byte_not_utf8(self, tmp_path, toy_corpus, edits,
+                                                                  lineno, message):
+        index = build_neighbor_index(count_corpus(toy_corpus, ell_max=2),
+                                     SimilarityParams(ell=2, lam=0.0), "bis")
+        path = tmp_path / "index.tsv"
+        index.save(str(path))
+        lines = path.read_bytes().splitlines()
+        assert len(lines) >= 8
+        for n, line in edits.items():
+            lines[n - 1] = line
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: {re.escape(message)}"):
+            NeighborIndex.load(str(path))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_bad_index_read_from_a_pipe_names_its_line(self, tmp_path, toy_corpus):
+        index = build_neighbor_index(count_corpus(toy_corpus, ell_max=2),
+                                     SimilarityParams(ell=2, lam=0.0), "bis")
+        path = tmp_path / "index.tsv"
+        index.save(str(path))
+        lines = path.read_text().splitlines()
+        lines.insert(6, "0\t1")
+        # a pipe is read once: the bad line is named without reading it again
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=("\n".join(lines) + "\n",), daemon=True)
+        writer.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(fifo))}:7: "
+                                                 "expected 4 tab-separated fields, got 2$"):
+                NeighborIndex.load(str(fifo))
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    def test_failed_save_leaves_the_old_file_and_no_other(self, tmp_path, toy_corpus, monkeypatch):
+        store = count_corpus(toy_corpus, ell_max=2)
+        old = build_neighbor_index(store, SimilarityParams(ell=2, lam=0.0), "bis")
+        path = tmp_path / "index.tsv"
+        old.save(str(path))
+        before = path.read_bytes()
+        new = build_neighbor_index(store, SimilarityParams(ell=2, lam=0.5), "pas")
+        # one entry line per block, and the second block fails to format
+        monkeypatch.setattr(similarity, "_BLOCK_LINES", 1)
+        column_stack, calls = np.column_stack, []
+
+        def failing_column_stack(arrays):
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError("no space left on device")
+            return column_stack(arrays)
+
+        monkeypatch.setattr(similarity.np, "column_stack", failing_column_stack)
+        with pytest.raises(OSError, match="no space left"):
+            new.save(str(path))
+        assert len(calls) == 2
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["index.tsv"]
+        monkeypatch.undo()
+        new.save(str(path))
+        assert NeighborIndex.load(str(path)) == new
+        assert os.listdir(tmp_path) == ["index.tsv"]
+        # the permissions of any new file, not those of a private temporary one
+        (tmp_path / "plain.txt").write_text("")
+        assert path.stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
 
     def test_rejects_foreign_artifact(self, tmp_path):
         path = tmp_path / "bogus.tsv"
