@@ -164,14 +164,14 @@ def _write_snapshot(opt: dict) -> None:
 def cmd_prepare(opt: dict) -> None:
     if opt["max_users"] < 1:
         raise ValueError(f"--max-users must be >= 1, got {opt['max_users']}")
-    if opt["filter"] == "rating_equals_5" and opt["rating_col"] < 0:
+    if opt["filter"] == "rating_equals_5" and opt["rating_col"] == -1:
         raise ValueError("--filter rating_equals_5 needs a rating column: give --rating-col, "
                          "or --filter all to keep every record")
     schema = ColumnSchema(
         delimiter=opt["delimiter"],
         user_col=opt["user_col"],
         item_col=opt["item_col"],
-        rating_col=opt["rating_col"] if opt["rating_col"] >= 0 else None,
+        rating_col=None if opt["rating_col"] == -1 else opt["rating_col"],
         timestamp_col=opt["timestamp_col"],
     )
     # utf-8-sig drops a byte-order mark, which would join the first user id;

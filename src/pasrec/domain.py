@@ -7,9 +7,15 @@ threads and processes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 SCALINGS = ("h_a", "h_b", "h_c")
 MEASURES = ("bis", "pas", "pas_uni", "cosine")
+
+
+def is_number(value: object, kind: type) -> bool:
+    """Whether ``value`` is a ``kind`` (Integral or Real) but not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -55,18 +61,21 @@ class SimilarityParams:
     n_neighbors: int = 20
 
     def __post_init__(self) -> None:
-        if self.ell < 1:
-            raise ValueError(f"ell must be a positive integer, got {self.ell}")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
+        if not (is_number(self.ell, Integral) and self.ell >= 1):
+            raise ValueError(f"ell must be a positive integer, got {self.ell!r}")
+        if not (is_number(self.rho, Real) and 0.0 < self.rho < 1.0):
+            raise ValueError(f"rho must be a real number in (0, 1), got {self.rho!r}")
+        if not (is_number(self.lam, Real) and 0.0 <= self.lam <= 1.0):
+            raise ValueError(f"lam must be a real number in [0, 1], got {self.lam!r}")
         if self.scaling not in SCALINGS:
             raise ValueError(f"unknown scaling {self.scaling!r}, expected one of {SCALINGS}")
-        if self.w <= 1.0:
-            raise ValueError(f"w must be > 1, got {self.w}")
-        if self.n_neighbors < 1:
-            raise ValueError(f"n_neighbors must be >= 1, got {self.n_neighbors}")
+        if not (is_number(self.w, Real) and self.w > 1.0):
+            raise ValueError(f"w must be a real number > 1, got {self.w!r}")
+        if not (is_number(self.n_neighbors, Integral) and self.n_neighbors >= 1):
+            raise ValueError(f"n_neighbors must be an integer >= 1, got {self.n_neighbors!r}")
+        for name, plain in (("ell", int), ("rho", float), ("lam", float), ("w", float), ("n_neighbors", int)):
+            if not isinstance(getattr(self, name), (int, float)):  # a numpy scalar, which JSON cannot write
+                object.__setattr__(self, name, plain(getattr(self, name)))
 
     @property
     def k(self) -> int:

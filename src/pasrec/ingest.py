@@ -1,15 +1,15 @@
 """Interaction-log parsing, preprocessing, and leave-last-two-out splits.
 
 ``parse_interactions`` reads a log into one columnar table,
-``Interactions``: user and item ids as lists of str, ratings and timestamps
-as int64 arrays. It reads ``_BLOCK_LINES`` lines at a time: each block is
-joined and split into columns once, each distinct rating or timestamp text
-is checked and converted once, and ids are encoded as they come, so the
-table leaves with its codes. Every later stage is an array pass over that
-table: keep positive feedback (a mask) -> drop duplicate (user, item) pairs
-keeping the earliest (one lexsort) -> optionally subsample users -> split
-per user into training sequence / validation item / test item (one
-lexsort).
+``Interactions``: the sorted distinct user and item ids, int64 codes into
+them per row, and int64 ratings and timestamps. It reads ``_BLOCK_LINES``
+lines at a time: each block is joined and split into columns once, each
+distinct rating or timestamp text is checked and converted once, and ids
+are encoded as they come. Every later stage is an array pass over the
+codes, and none reads a row's id: keep positive feedback (a mask) -> drop
+duplicate (user, item) pairs keeping the earliest (one lexsort) ->
+optionally subsample users -> split per user into training sequence /
+validation item / test item (one lexsort).
 
 ``save_dataset`` writes the split files one ``%`` format per block of
 lines. ``load_dataset`` reads them back in blocks into user and item codes,
@@ -31,10 +31,11 @@ import re
 from dataclasses import dataclass, asdict, fields
 from collections.abc import Iterable, Iterator
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
-from .domain import UserSequence
+from .domain import UserSequence, is_number
 
 log = logging.getLogger(__name__)
 
@@ -61,6 +62,14 @@ class ColumnSchema:
     item_col: int = 1
     rating_col: int | None = 2
     timestamp_col: int = 3
+
+    def __post_init__(self) -> None:
+        for name in ("user_col", "item_col", "rating_col", "timestamp_col"):
+            column = getattr(self, name)
+            if column is None and name == "rating_col":
+                continue  # a log without ratings
+            if not (is_number(column, Integral) and column >= 0):
+                raise ValueError(f"{name} must be a non-negative integer, got {column!r}")
 
     @classmethod
     def movielens(cls) -> "ColumnSchema":
@@ -98,28 +107,50 @@ def _intern(ids: list[str]) -> tuple[list[str], np.ndarray]:
 class Interactions:
     """Interaction events as columns, one row per event in log order.
 
-    ``ratings`` is None for a log without a rating column. Timestamps are
-    non-negative.
+    ``user_ids`` and ``item_ids`` are distinct ids in ascending order, and
+    ``user_code`` and ``item_code`` each row's position in them, so a code
+    sorts as its id does. The id lists may hold ids that no row uses: a cut
+    by ``take`` shares its parent's. ``ratings`` is None for a log without
+    a rating column. Timestamps are non-negative. ``from_ids`` builds a
+    table from each row's ids, and ``ids`` decodes them.
     """
 
-    users: list[str]
-    items: list[str]
+    user_ids: list[str]
+    item_ids: list[str]
+    user_code: np.ndarray
+    item_code: np.ndarray
     ratings: np.ndarray | None
     timestamps: np.ndarray
 
     def __post_init__(self) -> None:
-        columns = {"users": list(self.users), "items": list(self.items),
-                   "timestamps": np.asarray(self.timestamps, dtype=np.int64)}
-        if self.ratings is not None:
-            columns["ratings"] = np.asarray(self.ratings, dtype=np.int64)
+        columns = {name: np.asarray(getattr(self, name), dtype=np.int64)
+                   for name in ("user_code", "item_code", "ratings", "timestamps")
+                   if getattr(self, name) is not None}
         lengths = {name: len(column) for name, column in columns.items()}
         if len(set(lengths.values())) > 1:
             raise ValueError(f"columns differ in length: {lengths}")
         for name, column in columns.items():
             object.__setattr__(self, name, column)
+        for name, ids, codes in (("user", self.user_ids, self.user_code), ("item", self.item_ids, self.item_code)):
+            if any(a >= b for a, b in itertools.pairwise(ids)):
+                raise ValueError(f"{name} ids are not distinct and ascending")
+            if len(codes) and not 0 <= codes.min() <= codes.max() < len(ids):
+                raise ValueError(f"{name} codes outside 0..{len(ids) - 1}")
         if len(self.timestamps) and self.timestamps.min() < 0:
             row = int(np.argmax(self.timestamps < 0))
-            raise ValueError(f"negative timestamp {self.timestamps[row]} for user {self.users[row]!r}")
+            raise ValueError(f"negative timestamp {self.timestamps[row]} for user "
+                             f"{self.user_ids[self.user_code[row]]!r}")
+
+    @classmethod
+    def from_ids(cls, users: Iterable[str], items: Iterable[str], ratings, timestamps) -> "Interactions":
+        """The table of these rows' ids, ratings (None for none) and timestamps."""
+        (user_ids, user_code), (item_ids, item_code) = _intern(list(users)), _intern(list(items))
+        return cls(user_ids, item_ids, user_code, item_code, ratings, timestamps)
+
+    def ids(self) -> tuple[list[str], list[str]]:
+        """Each row's user id and item id, decoded from the codes."""
+        return (np.array(self.user_ids, dtype=object)[self.user_code].tolist(),
+                np.array(self.item_ids, dtype=object)[self.item_code].tolist())
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -127,35 +158,14 @@ class Interactions:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Interactions):
             return NotImplemented
-        return (self.users == other.users and self.items == other.items
-                and np.array_equal(self.timestamps, other.timestamps)
+        return (self.ids() == other.ids() and np.array_equal(self.timestamps, other.timestamps)
                 and (self.ratings is None) == (other.ratings is None)
                 and (self.ratings is None or np.array_equal(self.ratings, other.ratings)))
 
-    # codes index a sorted vocabulary; a table cut by ``take`` keeps its
-    # parent's, which may hold ids the cut no longer uses
-    @cached_property
-    def user_codes(self) -> tuple[list[str], np.ndarray]:
-        return _intern(self.users)
-
-    @cached_property
-    def item_codes(self) -> tuple[list[str], np.ndarray]:
-        return _intern(self.items)
-
     def take(self, rows: np.ndarray) -> "Interactions":
         """The table of the rows at ``rows``, in that order."""
-        picked = rows.tolist()
-        cut = Interactions(
-            users=[self.users[r] for r in picked],
-            items=[self.items[r] for r in picked],
-            ratings=None if self.ratings is None else self.ratings[rows],
-            timestamps=self.timestamps[rows],
-        )
-        for name in ("user_codes", "item_codes"):
-            if name in self.__dict__:
-                vocab, codes = self.__dict__[name]
-                cut.__dict__[name] = (vocab, codes[rows])
-        return cut
+        return Interactions(self.user_ids, self.item_ids, self.user_code[rows], self.item_code[rows],
+                            None if self.ratings is None else self.ratings[rows], self.timestamps[rows])
 
 
 @dataclass(frozen=True)
@@ -314,7 +324,7 @@ def parse_interactions(
 
     Lines are read ``_BLOCK_LINES`` at a time. Each block is joined and split
     into columns once, and each distinct rating or timestamp text of a block
-    is checked and converted once. Equal ids share one string.
+    is checked and converted once.
     """
     if on_error not in ("raise", "skip"):
         raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
@@ -376,14 +386,9 @@ def parse_interactions(
     if skipped:
         log.warning("skipped %d malformed lines", skipped)
     user_code, item_code, timestamps, ratings = map(_concatenate, columns_read)
-    (user_vocab, user_rank), (item_vocab, item_rank) = map(_ranks, codes)
-    user_code, item_code = user_rank[user_code], item_rank[item_code]
-    # equal ids share one string
-    table = Interactions(np.array(user_vocab, dtype=object)[user_code].tolist(),
-                         np.array(item_vocab, dtype=object)[item_code].tolist(),
-                         None if schema.rating_col is None else ratings, timestamps)
-    table.__dict__.update(user_codes=(user_vocab, user_code), item_codes=(item_vocab, item_code))
-    return table
+    (user_ids, user_rank), (item_ids, item_rank) = map(_ranks, codes)
+    return Interactions(user_ids, item_ids, user_rank[user_code], item_rank[item_code],
+                        None if schema.rating_col is None else ratings, timestamps)
 
 
 def _fault_message(fault: int, line: str, width: int, needed: int,
@@ -423,9 +428,7 @@ def deduplicate(table: Interactions) -> Interactions:
     """Keep only the earliest row per (user, item) pair, breaking timestamp
     ties by first occurrence. Output preserves the input order of survivors.
     """
-    _, user_code = table.user_codes
-    item_vocab, item_code = table.item_codes
-    pair = user_code * len(item_vocab) + item_code
+    pair = table.user_code * len(table.item_ids) + table.item_code
     # lexsort is stable, so rows of one pair and timestamp stay in input order
     order = np.lexsort((table.timestamps, pair))
     first = np.ones(len(order), dtype=bool)
@@ -439,14 +442,13 @@ def subsample_users(table: Interactions, max_users: int, seed: int) -> Interacti
     """
     if max_users < 1:
         raise ValueError(f"max_users must be >= 1, got {max_users}")
-    _, user_code = table.user_codes
-    present = np.unique(user_code)
+    present = np.unique(table.user_code)
     if len(present) <= max_users:
         return table
     # code order is id order: this draws the users that sampling the sorted
     # ids would
     chosen = random.Random(seed).sample(present.tolist(), max_users)
-    return table.take(np.flatnonzero(np.isin(user_code, chosen)))
+    return table.take(np.flatnonzero(np.isin(table.user_code, chosen)))
 
 
 def build_dataset(table: Interactions) -> Dataset:
@@ -458,19 +460,17 @@ def build_dataset(table: Interactions) -> Dataset:
     history stays in the training corpus, but they are excluded from the
     validation/test maps and counted in the stats.
     """
-    user_vocab, user_code = table.user_codes
-    item_vocab, item_code = table.item_codes
     # lexsort is stable, so full ties stay in input order
-    order = np.lexsort((item_code, table.timestamps, user_code))
-    by_user = user_code[order]
+    order = np.lexsort((table.item_code, table.timestamps, table.user_code))
+    by_user = table.user_code[order]
     starts = np.flatnonzero(np.diff(by_user, prepend=-1))
     lengths = np.diff(starts, append=len(order))
     held = lengths >= 3
     n_train = np.where(held, lengths - 2, lengths)
     in_train = np.arange(len(order)) - np.repeat(starts, lengths) < np.repeat(n_train, lengths)
-    present = np.flatnonzero(np.bincount(item_code, minlength=len(item_vocab)))
-    codes = np.searchsorted(present, item_code[order])
-    universe = tuple(item_vocab[code] for code in present.tolist())
+    present = np.flatnonzero(np.bincount(table.item_code, minlength=len(table.item_ids)))
+    codes = np.searchsorted(present, table.item_code[order])
+    universe = tuple(table.item_ids[code] for code in present.tolist())
     n_users, n_records, n_eval = len(starts), len(table), int(np.count_nonzero(held))
     stats = DatasetStats(
         n_users=n_users,
@@ -485,7 +485,7 @@ def build_dataset(table: Interactions) -> Dataset:
         n_users, n_eval, len(universe), n_records, stats.avg_length,
     )
     return Dataset(
-        users=tuple(user_vocab[code] for code in by_user[starts].tolist()),
+        users=tuple(table.user_ids[code] for code in by_user[starts].tolist()),
         item_universe=universe,
         train_codes=codes[in_train],
         train_offsets=np.concatenate(([0], np.cumsum(n_train))),

@@ -793,17 +793,12 @@ def average_uni_by_gap(
     averages then show how fast each scaled variant decays as the query item
     sits further from the prediction point.
     """
-    params = SimilarityParams(ell=ell, rho=0.2, lam=1.0, scaling="h_a", w=w,
-                              n_neighbors=n_neighbors)
-    (*_, union, nums), _ = _selection(store, params, "pas_uni", "bis")
     profile: dict[str, list[float]] = {}
     for scaling in SCALINGS:
-        # column j of nums counts the gaps in [j, ell]
-        columns = [_uni_low(ell, t, scaling, w) for t in range(1, ell + 1)]
-        # values[i, t - 1]: pair i at window position t
-        values = nums[:, columns] / union[:, None]
-        profile[scaling] = [
-            math.fsum(values[:, ell - gap - 1].tolist()) / len(values) if len(values) else 0.0
-            for gap in range(ell)
-        ]
+        params = SimilarityParams(ell=ell, rho=0.2, lam=1.0, scaling=scaling, w=w, n_neighbors=n_neighbors)
+        # values[i, t - 1]: entry i at window position t; the store's memo
+        # gives every scaling one selection
+        values = build_neighbor_index(store, params, "pas_uni").values[:, 1:]
+        profile[scaling] = [math.fsum(values[:, ell - gap - 1].tolist()) / len(values) if len(values) else 0.0
+                            for gap in range(ell)]
     return profile

@@ -42,14 +42,6 @@ class SynthConfig:
             raise ValueError(f"catalog of {self.n_items} items cannot fill sequences of length {lo}")
 
 
-def _item_label(idx: int, width: int) -> str:
-    return f"i{idx:0{width}d}"
-
-
-def _user_label(idx: int, width: int) -> str:
-    return f"u{idx:0{width}d}"
-
-
 def _walk(
     rng: random.Random, ring_next: list[int], n_items: int, length: int, signal: float
 ) -> list[int]:
@@ -91,8 +83,8 @@ def generate(config: SynthConfig) -> Interactions:
     item_width = len(str(config.n_items - 1))
     user_width = len(str(config.n_users - 1))
     lo, hi = config.seq_length_range
-    users: list[str] = []
-    items: list[str] = []
+    users: list[int] = []
+    items: list[int] = []
     timestamps: list[int] = []
     for u in range(config.n_users):
         rng = random.Random(config.seed * 1_000_003 + u + 1)
@@ -101,10 +93,13 @@ def generate(config: SynthConfig) -> Interactions:
         for j in range(len(seq) - 1):
             if rng.random() < config.reverse_noise:
                 seq[j], seq[j + 1] = seq[j + 1], seq[j]
-        users += [_user_label(u, user_width)] * len(seq)
-        items += [_item_label(item, item_width) for item in seq]
+        users += [u] * len(seq)
+        items += seq
         timestamps += range(len(seq))
-    return Interactions(users, items, np.full(len(users), 5, dtype=np.int64), timestamps)
+    # labels are zero-padded to one width, so label order is code order
+    return Interactions([f"u{u:0{user_width}d}" for u in range(config.n_users)],
+                        [f"i{i:0{item_width}d}" for i in range(config.n_items)],
+                        users, items, np.full(len(users), 5, dtype=np.int64), timestamps)
 
 
 def write_log(table: Interactions, path: str, delimiter: str = "::") -> None:
@@ -113,6 +108,6 @@ def write_log(table: Interactions, path: str, delimiter: str = "::") -> None:
     table without ratings.
     """
     ratings = [""] * len(table) if table.ratings is None else table.ratings.tolist()
-    rows = zip(table.users, table.items, ratings, table.timestamps.tolist())
+    rows = zip(*table.ids(), ratings, table.timestamps.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(f"{u}{delimiter}{i}{delimiter}{r}{delimiter}{t}\n" for u, i, r, t in rows)

@@ -3,12 +3,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pasrec.domain import MEASURES, UserSequence
 from pasrec.ingest import Interactions, _intern
 from pasrec.oracle import oracle_bis, oracle_cosine, oracle_pas
 from pasrec.predictor import positive_scores, rank_of_target
 from pasrec.similarity import _uni_low, build_neighbor_index, count_pairs
+
+# the default settings, and a failing property prints the
+# @reproduce_failure line that replays it
+settings.register_profile("print-blob", print_blob=True)
+settings.load_profile("print-blob")
 
 
 @pytest.fixture
@@ -26,7 +32,7 @@ def interactions(rows) -> Interactions:
     any row makes a table without ratings."""
     rows = list(rows)
     ratings = [rating for _, _, rating, _ in rows]
-    return Interactions(
+    return Interactions.from_ids(
         users=[user for user, _, _, _ in rows],
         items=[item for _, item, _, _ in rows],
         ratings=None if None in ratings else ratings,

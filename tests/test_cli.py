@@ -93,7 +93,11 @@ class TestPrepare:
         (["--max-users", "0"], "--max-users must be >= 1, got 0"),
         (["--rating-col", "-1"], "--filter rating_equals_5 needs a rating column: give --rating-col, "
                                  "or --filter all to keep every record"),
-    ], ids=["max-users-0", "rating-filter-without-rating-column"])
+        (["--user-col", "-1"], "user_col must be a non-negative integer, got -1"),
+        (["--timestamp-col", "-2"], "timestamp_col must be a non-negative integer, got -2"),
+        (["--rating-col", "-7", "--filter", "all"], "rating_col must be a non-negative integer, got -7"),
+    ], ids=["max-users-0", "rating-filter-without-rating-column", "negative-user-column",
+            "negative-timestamp-column", "rating-column-below-minus-one"])
     def test_bad_option_fails_before_reading(self, tmp_path, capsys, flags, message):
         # the input does not exist, so only a check made before reading it
         # can give this message

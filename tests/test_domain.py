@@ -1,3 +1,7 @@
+import json
+from dataclasses import asdict
+
+import numpy as np
 import pytest
 
 from pasrec.domain import (
@@ -83,4 +87,11 @@ class TestSimilarityParams:
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SimilarityParams(**kwargs)
+
+    def test_numpy_scalars_accepted(self):
+        params = SimilarityParams(ell=np.int64(3), rho=np.float64(0.5), lam=np.float32(0.25),
+                                  w=np.int32(3), n_neighbors=np.uint8(4))
+        assert (params.ell, params.rho, params.lam, params.w, params.n_neighbors) == (3, 0.5, 0.25, 3, 4)
+        # stored as Python numbers, which an index header can hold
+        assert json.loads(json.dumps(asdict(params))) == asdict(params)
 

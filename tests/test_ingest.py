@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import interactions
 from pasrec.ingest import (
@@ -31,7 +32,7 @@ class TestInteractions:
     def test_columns(self):
         records = table(rec("u", "i", 5, 1), rec("v", "j", 4, 2))
         assert len(records) == 2
-        assert records.users == ["u", "v"] and records.items == ["i", "j"]
+        assert records.ids() == (["u", "v"], ["i", "j"])
         assert records.ratings.dtype == records.timestamps.dtype == np.int64
         assert records.ratings.tolist() == [5, 4] and records.timestamps.tolist() == [1, 2]
 
@@ -44,16 +45,60 @@ class TestInteractions:
 
     def test_columns_of_different_lengths_rejected(self):
         with pytest.raises(ValueError, match="differ in length"):
-            Interactions(["u"], ["i", "j"], None, [1])
+            Interactions.from_ids(["u"], ["i", "j"], None, [1])
 
     def test_take_keeps_interned_codes(self):
         records = table(rec("b", "y", 5, 1), rec("a", "x", 5, 2), rec("c", "z", 5, 3))
-        vocab, codes = records.user_codes
-        assert vocab == ["a", "b", "c"] and codes.tolist() == [1, 0, 2]
+        assert records.user_ids == ["a", "b", "c"] and records.user_code.tolist() == [1, 0, 2]
         cut = records.take(np.array([2, 0]))
         assert cut == table(rec("c", "z", 5, 3), rec("b", "y", 5, 1))
-        assert cut.user_codes[0] is vocab
-        assert cut.user_codes[1].tolist() == [2, 1]
+        assert cut.user_ids is records.user_ids and cut.item_ids is records.item_ids
+        assert cut.user_code.tolist() == [2, 1] and cut.item_code.tolist() == [2, 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(st.sampled_from(["a", "a\x00", "B", "é"]), st.sampled_from(["x", "y", "xy"]),
+                                   st.integers(0, 5), st.integers(0, 9)), max_size=12),
+           rated=st.booleans(), data=st.data())
+    def test_take_equals_the_table_of_the_same_rows(self, rows, rated, data):
+        def build(rows):
+            users, items, ratings, timestamps = (list(column) for column in zip(*rows)) if rows else ([],) * 4
+            return Interactions.from_ids(users, items, ratings if rated else None, timestamps)
+
+        picked = data.draw(st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=12 if rows else 0))
+        cut = build(rows).take(np.array(picked, dtype=np.int64))
+        want = build([rows[r] for r in picked])
+        assert cut == want
+        assert build_dataset(cut) == build_dataset(want)
+
+    @pytest.mark.parametrize("user_ids, user_code, message", [
+        (["b", "a"], [0], "user ids are not distinct and ascending"),
+        (["a", "a"], [0], "user ids are not distinct and ascending"),
+        (["a"], [1], "user codes outside 0..0"),
+        (["a"], [-1], "user codes outside 0..0"),
+    ], ids=["descending", "repeated", "code-past-the-ids", "negative-code"])
+    def test_ids_and_codes_checked(self, user_ids, user_code, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Interactions(user_ids, ["i"], user_code, [0], None, [1])
+
+
+class TestColumnSchema:
+    @pytest.mark.parametrize("field, value", [
+        ("user_col", -1), ("item_col", -2), ("rating_col", -1), ("timestamp_col", -1),
+        ("user_col", 1.0), ("item_col", "1"), ("timestamp_col", True), ("rating_col", False),
+    ])
+    def test_bad_column_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a non-negative integer, got {re.escape(repr(value))}$"):
+            ColumnSchema(**{field: value})
+
+    def test_negative_user_column_rejected_before_reading(self):
+        # a column counted from the end once read the wrong line's last field
+        lines = ["9::1::5::1", "1::2::5::2::extra", "3::4::5::3"]
+        with pytest.raises(ValueError, match="^user_col must be a non-negative integer, got -1$"):
+            parse_interactions(lines, ColumnSchema(user_col=-1))
+
+    def test_numpy_integer_columns_read_as_ints(self):
+        schema = ColumnSchema(user_col=np.int64(1), item_col=np.int32(0), rating_col=None, timestamp_col=np.int64(3))
+        assert parse_interactions(["i::u::5::7"], schema) == table(rec("u", "i", None, 7))
 
 
 class TestParse:
@@ -81,7 +126,7 @@ class TestParse:
         lines = ["1::2::5::10", "bad", "3::4::x::10", "5::6::5::20"]
         with caplog.at_level(logging.WARNING):
             records = parse_interactions(lines, ColumnSchema.movielens(), on_error="skip")
-        assert records.users == ["1", "5"]
+        assert records.ids()[0] == ["1", "5"]
         assert "skipped 2" in caplog.text
 
     @pytest.mark.parametrize(
@@ -97,7 +142,7 @@ class TestParse:
         lines = ["1::2::5::10", "u\t1::a::5::1", "3::4::5::20"]
         with caplog.at_level(logging.WARNING):
             records = parse_interactions(lines, ColumnSchema.movielens(), on_error="skip")
-        assert records.users == ["1", "3"]
+        assert records.ids()[0] == ["1", "3"]
         assert "skipped 1" in caplog.text
 
     def test_negative_timestamp_raises_with_line_number(self):
@@ -205,14 +250,14 @@ class TestSubsampleUsers:
     def test_exact_user_count_and_determinism(self):
         records = table(*(rec(f"u{j:05d}", f"i{j % 7}", 5, j) for j in range(300)))
         sampled = subsample_users(records, 100, seed=42)
-        assert len(set(sampled.users)) == 100
+        assert len(set(sampled.ids()[0])) == 100
         assert subsample_users(records, 100, seed=42) == sampled
 
     def test_seed_changes_selection(self):
         records = table(*(rec(f"u{j:05d}", "i", 5, j) for j in range(50)))
         a = subsample_users(records, 10, seed=1)
         b = subsample_users(records, 10, seed=2)
-        assert set(a.users) != set(b.users)
+        assert set(a.ids()[0]) != set(b.ids()[0])
 
 
 class TestBuildDataset:

@@ -77,7 +77,7 @@ def reference_parse_interactions(lines, schema, on_error="raise"):
         items.append(item)
         ratings.append(rating)
         timestamps.append(timestamp)
-    return Interactions(users, items, None if rating_col is None else ratings, timestamps), skipped
+    return Interactions.from_ids(users, items, None if rating_col is None else ratings, timestamps), skipped
 
 
 def reference_load_dataset(in_dir):
@@ -202,7 +202,7 @@ class TestParseAgainstReference:
         # lines are joined by '::'
         lines = ["x:::i::5::1\n", "u::i::5::1::x:\n", "v::j::5::2\n", ":u::i::5::4\n"]
         want = reference_parse_interactions(lines, ColumnSchema.movielens())[0]
-        assert want.users == ["x", "u", "v", ":u"] and want.items == [":i", "i", "j", "i"]
+        assert want.ids() == (["x", "u", "v", ":u"], [":i", "i", "j", "i"])
         for block in (1, 2, 4):
             with mock.patch.object(ingest, "_BLOCK_LINES", block):
                 assert parse_interactions(lines, ColumnSchema.movielens()) == want
@@ -239,7 +239,7 @@ class TestLoadAgainstReference:
 
     def test_well_formed_dataset_loads_the_same(self, tmp_path):
         rows = [(f"u{j % 7}", f"i{(j * 5) % 11}", 5, j) for j in range(90)]
-        table = Interactions(*map(list, zip(*rows)))
+        table = Interactions.from_ids(*map(list, zip(*rows)))
         save_dataset(build_dataset(ingest.deduplicate(table)), str(tmp_path))
         with mock.patch.object(ingest, "_BLOCK_LINES", 4):
             assert load_dataset(str(tmp_path)) == reference_load_dataset(tmp_path)
@@ -275,7 +275,7 @@ class TestBlockBoundaries:
         # one more user than a block holds, each with a line in every file
         users = ingest._BLOCK_LINES + 1
         rows = [(f"u{u:05d}", f"i{(u + k) % 50:02d}", 5, k) for u in range(users) for k in range(3)]
-        save_dataset(build_dataset(Interactions(*map(list, zip(*rows)))), str(tmp_path))
+        save_dataset(build_dataset(Interactions.from_ids(*map(list, zip(*rows)))), str(tmp_path))
         path = tmp_path / name
         lines = path.read_text().splitlines()
         bad = ingest._BLOCK_LINES + 1
@@ -305,8 +305,8 @@ class TestBoundedMemory:
     split-file line. Read as one block, these inputs peak at about 450
     bytes per log line and 260 per split-file line; the line-at-a-time
     readers, which keep a string per id, at about 176 and 152. The block
-    readers peak near 135 and 90: their codes and values, and one block of
-    tokens."""
+    readers peak near 121 and 90: their codes and values, and one block of
+    tokens. A parser that also kept a list of ids per row peaked at 134."""
 
     N_LINES = 8 * ingest._BLOCK_LINES
 
@@ -314,11 +314,11 @@ class TestBoundedMemory:
         lines = log_text(self.N_LINES)
         peak, table = traced_peak(lambda: parse_interactions(lines, ColumnSchema.movielens()))
         assert len(table) == self.N_LINES
-        assert peak / self.N_LINES <= 160
+        assert peak / self.N_LINES <= 128
 
     def test_load_peak_per_line(self, tmp_path):
         rows = [(f"u{j // 20:05d}", f"i{(j * 7) % 5000:05d}", 5, j % 100) for j in range(self.N_LINES)]
-        save_dataset(build_dataset(Interactions(*map(list, zip(*rows)))), str(tmp_path))
+        save_dataset(build_dataset(Interactions.from_ids(*map(list, zip(*rows)))), str(tmp_path))
         peak, dataset = traced_peak(lambda: load_dataset(str(tmp_path)))
         n_lines = len(dataset.train_codes) + 2 * dataset.stats.n_eval_users
         assert n_lines == self.N_LINES

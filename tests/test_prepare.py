@@ -91,7 +91,7 @@ def reference_split(rows):
 
 
 def as_rows(table):
-    return list(zip(table.users, table.items, table.ratings.tolist(), table.timestamps.tolist()))
+    return list(zip(*table.ids(), table.ratings.tolist(), table.timestamps.tolist()))
 
 
 # ids that differ only by a trailing NUL, or by case, must stay apart; few

@@ -724,6 +724,12 @@ class TestNeighborIndex:
             (3, '#params\t{"ell": 2,', 4, "Expecting"),
             (3, '#params\t{"ell": 0}', 4, "ell"),
             (3, '#params\t{"colour": 1}', 4, "colour"),
+            (3, '#params\t{"ell": 3.0}', 4, "ell must be a positive integer, got 3.0"),
+            (3, '#params\t{"ell": 2, "n_neighbors": 5.5}', 4, "n_neighbors must be an integer >= 1, got 5.5"),
+            (3, '#params\t{"ell": true}', 4, "ell must be a positive integer, got True"),
+            (3, '#params\t{"ell": 2, "lam": true}', 4, "lam must be a real number in [0, 1], got True"),
+            (3, '#params\t{"ell": 2, "w": "2"}', 4, "w must be a real number > 1, got '2'"),
+            (3, '#params\t{"ell": 2, "rho": null}', 4, "rho must be a real number in (0, 1), got None"),
             (4, "#items\t[0, 1", 5, "Expecting"),
             (4, "#items\t5", 5, "not iterable"),
             (4, '#items\t"ab"', 5, "expected a JSON list of distinct item name strings"),
@@ -733,7 +739,8 @@ class TestNeighborIndex:
         ],
         ids=["only-magic", "cut-after-rank-by", "cut-after-params", "missing-measure",
              "no-tab", "unknown-measure", "unknown-rank-by", "params-json", "params-rejected",
-             "params-unknown-field", "items-json", "items-not-a-list", "items-a-string",
+             "params-unknown-field", "params-ell-float", "params-n-neighbors-float", "params-ell-bool",
+             "params-lam-bool", "params-w-string", "params-rho-null", "items-json", "items-not-a-list", "items-a-string",
              "items-an-object", "items-repeated", "items-not-strings"],
     )
     def test_load_rejects_bad_header_with_location(

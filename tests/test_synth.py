@@ -6,7 +6,7 @@ from pasrec.synth import SynthConfig, generate, write_log
 
 def sequences_by_user(records):
     out = {}
-    for user, item in zip(records.users, records.items):
+    for user, item in zip(*records.ids()):
         out.setdefault(user, []).append(item)
     return out
 
@@ -49,7 +49,7 @@ class TestGenerate:
         config = SynthConfig(n_users=5, n_items=20, seq_length_range=(4, 6), seed=2)
         per_user = {}
         records = generate(config)
-        for user, timestamp in zip(records.users, records.timestamps.tolist()):
+        for user, timestamp in zip(records.ids()[0], records.timestamps.tolist()):
             per_user.setdefault(user, []).append(timestamp)
         for stamps in per_user.values():
             assert stamps == list(range(len(stamps)))
