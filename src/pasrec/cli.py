@@ -194,11 +194,11 @@ def cmd_prepare(opt: dict) -> None:
 
 
 def cmd_build_index(opt: dict) -> None:
-    dataset = load_dataset(opt["dataset"])
     params = SimilarityParams(
         ell=opt["ell"], rho=opt["rho"], lam=opt["lam"], scaling=opt["scaling"],
         w=opt["w"], n_neighbors=opt["n_neighbors"],
     )
+    dataset = load_dataset(opt["dataset"])
     started = time.perf_counter()
     store = count_pairs(dataset.item_universe, dataset.train_codes, dataset.train_offsets, params.ell)
     index = build_neighbor_index(store, params, opt["measure"], rank_by=opt["rank_by"])
@@ -251,9 +251,10 @@ def cmd_grid(opt: dict) -> None:
 
 
 def cmd_sparsity_report(opt: dict) -> None:
+    params = SimilarityParams(ell=opt["ell"], w=opt["w"], n_neighbors=opt["n_neighbors"])
     dataset = load_dataset(opt["dataset"])
-    store = count_pairs(dataset.item_universe, dataset.train_codes, dataset.train_offsets, opt["ell"])
-    profile = average_uni_by_gap(store, ell=opt["ell"], n_neighbors=opt["n_neighbors"], w=opt["w"])
+    store = count_pairs(dataset.item_universe, dataset.train_codes, dataset.train_offsets, params.ell)
+    profile = average_uni_by_gap(store, ell=params.ell, n_neighbors=params.n_neighbors, w=params.w)
     os.makedirs(opt["out"], exist_ok=True)
     path = os.path.join(opt["out"], "sparsity.tsv")
     with open(path, "w", encoding="utf-8") as fh:

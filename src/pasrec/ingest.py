@@ -12,9 +12,11 @@ optionally subsample users -> split per user into training sequence /
 validation item / test item (one lexsort).
 
 ``save_dataset`` writes the split files one ``%`` format per block of
-lines. ``load_dataset`` reads them back in blocks into user and item codes,
-and checks them with array passes over the codes. Both readers name the
-line of the first fault they meet, and hold one block of text at a time.
+lines, and ``stats.json``. ``load_dataset`` reads the split files back in
+blocks into user and item codes, and checks them with array passes over the
+codes; it does not read ``stats.json``, as a ``Dataset`` derives its stats
+from its arrays. Both readers name the line of the first fault they meet,
+and hold one block of text at a time.
 
 Ids are interned through a dict and ``sorted``, so a code's order is its
 id's order under Python's string comparison. numpy's fixed-width strings
@@ -28,7 +30,7 @@ import logging
 import os
 import random
 import re
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict
 from collections.abc import Iterable, Iterator
 from functools import cached_property
 from numbers import Integral
@@ -185,6 +187,7 @@ class Dataset:
     of every split, ascending). User r's training items, in sequence order,
     are train_codes[train_offsets[r]:train_offsets[r + 1]]; valid_codes[r]
     and test_codes[r] are their held-out items, -1 where they have none.
+    ``stats`` counts these arrays, so it cannot disagree with them.
     ``sequences``, ``validation`` and ``test`` are views of these arrays,
     built on first use."""
 
@@ -194,14 +197,23 @@ class Dataset:
     train_offsets: np.ndarray
     valid_codes: np.ndarray
     test_codes: np.ndarray
-    stats: DatasetStats
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
         arrays = ("train_codes", "train_offsets", "valid_codes", "test_codes")
-        return ((self.users, self.item_universe, self.stats) == (other.users, other.item_universe, other.stats)
+        return ((self.users, self.item_universe) == (other.users, other.item_universe)
                 and all(np.array_equal(getattr(self, name), getattr(other, name)) for name in arrays))
+
+    @property
+    def stats(self) -> DatasetStats:
+        """The counts of the arrays: a user with held-out items has two
+        records beside their training sequence."""
+        n_users, n_eval = len(self.users), int(np.count_nonzero(self.valid_codes >= 0))
+        n_records = len(self.train_codes) + 2 * n_eval
+        return DatasetStats(n_users=n_users, n_items=len(self.item_universe), n_records=n_records,
+                            avg_length=n_records / n_users if n_users else 0.0,
+                            n_eval_users=n_eval, n_dropped_users=n_users - n_eval)
 
     @cached_property
     def sequences(self) -> tuple[UserSequence, ...]:
@@ -470,29 +482,20 @@ def build_dataset(table: Interactions) -> Dataset:
     in_train = np.arange(len(order)) - np.repeat(starts, lengths) < np.repeat(n_train, lengths)
     present = np.flatnonzero(np.bincount(table.item_code, minlength=len(table.item_ids)))
     codes = np.searchsorted(present, table.item_code[order])
-    universe = tuple(table.item_ids[code] for code in present.tolist())
-    n_users, n_records, n_eval = len(starts), len(table), int(np.count_nonzero(held))
-    stats = DatasetStats(
-        n_users=n_users,
-        n_items=len(universe),
-        n_records=n_records,
-        avg_length=n_records / n_users if n_users else 0.0,
-        n_eval_users=n_eval,
-        n_dropped_users=n_users - n_eval,
-    )
-    log.info(
-        "dataset: %d users (%d evaluable), %d items, %d records, avg length %.2f",
-        n_users, n_eval, len(universe), n_records, stats.avg_length,
-    )
-    return Dataset(
+    dataset = Dataset(
         users=tuple(table.user_ids[code] for code in by_user[starts].tolist()),
-        item_universe=universe,
+        item_universe=tuple(table.item_ids[code] for code in present.tolist()),
         train_codes=codes[in_train],
         train_offsets=np.concatenate(([0], np.cumsum(n_train))),
         valid_codes=np.where(held, codes[starts + lengths - 2], -1),
         test_codes=np.where(held, codes[starts + lengths - 1], -1),
-        stats=stats,
     )
+    stats = dataset.stats
+    log.info(
+        "dataset: %d users (%d evaluable), %d items, %d records, avg length %.2f",
+        stats.n_users, stats.n_eval_users, stats.n_items, stats.n_records, stats.avg_length,
+    )
+    return dataset
 
 
 STATS_FILE = "stats.json"
@@ -575,25 +578,6 @@ def _name(codes: dict[str, int], code: int) -> str:
     return next(itertools.islice(codes, int(code), None))
 
 
-def _read_stats(path: str) -> DatasetStats:
-    """The ``DatasetStats`` that ``save_dataset`` wrote to ``path``; a file
-    that is not a JSON object of exactly its fields fails with the path."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:  # a JSON or UTF-8 decoding error
-            raise ValueError(f"{path}: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: expected a JSON object, got {type(payload).__name__}")
-    payload.pop("format_version", None)
-    names = [f.name for f in fields(DatasetStats)]
-    if missing := [name for name in names if name not in payload]:
-        raise ValueError(f"{path}: missing key {missing[0]!r}")
-    if unknown := sorted(payload.keys() - set(names)):
-        raise ValueError(f"{path}: unknown key {unknown[0]!r}")
-    return DatasetStats(**payload)
-
-
 def load_dataset(in_dir: str) -> Dataset:
     """Read a dataset that ``save_dataset`` wrote. A user's training items
     are distinct. A held-out split file holds one line per user, and its item
@@ -603,7 +587,8 @@ def load_dataset(in_dir: str) -> Dataset:
     first such line wins.
 
     Each file is read ``_BLOCK_LINES`` lines at a time into user and item
-    codes, and every check is an array pass over the codes.
+    codes, and every check is an array pass over the codes. ``stats.json``
+    is not read: the dataset's stats are counted from the split files.
     """
     users: dict[str, int] = {}
     items: dict[str, int] = {}
@@ -656,7 +641,6 @@ def load_dataset(in_dir: str) -> Dataset:
         code = min(lone.tolist(), key=names.__getitem__)
         split, other = ("valid", "test") if has[0, code] else ("test", "valid")
         raise ValueError(f"{_split_path(in_dir, split)}: user {names[code]!r} has no line in {_SPLIT_FILES[other]}")
-    stats = _read_stats(os.path.join(in_dir, STATS_FILE))
     (user_vocab, user_rank), (item_vocab, item_rank) = _ranks(users), _ranks(items)
     owner = user_rank[train_users]
     order = np.argsort(owner, kind="stable")
@@ -670,5 +654,4 @@ def load_dataset(in_dir: str) -> Dataset:
         train_offsets=np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=len(users))))),
         valid_codes=held_codes[0],
         test_codes=held_codes[1],
-        stats=stats,
     )

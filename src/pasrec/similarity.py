@@ -17,8 +17,8 @@ directed gap lies in [low, ell] for a list of integer lower bounds, one
 ``np.bincount`` per bound, and either direction of a pair reads the same
 entries through a sign. Neighbor selection scans every entry, the stored
 t = 1..k vectors and the sparsity profile only the entries of the selected
-pairs, whose keys the selection searches once in ``gaps``, as
-``PairStore.numerators`` does for arbitrary pairs. Both bounds are exact
+pairs, which ``PairStore.numerators`` finds by searching their keys in
+``gaps``, as it does for any pairs. Both bounds are exact
 integers before a histogram is read: the reverse bound is -floor(rho*ell)
 with rho*ell in decimal arithmetic (0.58 * 50 is 29, where floats give
 28.999999999999996), and gap > h(k-t) is gap >= floor(h(k-t)) + 1. Every
@@ -47,7 +47,7 @@ from fractions import Fraction
 import numpy as np
 
 from .domain import MEASURES, SCALINGS, SimilarityParams
-from .ingest import _escaped
+from .ingest import _escaped, _repeats
 
 log = logging.getLogger(__name__)
 
@@ -202,15 +202,15 @@ class PairStore:
                 for gap in (self.hist_gap, -self.hist_gap)]
         return pair, np.concatenate(nums)
 
-    def _fold(self, begin, end, forward, ell: int, lows: Sequence[int]) -> np.ndarray:
-        """``_numerators`` of the rows r that read the histogram entries
-        begin[r]:end[r], forward where ``forward`` holds and negated elsewhere."""
-        counts = end - begin
-        row = np.repeat(np.arange(len(counts)), counts)
-        entry = np.arange(len(row)) + np.repeat(begin - np.cumsum(counts) + counts, counts)
-        gap = self.hist_gap[entry]
-        return _numerators(row, np.where(forward[row], gap, -gap), self.hist_users[entry],
-                           len(begin), ell, lows)
+    def _find(self, key: np.ndarray) -> np.ndarray:
+        """Where each key is or would be in ``gaps``. numpy starts the
+        search of a larger key from the last one's result, so the keys are
+        searched in ascending order: for a selection's rows that more than
+        pays for the sort."""
+        order = np.argsort(key)
+        at = np.empty(len(key), dtype=np.intp)
+        at[order] = np.searchsorted(self.gaps, key[order])
+        return at
 
     def union(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """|U_a ∪ U_b| of any item pairs."""
@@ -224,13 +224,20 @@ class PairStore:
 
     def numerators(self, cand: np.ndarray, target: np.ndarray, ell: int,
                    lows: Sequence[int]) -> np.ndarray:
-        """``_numerators`` for the directed pairs cand -> target; a pair
-        without histogram entries counts 0."""
+        """``_numerators`` for the directed pairs cand -> target, row r
+        reading pair r's histogram entries forward where cand < target and
+        negated elsewhere; a pair without histogram entries counts 0."""
         key = self._pair_key(cand, target)
-        at = np.searchsorted(self.gaps, key)
+        at = self._find(key)
         # an absent key, one past the last included, reads starts[at]:starts[at]
         found = np.append(self.gaps, -1)[at] == key
-        return self._fold(self.starts[at], self.starts[at + found], cand < target, ell, lows)
+        begin = self.starts[at]
+        counts = self.starts[at + found] - begin
+        row = np.repeat(np.arange(len(counts)), counts)
+        entry = np.arange(len(row)) + np.repeat(begin - np.cumsum(counts) + counts, counts)
+        gap = self.hist_gap[entry]
+        return _numerators(row, np.where((cand < target)[row], gap, -gap), self.hist_users[entry],
+                           len(key), ell, lows)
 
 
 def _counted(keys: np.ndarray, count_type: type) -> tuple[np.ndarray, np.ndarray]:
@@ -589,11 +596,9 @@ class NeighborIndex:
             raise ValueError(f"{path}:{bad[0] + 6}: {float(rows[row, np.argmin(ok[row])])!r} outside [0, inf)")
         values = rows[codes]
         # scoring adds one value per (target, neighbor) entry
-        keys = targets * len(items) + nbrs
-        by_key = np.argsort(keys, kind="stable")
-        repeats = by_key[1:][keys[by_key[1:]] == keys[by_key[:-1]]]
-        if len(repeats):
-            row = repeats.min()
+        repeat, _ = _repeats(targets * len(items) + nbrs)
+        if repeat.any():
+            row = int(np.argmax(repeat))
             raise ValueError(f"{path}:{row + 6}: repeated entry for target {targets[row]}, neighbor {nbrs[row]}")
         # the builder never pairs an item with itself and keeps at most
         # n_neighbors rows per target
@@ -708,9 +713,8 @@ def _selection(
     ``_select``'s rows and count of candidate rows. Column 0 of the
     numerators counts the gaps in [bis_low, ell] and, for pas and pas_uni,
     column j the gaps in [j, ell] for j = 1..k; union and numerators are
-    None for cosine. The fold reads only the histogram entries of the
-    selected rows, each row's pair found by one search of its key in
-    ``gaps``.
+    None for cosine. The fold, ``PairStore.numerators``, reads only the
+    histogram entries of the selected rows.
 
     Every ``_uni_low`` lies in [1, k], so these columns serve every scaling
     and w. The selection reads neither scaling nor w (pas_uni and max_t rank
@@ -727,13 +731,11 @@ def _selection(
         target, cand, score, ranked = _select(store, params, measure, rank_by)
         union = nums = None
         if measure != "cosine":
-            pair = np.searchsorted(store.gaps, store._pair_key(cand, target))
-            union = store.gap_union[pair]
+            union = store.gap_union[store._find(store._pair_key(cand, target))]
             lows = [_bis_low(params.rho, params.ell)]
             if measure in ("pas", "pas_uni"):
                 lows += range(1, params.k + 1)
-            nums = store._fold(store.starts[pair], store.starts[pair + 1], cand < target,
-                               params.ell, lows)
+            nums = store.numerators(cand, target, params.ell, lows)
         arrays = (target, cand, score, union, nums)
         for array in arrays:
             if array is not None:

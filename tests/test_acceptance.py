@@ -5,13 +5,17 @@ The randomized-corpus criteria share one stream of 200 seeded instances; the
 directional criteria run on fixed-seed synthetic corpora at desk scale.
 """
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+import pasrec
 from conftest import (
     assert_pairs_match_oracle,
     count_corpus,
@@ -244,6 +248,38 @@ def test_criterion_8_determinism_and_parallel_safety(tmp_path):
         parallel = _run_pipeline(tmp_path, "c", workers="2")
         assert first == rerun
         assert first == parallel
+
+
+def _run_pipeline_in_processes(work_dir, hash_seed: str) -> dict[str, bytes]:
+    """Every file the pipeline writes, each command run in its own process
+    under ``PYTHONHASHSEED=hash_seed`` with paths relative to ``work_dir``."""
+    work_dir.mkdir()
+    src = os.path.dirname(os.path.dirname(pasrec.__file__))
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for argv in (
+        ["synth", "--out", "raw.dat", "--users", "150", "--items", "40", "--min-len", "5",
+         "--max-len", "12", "--seed", "3"],
+        ["prepare", "--input", "raw.dat", "--out", "data", "--seed", "7"],
+        ["build-index", "--dataset", "data", "--out", "index.tsv", "--ell", "4"],
+        ["evaluate", "--dataset", "data", "--index", "index.tsv", "--out", "report"],
+        ["grid", "--dataset", "data", "--out", "grid", "--ells", "2,3", "--lambdas", "0.5"],
+        ["sparsity-report", "--dataset", "data", "--out", "sparsity", "--ell", "4"],
+    ):
+        subprocess.run([sys.executable, "-m", "pasrec.cli", "-q", *argv], cwd=work_dir, env=env,
+                       check=True, capture_output=True)
+    return {str(path.relative_to(work_dir)): path.read_bytes()
+            for path in sorted(work_dir.rglob("*")) if path.is_file()}
+
+
+def test_outputs_independent_of_string_hash_seed(tmp_path):
+    # criterion 8 reruns commands in one process, whose string hash seed
+    # never changes; set iteration order may follow it
+    one = _run_pipeline_in_processes(tmp_path / "one", "1")
+    two = _run_pipeline_in_processes(tmp_path / "two", "2")
+    assert {"raw.dat", "data/stats.json", "index.tsv", "report/report.json", "grid/report.tsv",
+            "sparsity/sparsity.tsv"} <= one.keys()
+    assert one == two
 
 
 def test_criterion_9_desk_scale_smoke_run(tmp_path):

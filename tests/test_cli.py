@@ -329,6 +329,21 @@ class TestGrid:
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["build-index", "sparsity-report"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--ell", "0", "ell must be a positive integer, got 0"),
+    ("--w", "1", "w must be a real number > 1, got 1.0"),
+    ("--n-neighbors", "0", "n_neighbors must be an integer >= 1, got 0"),
+], ids=["ell", "w", "n_neighbors"])
+def test_bad_parameter_fails_before_reading(tmp_path, capsys, command, flag, value, message):
+    # the dataset does not exist, so only a check made before reading it can
+    # give this message
+    out = tmp_path / "out"
+    assert run(command, "--dataset", str(tmp_path / "absent"), "--out", str(out), flag, value) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 class TestSparsityReport:
     def test_shape_and_monotonicity(self, tmp_path, dataset_dir):
         out = tmp_path / "sparsity"

@@ -1,5 +1,6 @@
 import logging
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -402,16 +403,29 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: user 'u9' has no line in {other}$"):
             load_dataset(str(tmp_path))
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda text: text[:len(text) // 2], "Expecting "),
-        (lambda text: text.replace('"n_items"', '"n_things"'), "missing key 'n_items'"),
-        (lambda text: text.replace("{", '{"extra": 1, ', 1), "unknown key 'extra'"),
-        (lambda text: "[" + text + "]", "expected a JSON object, got list"),
-    ], ids=["cut-short", "missing-key", "unknown-key", "not-an-object"])
-    def test_load_rejects_bad_stats_with_path(self, tmp_path, edit, message):
+    @pytest.mark.parametrize("edit", [
+        lambda path: path.write_text(path.read_text().replace('"n_items": 4', '"n_items": 3')),
+        lambda path: path.write_text("not json"),
+        lambda path: path.unlink(),
+    ], ids=["disagrees", "not-json", "deleted"])
+    def test_stats_counted_from_split_files_not_read(self, tmp_path, edit):
         records = [rec(u, i, 5, ts) for u in ("u1", "u2") for ts, i in enumerate("abcd")]
-        save_dataset(build_dataset(table(*records)), str(tmp_path))
-        path = tmp_path / "stats.json"
-        path.write_text(edit(path.read_text()))
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
-            load_dataset(str(tmp_path))
+        dataset = build_dataset(table(*records))
+        save_dataset(dataset, str(tmp_path))
+        edit(tmp_path / "stats.json")
+        # test.tsv's first line names an item new to every split
+        path = tmp_path / "test.tsv"
+        path.write_text(path.read_text().replace("u1\td", "u1\te"))
+        loaded = load_dataset(str(tmp_path))
+        assert loaded.stats == replace(dataset.stats, n_items=5)
+        assert loaded.stats.n_items == len(loaded.item_universe)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(st.sampled_from(["a", "a\x00", "B", "é", "u 1"]),
+                                   st.sampled_from(["x", "y", "xy", "Z", "é"]), st.just(5),
+                                   st.integers(0, 4)), max_size=20))
+    def test_stats_survive_save_and_load(self, tmp_path_factory, rows):
+        dataset = build_dataset(deduplicate(table(*rows)))
+        out = tmp_path_factory.mktemp("dataset")
+        save_dataset(dataset, str(out))
+        assert load_dataset(str(out)).stats == dataset.stats

@@ -9,7 +9,6 @@ faults mixed in, with blocks a few lines long so that faults fall on either
 side of a block boundary, and require the same table or dataset, or the same
 first error, and the same count of skipped lines.
 """
-import json
 import logging
 import re
 import tracemalloc
@@ -24,7 +23,6 @@ import pasrec.ingest as ingest
 from pasrec.ingest import (
     ColumnSchema,
     Dataset,
-    DatasetStats,
     Interactions,
     ParseError,
     build_dataset,
@@ -114,9 +112,6 @@ def reference_load_dataset(in_dir):
     if lone:
         split, other = ("valid", "test") if lone[0] in splits["valid"] else ("test", "valid")
         raise ValueError(f"{in_dir / SPLIT_FILES[split]}: user {lone[0]!r} has no line in {SPLIT_FILES[other]}")
-    with open(in_dir / "stats.json", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    payload.pop("format_version", None)
     users = sorted(per_user.keys() | splits["valid"].keys())
     train = [item for user in users for item in per_user.get(user, ())]
     names = train + [held[user] for held in splits.values() for user in users if user in held]
@@ -132,7 +127,6 @@ def reference_load_dataset(in_dir):
         train_offsets=np.cumsum([0] + [len(per_user.get(user, ())) for user in users]),
         valid_codes=held_codes[0],
         test_codes=held_codes[1],
-        stats=DatasetStats(**payload),
     )
 
 
@@ -230,9 +224,6 @@ class TestLoadAgainstReference:
         out = tmp_path_factory.mktemp("split")
         for name, lines in (("train.tsv", train), ("valid.tsv", valid), ("test.tsv", test)):
             write_split(out / name, lines, last_newline)
-        stats = {"n_users": 1, "n_items": 1, "n_records": 1, "avg_length": 1.0, "n_eval_users": 0,
-                 "n_dropped_users": 1}
-        (out / "stats.json").write_text(json.dumps({"format_version": 1, **stats}))
         with mock.patch.object(ingest, "_BLOCK_LINES", block):
             got = outcome(load_dataset, str(out))
         assert got == outcome(reference_load_dataset, out)
