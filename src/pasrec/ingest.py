@@ -12,9 +12,10 @@ optionally subsample users -> split per user into training sequence /
 validation item / test item (one lexsort).
 
 ``save_dataset`` writes the split files one ``%`` format per block of
-lines, and ``stats.json``. ``load_dataset`` reads the split files back in
-blocks into user and item codes, and checks them with array passes over the
-codes; it does not read ``stats.json``, as a ``Dataset`` derives its stats
+lines, and ``stats.json``. ``load_dataset`` reads the three split files back
+in blocks into user and item codes, and checks the codes of all their lines
+together with array passes, a user's items across all three files by one
+rule; it does not read ``stats.json``, as a ``Dataset`` derives its stats
 from its arrays. Both readers name the line of the first fault they meet,
 and hold one block of text at a time.
 
@@ -563,95 +564,93 @@ def _split_codes(
     return _concatenate(columns[0]), _concatenate(columns[1]), error
 
 
-def _repeats(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each key equals one at an earlier position, and the keys in
-    ascending order."""
+def _repeats(key: np.ndarray) -> np.ndarray:
+    """Whether each key equals one at an earlier position."""
     order = np.argsort(key, kind="stable")
-    ordered = key[order]
     repeat = np.zeros(len(key), dtype=bool)
-    repeat[order[1:]] = ordered[1:] == ordered[:-1]
-    return repeat, ordered
-
-
-def _name(codes: dict[str, int], code: int) -> str:
-    """The name of ``code``; ``_encode`` adds names in code order."""
-    return next(itertools.islice(codes, int(code), None))
+    repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+    return repeat
 
 
 def load_dataset(in_dir: str) -> Dataset:
-    """Read a dataset that ``save_dataset`` wrote. A user's training items
-    are distinct. A held-out split file holds one line per user, and its item
-    must be new to the user: neither in their training sequence nor, for the
-    test item, their validation item. A line that breaks this, or that
-    ``_split_codes`` finds malformed, fails with its ``path:line``; the
-    first such line wins.
+    """Read a dataset that ``save_dataset`` wrote. Each of a user's items is
+    on one line of the three split files, train.tsv groups its lines by
+    ascending user, and a held-out file holds one line per user. The first
+    line, reading train.tsv, valid.tsv and test.tsv in turn, that breaks
+    this or that ``_split_codes`` finds malformed fails with its
+    ``path:line``. Then, as ``build_dataset`` splits users, a held-out user
+    has a line in each file, and any other user at most two training lines.
 
     Each file is read ``_BLOCK_LINES`` lines at a time into user and item
-    codes, and every check is an array pass over the codes. ``stats.json``
-    is not read: the dataset's stats are counted from the split files.
+    codes, and every check is an array pass over the codes of all three.
+    ``stats.json`` is not read: the dataset's stats are counted from the
+    split files.
     """
     users: dict[str, int] = {}
     items: dict[str, int] = {}
-    path = _split_path(in_dir, "train")
-    train_users, train_items, error = _split_codes(path, users, items)
-    # (user, item) keys, unique while items keep their codes below n_train
-    n_train = len(items)
-    key = train_users * n_train + train_items
-    repeat, ordered = _repeats(key)
-    if repeat.any():
-        row = int(np.argmax(repeat))
-        first = int(np.argmax(key == key[row]))
-        raise ValueError(f"{path}:{row + 1}: item {_name(items, train_items[row])!r} of user "
-                         f"{_name(users, train_users[row])!r} repeats line {first + 1}")
-    if error:
-        raise ValueError(error)
-    train_keys = np.append(ordered, _INT64_MAX)  # the last key ends every search
-    held: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for split, label in (("valid", "validation"), ("test", "test")):
-        path = _split_path(in_dir, split)
-        user, item, error = _split_codes(path, users, items)
-        query = user * n_train + item
-        in_train = (item < n_train) & (train_keys[np.searchsorted(train_keys, query)] == query)
-        same = np.zeros(len(item), dtype=bool)
-        if split == "test":
-            validation = np.full(len(users), -1, dtype=np.int64)
-            validation[held["valid"][0]] = held["valid"][1]
-            same = validation[user] == item
-        faults = (_repeats(user)[0], in_train, same)
-        bad = np.flatnonzero(np.logical_or.reduce(faults))
-        if len(bad):
-            row = int(bad[0])
-            where, who, what = f"{path}:{row + 1}", _name(users, user[row]), _name(items, item[row])
-            if faults[0][row]:
-                raise ValueError(f"{where}: user {who!r} repeated")
-            if faults[1][row]:
-                raise ValueError(f"{where}: {label} item {what!r} of user {who!r} is already in "
-                                 f"{_SPLIT_FILES['train']}")
-            raise ValueError(f"{where}: test item {what!r} of user {who!r} is also their validation item")
-        if error:
-            raise ValueError(error)
-        held[split] = (user, item)
-    # a held-out user has both a validation and a test item
-    has = np.zeros((2, len(users)), dtype=bool)
-    for side, (user, _) in enumerate(held.values()):
-        has[side, user] = True
-    lone = np.flatnonzero(has[0] != has[1])
-    if len(lone):
-        names = list(users)
-        code = min(lone.tolist(), key=names.__getitem__)
-        split, other = ("valid", "test") if has[0, code] else ("test", "valid")
-        raise ValueError(f"{_split_path(in_dir, split)}: user {names[code]!r} has no line in {_SPLIT_FILES[other]}")
+    names = list(_SPLIT_FILES.values())
+    reads = [_split_codes(os.path.join(in_dir, name), users, items) for name in names]
+    sizes = [len(read[0]) for read in reads]
+    ends, n_train = np.cumsum(sizes), sizes[0]
     (user_vocab, user_rank), (item_vocab, item_rank) = _ranks(users), _ranks(items)
-    owner = user_rank[train_users]
-    order = np.argsort(owner, kind="stable")
-    held_codes = np.full((2, len(users)), -1, dtype=np.int64)
-    for side, (user, item) in enumerate(held.values()):
-        held_codes[side, user_rank[user]] = item_rank[item]
+    owner = user_rank[_concatenate([read[0] for read in reads])]
+    code = item_rank[_concatenate([read[1] for read in reads])]
+
+    def line_of(row: int) -> str:
+        """``file:line`` of ``row`` of the lines of the three files."""
+        split = int(np.searchsorted(ends, row, side="right"))
+        return f"{names[split]}:{row - ends[split] + sizes[split] + 1}"
+
+    # a line's fault is the first of these that holds: its user is on an
+    # earlier line of its held-out file, its item on an earlier line of its
+    # user, its training user sorts before the one above
+    key = owner * len(items) + code
+    repeat = _repeats(key)
+    held_user = np.zeros(len(key), dtype=bool)
+    held_user[n_train:] = _repeats(np.repeat([1, 2], sizes[1:]) * len(users) + owner[n_train:])
+    unordered = np.zeros(len(key), dtype=bool)
+    unordered[1:n_train] = np.diff(owner[:n_train]) < 0
+    bad = np.flatnonzero(held_user | repeat | unordered)
+    # a file's malformed line follows every line read from it
+    for (_, _, error), end in zip(reads, ends):
+        if error and end <= (bad[0] if len(bad) else len(key)):
+            raise ValueError(error)
+    if len(bad):
+        row = bad[0]
+        at, who = os.path.join(in_dir, line_of(row)), user_vocab[owner[row]]
+        if held_user[row]:
+            raise ValueError(f"{at}: user {who!r} repeated")
+        if repeat[row]:
+            first = line_of(int(np.argmax(key == key[row])))
+            raise ValueError(f"{at}: item {item_vocab[code[row]]!r} of user {who!r} repeats {first}")
+        raise ValueError(f"{at}: user {who!r} sorts before user {user_vocab[owner[row - 1]]!r} above it")
+    held = np.full((2, len(users)), -1, dtype=np.int64)
+    for side in (0, 1):
+        held[side, owner[ends[side]:ends[side + 1]]] = code[ends[side]:ends[side + 1]]
+    # a held-out user has both a validation and a test item; a rank sorts as
+    # its name does
+    lone = np.flatnonzero((held[0] >= 0) != (held[1] >= 0))
+    if len(lone):
+        split, other = ("valid", "test") if held[0, lone[0]] >= 0 else ("test", "valid")
+        raise ValueError(f"{_split_path(in_dir, split)}: user {user_vocab[lone[0]]!r} has no line "
+                         f"in {_SPLIT_FILES[other]}")
+    counts = np.bincount(owner[:n_train], minlength=len(users))
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    # build_dataset holds out two items of a user with three or more, and
+    # keeps at least one training item of a held-out user
+    third = np.arange(n_train) - offsets[owner[:n_train]] >= 2
+    bad = np.flatnonzero(np.concatenate((third & (held[0, owner[:n_train]] < 0),
+                                         counts[owner[n_train:ends[1]]] == 0)))
+    if len(bad):
+        who = user_vocab[owner[bad[0]]]
+        raise ValueError(f"{os.path.join(in_dir, line_of(bad[0]))}: user {who!r} " + (
+            "has a third training item but no held-out item" if bad[0] < n_train
+            else f"is held out but has no line in {_SPLIT_FILES['train']}"))
     return Dataset(
         users=tuple(user_vocab),
         item_universe=tuple(item_vocab),
-        train_codes=item_rank[train_items[order]],
-        train_offsets=np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=len(users))))),
-        valid_codes=held_codes[0],
-        test_codes=held_codes[1],
+        train_codes=code[:n_train],
+        train_offsets=offsets,
+        valid_codes=held[0],
+        test_codes=held[1],
     )

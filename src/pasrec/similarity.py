@@ -78,8 +78,8 @@ def scale(x: float, scaling: str, w: float) -> float:
 
 
 def _combine(n_bis, n_uni, lam: float, union):
-    # one shared expression, elementwise on int64 arrays, so ranking scores
-    # and stored values are bit-identical
+    # one shared expression, elementwise on integer counts, so ranking
+    # scores and stored values are bit-identical
     return ((1.0 - lam) * n_bis + lam * n_uni) / union
 
 
@@ -98,7 +98,9 @@ def _numerators(
     row: np.ndarray, gap: np.ndarray, users: np.ndarray, n_rows: int, ell: int, lows: Sequence[int]
 ) -> np.ndarray:
     """Users whose directed gap lies in [low, ell], for each row and each
-    bound in ``lows``, as an int64 array of shape (n_rows, len(lows)).
+    bound in ``lows``, as an array of shape (n_rows, len(lows)) in the type
+    of ``users``: a store's rows count each user at most once, and its count
+    type holds the number of users.
 
     Histogram entry j puts users[j] users at directed gap gap[j] into row
     row[j]; a row's entries need be neither adjacent nor in order. Each bound
@@ -108,9 +110,9 @@ def _numerators(
     This is the only fold over gap histograms: a bis numerator is the count
     at _bis_low, a pas_uni numerator the count at _uni_low.
     """
+    nums = np.empty((n_rows, len(lows)), dtype=users.dtype)
     # float64 weights, so no bound casts them again
     users = np.multiply(users, gap <= ell, dtype=np.float64)
-    nums = np.empty((n_rows, len(lows)), dtype=np.int64)
     for column, low in enumerate(lows):
         nums[:, column] = np.bincount(row, weights=users * (gap >= low), minlength=n_rows)
     return nums
@@ -191,16 +193,18 @@ class PairStore:
         [-ell, ell], ascending, and ``_numerators`` of both directions of
         each, row r for lo -> hi and row r + len(pair) for hi -> lo.
 
-        Every entry is folded once per direction. With every low above -ell,
-        an entry outside [-ell, ell] counts at no bound, so it needs no mask.
+        Every entry is folded once per direction, and no more. With every
+        low above -ell, an entry outside [-ell, ell] counts at no bound, so
+        it needs no mask; lows[0], the bis bound -floor(rho*ell) <= 0, counts
+        an entry in [-ell, ell] in one direction or the other.
         """
         n_pairs = len(self.gaps)
         entry_pair = np.repeat(np.arange(n_pairs), np.diff(self.starts))
-        pair = np.flatnonzero(np.bincount(entry_pair, weights=np.abs(self.hist_gap) <= ell,
-                                          minlength=n_pairs))
-        nums = [_numerators(entry_pair, gap, self.hist_users, n_pairs, ell, lows)[pair]
-                for gap in (self.hist_gap, -self.hist_gap)]
-        return pair, np.concatenate(nums)
+        forward, reverse = (_numerators(entry_pair, gap, self.hist_users, n_pairs, ell, lows)
+                            for gap in (self.hist_gap, -self.hist_gap))
+        # '|' of the non-negative counts, as a sum could overflow their type
+        pair = np.flatnonzero(forward[:, 0] | reverse[:, 0])
+        return pair, np.concatenate((forward[pair], reverse[pair]))
 
     def _find(self, key: np.ndarray) -> np.ndarray:
         """Where each key is or would be in ``gaps``. numpy starts the
@@ -224,9 +228,10 @@ class PairStore:
 
     def numerators(self, cand: np.ndarray, target: np.ndarray, ell: int,
                    lows: Sequence[int]) -> np.ndarray:
-        """``_numerators`` for the directed pairs cand -> target, row r
-        reading pair r's histogram entries forward where cand < target and
-        negated elsewhere; a pair without histogram entries counts 0."""
+        """``_numerators`` for the directed pairs cand -> target, in the type
+        of ``hist_users``: row r reads pair r's histogram entries forward
+        where cand < target and negated elsewhere; a pair without histogram
+        entries counts 0."""
         key = self._pair_key(cand, target)
         at = self._find(key)
         # an absent key, one past the last included, reads starts[at]:starts[at]
@@ -596,7 +601,7 @@ class NeighborIndex:
             raise ValueError(f"{path}:{bad[0] + 6}: {float(rows[row, np.argmin(ok[row])])!r} outside [0, inf)")
         values = rows[codes]
         # scoring adds one value per (target, neighbor) entry
-        repeat, _ = _repeats(targets * len(items) + nbrs)
+        repeat = _repeats(targets * len(items) + nbrs)
         if repeat.any():
             row = int(np.argmax(repeat))
             raise ValueError(f"{path}:{row + 6}: repeated entry for target {targets[row]}, neighbor {nbrs[row]}")

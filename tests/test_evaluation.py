@@ -20,7 +20,7 @@ from pasrec.evaluation import (
     write_report_tsv,
 )
 from pasrec.cli import main
-from pasrec.ingest import Interactions, build_dataset, load_dataset
+from pasrec.ingest import Dataset, Interactions, build_dataset, load_dataset
 from pasrec.similarity import NeighborIndex, build_neighbor_index, count_pairs
 
 
@@ -138,19 +138,18 @@ class TestEvaluate:
 
 
 class TestHeldOutEdges:
-    """A split written by hand: z is held out with no training line, and b
-    appears only as u3's test item."""
+    """Splits written by hand: b appears only as u3's test item, and z trains
+    on c alone."""
+
+    FILES = {
+        "train.tsv": "u1\ta\nu1\ty\nu2\ta\nu2\ty\nu3\tc\nu3\td\nz\tc\n",
+        "valid.tsv": "u3\ta\nz\ta\n",
+        "test.tsv": "u3\tb\nz\ty\n",
+    }
 
     @pytest.fixture
     def dataset_dir(self, tmp_path):
-        files = {
-            "train.tsv": "u1\ta\nu1\ty\nu2\ta\nu2\ty\nu3\tc\nu3\td\n",
-            "valid.tsv": "u3\ta\nz\ta\n",
-            "test.tsv": "u3\tb\nz\ty\n",
-            "stats.json": json.dumps({"n_users": 4, "n_items": 5, "n_records": 10, "avg_length": 2.5,
-                                      "n_eval_users": 2, "n_dropped_users": 2}),
-        }
-        for name, text in files.items():
+        for name, text in self.FILES.items():
             (tmp_path / name).write_text(text)
         return tmp_path
 
@@ -160,8 +159,15 @@ class TestHeldOutEdges:
         return build_neighbor_index(store, SimilarityParams(ell=1, lam=0.0), "bis")
 
     def test_user_without_training_line_ranks_from_validation_item(self, dataset_dir):
-        dataset = load_dataset(str(dataset_dir))
-        assert dataset.users == ("u1", "u2", "u3", "z")
+        # build_dataset keeps a training item of every held-out user, so
+        # load_dataset refuses z without its training line
+        (dataset_dir / "train.tsv").write_text(self.FILES["train.tsv"].replace("z\tc\n", ""))
+        with pytest.raises(ValueError, match=r"valid\.tsv:2: user 'z' is held out but has no line in train\.tsv$"):
+            load_dataset(str(dataset_dir))
+        # the dataset those files held, items a, b, c, d, y
+        dataset = Dataset(users=("u1", "u2", "u3", "z"), item_universe=("a", "b", "c", "d", "y"),
+                          train_codes=np.array([0, 4, 0, 4, 2, 3]), train_offsets=np.array([0, 2, 4, 6, 6]),
+                          valid_codes=np.array([-1, -1, 0, 0]), test_codes=np.array([-1, -1, 1, 4]))
         assert [seq.user for seq in dataset.sequences] == ["u1", "u2", "u3"]
         assert dataset.validation == {"u3": "a", "z": "a"} and dataset.test == {"u3": "b", "z": "y"}
         index = self.bis_index(dataset)

@@ -367,9 +367,9 @@ class TestPersistence:
             load_dataset(str(tmp_path))
 
     @pytest.mark.parametrize("name, line, message", [
-        ("valid.tsv", "u1\ta", "validation item 'a' of user 'u1' is already in train.tsv"),
-        ("test.tsv", "u1\tb", "test item 'b' of user 'u1' is already in train.tsv"),
-        ("test.tsv", "u1\tc", "test item 'c' of user 'u1' is also their validation item"),
+        ("valid.tsv", "u1\ta", "item 'a' of user 'u1' repeats train.tsv:1"),
+        ("test.tsv", "u1\tb", "item 'b' of user 'u1' repeats train.tsv:2"),
+        ("test.tsv", "u1\tc", "item 'c' of user 'u1' repeats valid.tsv:1"),
     ], ids=["validation-in-train", "test-in-train", "test-is-validation"])
     def test_load_rejects_repeated_held_out_item_with_location(self, tmp_path, name, line, message):
         # u1 trains on a, b and holds out c, then d; u1's line is the first
@@ -390,7 +390,7 @@ class TestPersistence:
         rows = path.read_text().splitlines()
         assert rows[:2] == ["u1\ta", "u1\tb"]
         path.write_text("\n".join([*rows[:2], "u1\ta", *rows[2:]]) + "\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: item 'a' of user 'u1' repeats line 1$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: item 'a' of user 'u1' repeats train.tsv:1$"):
             load_dataset(str(tmp_path))
 
     @pytest.mark.parametrize("name, other", [("valid.tsv", "test.tsv"), ("test.tsv", "valid.tsv")])
@@ -401,6 +401,21 @@ class TestPersistence:
         with path.open("a") as fh:
             fh.write("u9\ta\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: user 'u9' has no line in {other}$"):
+            load_dataset(str(tmp_path))
+
+    @pytest.mark.parametrize("files, name, line, message", [
+        ((["u1\ta", "u1\tb"], ["u1\tc", "u2\ta"], ["u1\td", "u2\tb"]), "valid.tsv", 2,
+         "user 'u2' is held out but has no line in train.tsv"),
+        ((["u1\ta", "u1\tb", "u2\ta", "u2\tb", "u2\tc", "u2\td"], ["u1\tc"], ["u1\td"]), "train.tsv", 5,
+         "user 'u2' has a third training item but no held-out item"),
+        ((["u2\ta", "u1\ta", "u2\tb", "u1\tb"], [], []), "train.tsv", 2,
+         "user 'u1' sorts before user 'u2' above it"),
+    ], ids=["held-out-without-training", "third-training-item-not-held-out", "users-not-ascending"])
+    def test_load_rejects_split_build_dataset_never_writes(self, tmp_path, files, name, line, message):
+        for split, lines in zip(("train.tsv", "valid.tsv", "test.tsv"), files):
+            (tmp_path / split).write_text("".join(row + "\n" for row in lines))
+        path = tmp_path / name
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: {message}$"):
             load_dataset(str(tmp_path))
 
     @pytest.mark.parametrize("edit", [

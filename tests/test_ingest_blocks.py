@@ -5,9 +5,10 @@ they replaced, at block boundaries, and in bounded memory.
 per-line ``parse_interactions`` and ``load_dataset`` that read one line at a
 time: a list of fields per log line, and a dict of dicts per user of
 ``train.tsv``. The properties run both on random logs and split files with
-faults mixed in, with blocks a few lines long so that faults fall on either
-side of a block boundary, and require the same table or dataset, or the same
-first error, and the same count of skipped lines.
+faults mixed in, and on a built dataset's split files with one line edited,
+with blocks a few lines long so that faults fall on either side of a block
+boundary, and require the same table or dataset, or the same first error,
+and the same count of skipped lines.
 """
 import logging
 import re
@@ -89,31 +90,41 @@ def reference_load_dataset(in_dir):
                     raise ValueError(f"{path}:{lineno}: expected 2 tab-separated fields, got {len(fields)}")
                 yield lineno, fields[0], fields[1]
 
-    per_user = defaultdict(dict)
-    train_path = in_dir / SPLIT_FILES["train"]
-    for lineno, user, item in read_split("train"):
-        first = per_user[user].setdefault(item, lineno)
-        if first != lineno:
-            raise ValueError(f"{train_path}:{lineno}: item {item!r} of user {user!r} repeats line {first}")
+    per_user = defaultdict(dict)  # user -> item -> line of train.tsv
+    seen = {}  # (user, item) -> the first file:line naming it
     splits = {"valid": {}, "test": {}}
-    for split, name in (("valid", "validation"), ("test", "test")):
-        held, path = splits[split], in_dir / SPLIT_FILES[split]
+    above = None
+    for split, name in SPLIT_FILES.items():
+        path = in_dir / name
         for lineno, user, item in read_split(split):
-            if user in held:
+            if split in splits and user in splits[split]:
                 raise ValueError(f"{path}:{lineno}: user {user!r} repeated")
-            if item in per_user.get(user, ()):
-                raise ValueError(f"{path}:{lineno}: {name} item {item!r} of user {user!r} is already in "
-                                 f"{SPLIT_FILES['train']}")
-            if split == "test" and splits["valid"].get(user) == item:
-                raise ValueError(f"{path}:{lineno}: test item {item!r} of user {user!r} is also their "
-                                 "validation item")
-            held[user] = item
+            if (user, item) in seen:
+                raise ValueError(f"{path}:{lineno}: item {item!r} of user {user!r} repeats {seen[user, item]}")
+            if split == "train" and above is not None and user < above:
+                raise ValueError(f"{path}:{lineno}: user {user!r} sorts before user {above!r} above it")
+            seen[user, item] = f"{name}:{lineno}"
+            if split == "train":
+                per_user[user][item], above = lineno, user
+            else:
+                splits[split][user] = item
     lone = sorted(splits["valid"].keys() ^ splits["test"].keys())
     if lone:
         split, other = ("valid", "test") if lone[0] in splits["valid"] else ("test", "valid")
         raise ValueError(f"{in_dir / SPLIT_FILES[split]}: user {lone[0]!r} has no line in {SPLIT_FILES[other]}")
-    users = sorted(per_user.keys() | splits["valid"].keys())
-    train = [item for user in users for item in per_user.get(user, ())]
+    thirds = sorted((list(lines.values())[2], user) for user, lines in per_user.items()
+                    if len(lines) > 2 and user not in splits["valid"])
+    if thirds:
+        lineno, user = thirds[0]
+        raise ValueError(f"{in_dir / SPLIT_FILES['train']}:{lineno}: user {user!r} has a third training item "
+                         "but no held-out item")
+    # valid.tsv names each of its users on one line, in line order
+    for lineno, user in enumerate(splits["valid"], start=1):
+        if user not in per_user:
+            raise ValueError(f"{in_dir / SPLIT_FILES['valid']}:{lineno}: user {user!r} is held out but has no "
+                             "line in train.tsv")
+    users = sorted(per_user)
+    train = [item for user in users for item in per_user[user]]
     names = train + [held[user] for held in splits.values() for user in users if user in held]
     universe = sorted(set(names))
     code = {name: j for j, name in enumerate(universe)}
@@ -124,7 +135,7 @@ def reference_load_dataset(in_dir):
         users=tuple(users),
         item_universe=tuple(universe),
         train_codes=codes[:len(train)],
-        train_offsets=np.cumsum([0] + [len(per_user.get(user, ())) for user in users]),
+        train_offsets=np.cumsum([0] + [len(per_user[user]) for user in users]),
         valid_codes=held_codes[0],
         test_codes=held_codes[1],
     )
@@ -202,11 +213,10 @@ class TestParseAgainstReference:
                 assert parse_interactions(lines, ColumnSchema.movielens()) == want
 
 
-split_lines = st.one_of(
-    st.tuples(st.sampled_from(["u1", "u2", "u3", "u4"]), st.sampled_from(["a", "b", "c", "d", "e"])).map(
-        lambda pair: "\t".join(pair)),
-    st.sampled_from(["u1", "u1\ta\tx", "", "\t", "u\rv\ta", "u1\ta b", "é\ta"]),
-)
+well_formed_lines = st.tuples(st.sampled_from(["u1", "u2", "u3", "u4"]),
+                              st.sampled_from(["a", "b", "c", "d", "e"])).map("\t".join)
+split_lines = st.one_of(well_formed_lines,
+                        st.sampled_from(["u1", "u1\ta\tx", "", "\t", "u\rv\ta", "u1\ta b", "é\ta"]))
 
 
 def write_split(path, lines, last_newline):
@@ -219,9 +229,14 @@ class TestLoadAgainstReference:
     @given(
         train=st.lists(split_lines, max_size=14), valid=st.lists(split_lines, max_size=5),
         test=st.lists(split_lines, max_size=5), last_newline=st.booleans(), block=st.integers(1, 5),
+        grouped=st.booleans(),
     )
-    def test_same_dataset_or_first_error(self, tmp_path_factory, train, valid, test, last_newline, block):
+    def test_same_dataset_or_first_error(self, tmp_path_factory, train, valid, test, last_newline, block,
+                                         grouped):
         out = tmp_path_factory.mktemp("split")
+        if grouped:
+            # train.tsv by ascending user, as save_dataset writes it
+            train = sorted(train, key=lambda line: line.split("\t")[0])
         for name, lines in (("train.tsv", train), ("valid.tsv", valid), ("test.tsv", test)):
             write_split(out / name, lines, last_newline)
         with mock.patch.object(ingest, "_BLOCK_LINES", block):
@@ -234,6 +249,34 @@ class TestLoadAgainstReference:
         save_dataset(build_dataset(ingest.deduplicate(table)), str(tmp_path))
         with mock.patch.object(ingest, "_BLOCK_LINES", 4):
             assert load_dataset(str(tmp_path)) == reference_load_dataset(tmp_path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.sampled_from(["u1", "u2", "u3", "u4"]), st.sampled_from("abcdefg")),
+                      min_size=1, max_size=12),
+        name=st.sampled_from(sorted(SPLIT_FILES.values())),
+        edit=st.sampled_from(["drop", "repeat", "move", "item", "add"]), data=st.data(), block=st.integers(1, 5),
+    )
+    def test_edited_dataset_same_dataset_or_first_error(self, tmp_path_factory, rows, name, edit, data, block):
+        # the split files of a built dataset, one line of one file dropped,
+        # repeated, moved or given another item, or a line added
+        out = tmp_path_factory.mktemp("edited")
+        users, items = map(list, zip(*rows))
+        table = Interactions.from_ids(users, items, [5] * len(rows), range(len(rows)))
+        save_dataset(build_dataset(ingest.deduplicate(table)), str(out))
+        lines = (out / name).read_text().splitlines()
+        if edit == "add":
+            lines.insert(data.draw(st.integers(0, len(lines))), data.draw(well_formed_lines))
+        elif lines:
+            line = lines.pop(data.draw(st.integers(0, len(lines) - 1)))
+            if edit == "item":
+                line = line.split("\t")[0] + "\t" + data.draw(st.sampled_from("abcdefgh"))
+            for _ in range({"drop": 0, "move": 1, "item": 1, "repeat": 2}[edit]):
+                lines.insert(data.draw(st.integers(0, len(lines))), line)
+        write_split(out / name, lines, last_newline=True)
+        with mock.patch.object(ingest, "_BLOCK_LINES", block):
+            got = outcome(load_dataset, str(out))
+        assert got == outcome(reference_load_dataset, out)
 
 
 def log_text(n_lines, bad_at=None, bad_line="u::i::x::1"):

@@ -1118,15 +1118,32 @@ class TestSelectionOrder:
         # grid_search counts once at its largest ell; each smaller ell must
         # still get the index build-index makes from a store banded at it,
         # zero-valued rows included. Few users over many items leave pairs
-        # that meet only beyond ell and targets with free slots to fill.
+        # that meet only beyond ell and targets with free slots to fill. The
+        # reverse reach floor(rho*ell) is 0 at ell 1 and at rho 0.2, and 1
+        # or 2 at the others.
         rng = random.Random(31)
-        for trial in range(5):
-            corpus = random_corpus(rng, max_users=8, max_items=30, max_len=20)
-            params = SimilarityParams(ell=2, rho=0.5, lam=0.5, n_neighbors=6)
-            want = build_neighbor_index(count_corpus(corpus, ell_max=2), params, measure, rank_by=rank_by)
-            for ell_max in (3, 6, 14):
-                wide = count_corpus(corpus, ell_max=ell_max)
-                assert build_neighbor_index(wide, params, measure, rank_by=rank_by) == want
+        for ell, rho in ((2, 0.5), (1, 0.5), (1, 0.9), (2, 0.2), (3, 0.2), (2, 0.58), (3, 0.58), (2, 0.9),
+                         (3, 0.9)):
+            params = SimilarityParams(ell=ell, rho=rho, lam=0.5, n_neighbors=6)
+            for trial in range(5):
+                corpus = random_corpus(rng, max_users=8, max_items=30, max_len=20)
+                want = build_neighbor_index(count_corpus(corpus, ell_max=ell), params, measure, rank_by=rank_by)
+                for ell_max in (ell + 1, 6, 14):
+                    wide = count_corpus(corpus, ell_max=ell_max)
+                    assert build_neighbor_index(wide, params, measure, rank_by=rank_by) == want
+
+    def test_band_fold_pairs_are_those_with_an_entry_in_band(self):
+        # _band_fold reads its pairs off the count at the bis bound, which an
+        # entry in [-ell, ell] reaches in one direction or the other
+        rng = random.Random(37)
+        for trial in range(20):
+            store = count_corpus(random_corpus(rng, max_users=8, max_items=30, max_len=20), ell_max=14)
+            entry_pair = np.repeat(np.arange(len(store.gaps)), np.diff(store.starts))
+            for ell in range(1, 14):
+                rho = rng.choice([0.01, 0.2, 0.5, 0.58, 0.9, 0.99])
+                pair, nums = store._band_fold(ell, [_bis_low(rho, ell), rng.randint(1, ell)])
+                assert pair.tolist() == np.unique(entry_pair[np.abs(store.hist_gap) <= ell]).tolist()
+                assert nums.dtype == store.hist_users.dtype and nums.shape == (2 * len(pair), 2)
 
 
 class TestInvariants:
