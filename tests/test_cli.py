@@ -462,6 +462,40 @@ class TestCommandTable:
         assert flags == keys
 
     @pytest.mark.parametrize("command", COMMANDS)
+    def test_only_required_options_resolve_to_the_defaults(self, tmp_path, raw_log, dataset_dir, command):
+        index = tmp_path / "pas.idx"
+        out = tmp_path / "out"
+        paths = {"input": str(raw_log), "dataset": str(dataset_dir), "index": str(index), "out": str(out)}
+        expected = {
+            "prepare": dict(delimiter="::", user_col=0, item_col=1, rating_col=2, timestamp_col=3,
+                            filter="rating_equals_5", max_users=20000, seed=0, on_error="raise"),
+            "build-index": dict(measure="pas", ell=10, rho=0.2, lam=0.5, scaling="h_a", w=2.0,
+                                n_neighbors=20, rank_by="bis"),
+            "evaluate": dict(split="test", topk=5, measure=""),
+            "grid": dict(measure="pas", ells=[5, 10, 20, 40], lambdas=[], scalings=[], rho=0.2,
+                         w=2.0, n_neighbors=20, topk=5, rank_by="bis"),
+            "sparsity-report": dict(ell=10, n_neighbors=20, w=2.0),
+            "synth": dict(users=1000, items=200, min_len=10, max_len=30, signal=0.8,
+                          reverse_noise=0.0, seed=0, delimiter="::"),
+        }[command]
+        required = {
+            "prepare": ["input", "out"],
+            "build-index": ["dataset", "out"],
+            "evaluate": ["dataset", "index", "out"],
+            "grid": ["dataset", "out"],
+            "sparsity-report": ["dataset", "out"],
+            "synth": ["out"],
+        }[command]
+        if command == "evaluate":
+            assert run("build-index", "--dataset", str(dataset_dir), "--out", str(index), "--ell", "3") == 0
+        assert run(command, *(arg for key in required for arg in ("--" + key, paths[key]))) == 0
+        snapshot = out / "run_config.json" if out.is_dir() else tmp_path / "out.config.json"
+        expected.update((key, paths[key]) for key in required)
+        expected["format_version"] = 1
+        # as text, so 2 in place of 2.0 or a list in place of a scalar differs
+        assert snapshot.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_help_exits_zero(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
             run(command, "--help")
