@@ -1,10 +1,13 @@
 """Command-line front end: dataset preparation, index building, evaluation,
 grid sweeps, the sparsity profile, and synthetic corpus generation.
 
-Each command is declared once, in ``_COMMANDS``: its function, its help text
-and its options with their defaults (None marks a required option). The
-parser, the option resolution and the run snapshot are derived from that
-table; ``_FLAGS`` gives each option's type and choices.
+Each option is declared once, in ``_FLAGS``: its default (None marks a
+required option), type, choices and help. An option that is a field of
+``SimilarityParams``, ``ColumnSchema`` or ``SynthConfig`` takes that field's
+default. Each command is declared once, in ``_COMMANDS``: its function, its
+help text, its options in parser order and the defaults in which it differs
+from ``_FLAGS``. The parser, the help of each option with its default, the
+option resolution and the run snapshot are derived from those two tables.
 
 Every option can come from a key-value config file (``key = value`` lines,
 ``#`` comments) overridden by flags. A config value is converted and checked
@@ -25,6 +28,7 @@ import time
 
 from .domain import MEASURES, SCALINGS, SimilarityParams
 from .evaluation import (
+    DEFAULT_ELLS,
     SPLITS,
     evaluate,
     expand_grid,
@@ -44,6 +48,7 @@ from .ingest import (
     subsample_users,
 )
 from .similarity import (
+    RANK_CRITERIA,
     NeighborIndex,
     average_uni_by_gap,
     build_neighbor_index,
@@ -94,33 +99,63 @@ def _scaling(text: str) -> str:
     return text
 
 
-# every option a command can take, as a flag or a config key
+# every option a command can take, as a flag or a config key: its default,
+# None for a required option, beside its argparse settings. An option that
+# is a field of SimilarityParams, ColumnSchema or SynthConfig takes that
+# field's default
 _FLAGS = {
-    "input": dict(type=str, help="raw interaction log"),
-    "out": dict(type=str, help="output file or directory"),
-    "dataset": dict(type=str, help="prepared dataset directory"),
-    "index": dict(type=str, help="neighbor index artifact"),
-    "delimiter": dict(type=str, help="field delimiter"),
-    "user_col": dict(type=int), "item_col": dict(type=int),
-    "rating_col": dict(type=int, help="-1 if the log has no rating column"),
-    "timestamp_col": dict(type=int),
-    "filter": dict(type=str, choices=["rating_equals_5", "all"]),
-    "max_users": dict(type=int), "seed": dict(type=int),
-    "on_error": dict(type=str, choices=["raise", "skip"]),
-    "measure": dict(type=str, choices=list(MEASURES)),
-    "ell": dict(type=int), "rho": dict(type=float), "lam": dict(type=float),
-    "scaling": dict(type=str, choices=list(SCALINGS)),
-    "w": dict(type=float), "n_neighbors": dict(type=int),
-    "rank_by": dict(type=str, choices=["bis", "max_t"]),
-    "split": dict(type=str, choices=list(SPLITS)),
-    "topk": dict(type=int),
-    "ells": dict(type=_csv(int, "comma-separated integers")),
-    "lambdas": dict(type=_csv(float, "comma-separated numbers")),
-    "scalings": dict(type=_csv(_scaling, f"comma-separated scalings from {', '.join(SCALINGS)}")),
-    "users": dict(type=int), "items": dict(type=int),
-    "min_len": dict(type=int), "max_len": dict(type=int),
-    "signal": dict(type=float), "reverse_noise": dict(type=float),
+    "input": dict(default=None, type=str, help="raw interaction log"),
+    "out": dict(default=None, type=str, help="output file or directory"),
+    "dataset": dict(default=None, type=str, help="prepared dataset directory"),
+    "index": dict(default=None, type=str, help="neighbor index artifact"),
+    "delimiter": dict(default=ColumnSchema.delimiter, type=str, help="field delimiter of the log"),
+    "user_col": dict(default=ColumnSchema.user_col, type=int, help="0-based column of the user id"),
+    "item_col": dict(default=ColumnSchema.item_col, type=int, help="0-based column of the item id"),
+    "rating_col": dict(default=ColumnSchema.rating_col, type=int,
+                       help="0-based column of the rating, -1 if the log has no rating column"),
+    "timestamp_col": dict(default=ColumnSchema.timestamp_col, type=int, help="0-based column of the timestamp"),
+    "filter": dict(default="rating_equals_5", type=str, choices=["rating_equals_5", "all"],
+                   help="keep the records rated 5, or all of them"),
+    "max_users": dict(default=20000, type=int, help="most users kept, sampled by --seed"),
+    "seed": dict(default=0, type=int, help="random seed"),
+    "on_error": dict(default="raise", type=str, choices=["raise", "skip"],
+                     help="fail at a malformed log line, or skip it"),
+    "measure": dict(default="pas", type=str, choices=list(MEASURES),
+                    help="similarity measure; for evaluate, the one the index must have"),
+    "ell": dict(default=10, type=int, help="valid distance, and session-window length k"),
+    "rho": dict(default=SimilarityParams.rho, type=float, help="reverse factor, in (0, 1)"),
+    "lam": dict(default=SimilarityParams.lam, type=float, help="pas weight in [0, 1]: 0 is bis, 1 is pas_uni"),
+    "scaling": dict(default=SimilarityParams.scaling, type=str, choices=list(SCALINGS),
+                    help="threshold scaling of pas and pas_uni"),
+    "w": dict(default=SimilarityParams.w, type=float, help="scaling parameter, > 1"),
+    "n_neighbors": dict(default=SimilarityParams.n_neighbors, type=int, help="neighbors kept per item"),
+    "rank_by": dict(default="bis", type=str, choices=list(RANK_CRITERIA),
+                    help="what pas ranks neighbors by: bis, or max_t, its t = k value"),
+    "split": dict(default="test", type=str, choices=list(SPLITS), help="held-out split to rank"),
+    "topk": dict(default=5, type=int, help="cutoff K of NDCG@K and 1-call@K"),
+    "ells": dict(default=DEFAULT_ELLS, type=_csv(int, "comma-separated integers"),
+                 help="comma-separated ell values"),
+    "lambdas": dict(default=(), type=_csv(float, "comma-separated numbers"),
+                    help=f"comma-separated lam values of pas; none for {SimilarityParams.lam}"),
+    "scalings": dict(default=(), type=_csv(_scaling, f"comma-separated scalings from {', '.join(SCALINGS)}"),
+                     help="comma-separated scalings of pas and pas_uni; none for all"),
+    "users": dict(default=1000, type=int, help="users generated"),
+    "items": dict(default=200, type=int, help="catalog size"),
+    "min_len": dict(default=SynthConfig.seq_length_range[0], type=int, help="shortest sequence"),
+    "max_len": dict(default=SynthConfig.seq_length_range[1], type=int, help="longest sequence"),
+    "signal": dict(default=SynthConfig.signal, type=float, help="chance of the planted successor at each step"),
+    "reverse_noise": dict(default=SynthConfig.reverse_noise, type=float,
+                          help="chance of swapping each adjacent pair"),
 }
+
+
+def _help(key: str, default) -> str:
+    """The option's help, with its default as a flag would give it."""
+    if default is None:
+        return f"{_FLAGS[key]['help']} (required)"
+    if isinstance(default, tuple):
+        default = ",".join(map(str, default))
+    return f"{_FLAGS[key]['help']} (default: {'none' if default == '' else default})"
 
 
 def _config_value(key: str, text: str, where: str):
@@ -278,74 +313,31 @@ def cmd_synth(opt: dict) -> None:
     log.info("wrote %d records to %s", len(table), opt["out"])
 
 
-# name: (function, help, {option: default}), options in parser order; a
-# default of None marks a required option
+# name: (function, help, its options in parser order, and the defaults in
+# which it differs from _FLAGS)
 _COMMANDS = {
-    "prepare": (cmd_prepare, "parse, filter, dedup, subsample, split", {
-        "input": None,
-        "out": None,
-        "delimiter": "::",
-        "user_col": 0,
-        "item_col": 1,
-        "rating_col": 2,
-        "timestamp_col": 3,
-        "filter": "rating_equals_5",
-        "max_users": 20000,
-        "seed": 0,
-        "on_error": "raise",
-    }),
-    "build-index": (cmd_build_index, "build and persist a neighbor index", {
-        "dataset": None,
-        "out": None,
-        "measure": "pas",
-        "ell": 10,
-        "rho": 0.2,
-        "lam": 0.5,
-        "scaling": "h_a",
-        "w": 2.0,
-        "n_neighbors": 20,
-        "rank_by": "bis",
-    }),
-    "evaluate": (cmd_evaluate, "evaluate an index on a split", {
-        "dataset": None,
-        "index": None,
-        "out": None,
-        "split": "test",
-        "topk": 5,
-        "measure": "",
-    }),
-    "grid": (cmd_grid, "validation-driven hyperparameter sweep", {
-        "dataset": None,
-        "out": None,
-        "measure": "pas",
-        "ells": (5, 10, 20, 40),
-        "lambdas": (),
-        "scalings": (),
-        "rho": 0.2,
-        "w": 2.0,
-        "n_neighbors": 20,
-        "topk": 5,
-        "rank_by": "bis",
-    }),
-    "sparsity-report": (cmd_sparsity_report, "average position-aware similarity by gap", {
-        "dataset": None,
-        "out": None,
-        "ell": 10,
-        "n_neighbors": 20,
-        "w": 2.0,
-    }),
-    "synth": (cmd_synth, "generate a synthetic interaction log", {
-        "out": None,
-        "users": 1000,
-        "items": 200,
-        "min_len": 10,
-        "max_len": 30,
-        "signal": 0.8,
-        "reverse_noise": 0.0,
-        "seed": 0,
-        "delimiter": "::",
-    }),
+    "prepare": (cmd_prepare, "parse, filter, dedup, subsample, split",
+                "input out delimiter user_col item_col rating_col timestamp_col filter max_users seed "
+                "on_error", {}),
+    "build-index": (cmd_build_index, "build and persist a neighbor index",
+                    "dataset out measure ell rho lam scaling w n_neighbors rank_by", {}),
+    # an empty measure checks nothing
+    "evaluate": (cmd_evaluate, "evaluate an index on a split",
+                 "dataset index out split topk measure", {"measure": ""}),
+    "grid": (cmd_grid, "validation-driven hyperparameter sweep",
+             "dataset out measure ells lambdas scalings rho w n_neighbors topk rank_by", {}),
+    "sparsity-report": (cmd_sparsity_report, "average position-aware similarity by gap",
+                        "dataset out ell n_neighbors w", {}),
+    "synth": (cmd_synth, "generate a synthetic interaction log",
+              "out users items min_len max_len signal reverse_noise seed delimiter", {}),
 }
+
+
+def _defaults(command: str) -> dict:
+    """Each option of ``command`` in parser order, with its default."""
+    _, _, options, own = _COMMANDS[command]
+    return {key: own.get(key, _FLAGS[key]["default"]) for key in options.split()}
+
 
 # the benchmark's command lines still pass --workers to these three
 _IGNORES_WORKERS = ("build-index", "evaluate", "grid")
@@ -356,10 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=str, default=None, help="key-value config file")
     parser.add_argument("-q", "--quiet", action="store_true", help="only warnings and errors")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, defaults) in _COMMANDS.items():
+    for name, (_, help_text, _, _) in _COMMANDS.items():
         command_parser = sub.add_parser(name, help=help_text)
-        for key in defaults:
-            command_parser.add_argument("--" + key.replace("_", "-"), dest=key, default=None, **_FLAGS[key])
+        for key, default in _defaults(name).items():
+            # default None, so a config file can fill the option
+            settings = dict(_FLAGS[key], default=None, help=_help(key, default))
+            command_parser.add_argument("--" + key.replace("_", "-"), dest=key, **settings)
         if name in _IGNORES_WORKERS:
             command_parser.add_argument(
                 "--workers", type=int, default=None,
@@ -375,10 +369,9 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )
-    command, _, defaults = _COMMANDS[args.command]
     try:
-        opt = _resolve(args, _read_config(args.config), defaults)
-        command(opt)
+        opt = _resolve(args, _read_config(args.config), _defaults(args.command))
+        _COMMANDS[args.command][0](opt)
         _write_snapshot(opt)
     except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

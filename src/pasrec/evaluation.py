@@ -10,13 +10,13 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 # make_session_window is no longer called here: perfbench/tracer.py patches
 # it, and positive_scores, by these names in this module's namespace
-from .domain import MEASURES, SimilarityParams, make_session_window  # noqa: F401
+from .domain import MEASURES, SCALINGS, SimilarityParams, make_session_window  # noqa: F401
 from .ingest import Dataset
 from .predictor import positive_scores, rank_of_target
 from .similarity import NeighborIndex, build_neighbor_index, count_pairs
@@ -68,7 +68,6 @@ class EvalResult:
     n_skipped: int
     ndcg: float
     one_call: float
-    elapsed: float = field(default=0.0, compare=False)
 
 
 def evaluate(
@@ -154,12 +153,10 @@ def evaluate(
         n_skipped=n_skipped,
         ndcg=ndcg,
         one_call=one_call,
-        elapsed=elapsed,
     )
 
 
 DEFAULT_ELLS = (5, 10, 20, 40)
-_SCALING_ORDER = {"h_a": 0, "h_b": 1, "h_c": 2}
 
 
 def expand_grid(
@@ -167,12 +164,12 @@ def expand_grid(
     ells: tuple[int, ...] = DEFAULT_ELLS,
     lambdas: tuple[float, ...] | None = None,
     scalings: tuple[str, ...] | None = None,
-    rho: float = 0.2,
-    w: float = 2.0,
-    n_neighbors: int = 20,
+    rho: float = SimilarityParams.rho,
+    w: float = SimilarityParams.w,
+    n_neighbors: int = SimilarityParams.n_neighbors,
 ) -> list[tuple[str, SimilarityParams]]:
-    """Expand a hyperparameter grid for one measure, with the standard
-    defaults: rho=0.2, w=2, 20 neighbors, ell=k from {5,10,20,40}.
+    """Expand a hyperparameter grid for one measure, ell=k from ``ells``,
+    with SimilarityParams' defaults for what is not given.
 
     Position-independent measures ignore lam and scaling, so only ell varies
     for bis and cosine; pas sweeps lam x scaling, pas_uni sweeps scaling.
@@ -181,15 +178,13 @@ def expand_grid(
         raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
     if not ells:
         raise ValueError("empty grid: no ell values")
+    scalings = scalings or SCALINGS
     if measure in ("bis", "cosine"):
-        lambdas = (0.0,)
-        scalings = ("h_a",)
+        lambdas, scalings = (0.0,), (SimilarityParams.scaling,)
     elif measure == "pas_uni":
         lambdas = (1.0,)
-        scalings = scalings or ("h_a", "h_b", "h_c")
     else:
-        lambdas = lambdas or (0.5,)
-        scalings = scalings or ("h_a", "h_b", "h_c")
+        lambdas = lambdas or (SimilarityParams.lam,)
     return [
         (measure, SimilarityParams(ell=ell, rho=rho, lam=lam, scaling=scaling, w=w,
                                    n_neighbors=n_neighbors))
@@ -229,7 +224,7 @@ def grid_search(
         index = build_neighbor_index(store, params, measure, rank_by=rank_by)
         row = evaluate(dataset, index, "validation", top_k=top_k)
         validation_rows.append(row)
-        key = (-row.one_call, params.k, params.lam, _SCALING_ORDER[params.scaling], measure)
+        key = (-row.one_call, params.k, params.lam, SCALINGS.index(params.scaling), measure)
         if best_key is None or key < best_key:
             best_key = key
             best_index = index

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .similarity import NeighborIndex
+from .similarity import NeighborIndex, _ranges
 
 
 def positive_scores(
@@ -44,7 +44,7 @@ def positive_scores(
         column = np.zeros_like(position)
     counts = starts[nbr + 1] - starts[nbr]
     # the inverted rows of nbr[j] are starts[nbr[j]] + 0, 1, ..., counts[j] - 1
-    rows = np.repeat(starts[nbr] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    rows = _ranges(starts[nbr], counts)
     n = len(index.items)
     # a target appears at most once among one neighbor's rows
     cells = np.repeat(row * n, counts) + targets[rows]

@@ -94,6 +94,11 @@ def _uni_low(k: int, t: int, scaling: str, w: float) -> int:
     return math.floor(scale(k - t, scaling, w)) + 1
 
 
+def _ranges(begin: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges begin[i]:begin[i] + counts[i], laid end to end."""
+    return np.arange(counts.sum()) + np.repeat(begin - np.cumsum(counts) + counts, counts)
+
+
 def _numerators(
     row: np.ndarray, gap: np.ndarray, users: np.ndarray, n_rows: int, ell: int, lows: Sequence[int]
 ) -> np.ndarray:
@@ -183,11 +188,6 @@ class PairStore:
             self.item_users, self.co, self.co_users, self.gaps, self.gap_union, self.starts,
             self.hist_gap, self.hist_users))
 
-    def _pair_key(self, a, b):
-        """Key of each unordered item pair (a, b), in the type of ``co`` and
-        ``gaps``, so a search of either casts the queries, not the column."""
-        return (np.minimum(a, b) * self.n_items + np.maximum(a, b)).astype(self.co.dtype)
-
     def _band_fold(self, ell: int, lows: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """(pair, nums): the pairs gaps[pair] with a histogram entry in
         [-ell, ell], ascending, and ``_numerators`` of both directions of
@@ -206,24 +206,30 @@ class PairStore:
         pair = np.flatnonzero(forward[:, 0] | reverse[:, 0])
         return pair, np.concatenate((forward[pair], reverse[pair]))
 
-    def _find(self, key: np.ndarray) -> np.ndarray:
-        """Where each key is or would be in ``gaps``. numpy starts the
-        search of a larger key from the last one's result, so the keys are
-        searched in ascending order: for a selection's rows that more than
-        pays for the sort."""
+    def _find(self, keys: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(at, found) of each unordered item pair (a, b) in ``keys``, which
+        is ``co`` or ``gaps``: where the pair's key is or would be, and
+        whether it is there. The pair keys take the column's type, so the
+        search casts the queries, not the column. numpy starts the search of
+        a larger key from the last one's result, so the keys are searched in
+        ascending order: for a selection's rows that more than pays for the
+        sort."""
+        key = (np.minimum(a, b) * self.n_items + np.maximum(a, b)).astype(keys.dtype)
         order = np.argsort(key)
         at = np.empty(len(key), dtype=np.intp)
-        at[order] = np.searchsorted(self.gaps, key[order])
-        return at
+        at[order] = np.searchsorted(keys, key[order])
+        # a key past the last one is at len(keys), and not found
+        found = at < len(keys)
+        found[found] = keys[at[found]] == key[found]
+        return at, found
 
     def union(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """|U_a ∪ U_b| of any item pairs."""
-        key = self._pair_key(a, b)
-        at = np.searchsorted(self.co, key)
-        # users of both items: co_users where the key is in ``co`` (the -1
-        # sentinel stops a key past the last one), all of U_a where a is b
-        both = np.where(np.append(self.co, -1)[at] == key, np.append(self.co_users, 0)[at], 0)
-        both = np.where(a == b, self.item_users[a], both)
+        at, found = self._find(self.co, a, b)
+        # users of both items: all of U_a where a is b, co_users where the
+        # pair is in ``co``, which holds no pair of an item with itself
+        both = np.where(a == b, self.item_users[a], 0)
+        both[found] = self.co_users[at[found]]
         return self.item_users[a] + self.item_users[b] - both
 
     def numerators(self, cand: np.ndarray, target: np.ndarray, ell: int,
@@ -232,17 +238,15 @@ class PairStore:
         of ``hist_users``: row r reads pair r's histogram entries forward
         where cand < target and negated elsewhere; a pair without histogram
         entries counts 0."""
-        key = self._pair_key(cand, target)
-        at = self._find(key)
-        # an absent key, one past the last included, reads starts[at]:starts[at]
-        found = np.append(self.gaps, -1)[at] == key
+        at, found = self._find(self.gaps, cand, target)
+        # an absent pair reads starts[at]:starts[at]
         begin = self.starts[at]
         counts = self.starts[at + found] - begin
         row = np.repeat(np.arange(len(counts)), counts)
-        entry = np.arange(len(row)) + np.repeat(begin - np.cumsum(counts) + counts, counts)
+        entry = _ranges(begin, counts)
         gap = self.hist_gap[entry]
         return _numerators(row, np.where((cand < target)[row], gap, -gap), self.hist_users[entry],
-                           len(key), ell, lows)
+                           len(counts), ell, lows)
 
 
 def _counted(keys: np.ndarray, count_type: type) -> tuple[np.ndarray, np.ndarray]:
@@ -408,6 +412,16 @@ def _canonical(parse, write):
 _parse_id, _parse_float = _canonical(int, str), _canonical(float, repr)
 
 
+def _params_text(params: SimilarityParams) -> str:
+    """The #params header value."""
+    return json.dumps(asdict(params), sort_keys=True)
+
+
+def _items_text(items: tuple[str, ...]) -> str:
+    """The #items header value."""
+    return json.dumps(list(items))
+
+
 def _item_names(text: str) -> tuple[str, ...]:
     """The #items header value: a JSON list of distinct item name strings."""
     names = json.loads(text)
@@ -518,8 +532,8 @@ class NeighborIndex:
                 fh.write(f"#{self.FORMAT}\t{self.VERSION}\n")
                 fh.write(f"#measure\t{self.measure}\n")
                 fh.write(f"#rank_by\t{self.rank_by}\n")
-                fh.write(f"#params\t{json.dumps(asdict(self.params), sort_keys=True)}\n")
-                fh.write(f"#items\t{json.dumps(list(self.items))}\n")
+                fh.write(f"#params\t{_params_text(self.params)}\n")
+                fh.write(f"#items\t{_items_text(self.items)}\n")
                 for start in range(0, len(self.targets), _BLOCK_LINES):
                     block = slice(start, start + _BLOCK_LINES)
                     # the values are ratios of small counts and repeat heavily:
@@ -538,7 +552,8 @@ class NeighborIndex:
     @classmethod
     def load(cls, path: str) -> "NeighborIndex":
         """The index saved at ``path``. A file that is not a valid index
-        fails as ``path:line: reason`` at its first bad line."""
+        fails as ``path:line: reason`` at its first bad line. A file that
+        loads is one that ``save`` writes: it saves back to the same bytes."""
         # a byte that is not UTF-8 reads as a lone surrogate, which no check
         # takes, and each line names its own bad bytes before any other fault
         with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -546,9 +561,9 @@ class NeighborIndex:
             if reason := _escaped(magic):
                 raise ValueError(f"{path}:1: {reason}")
             if magic.rstrip("\n").split("\t") != [f"#{cls.FORMAT}", str(cls.VERSION)]:
-                raise ValueError(f"{path}: not a {cls.FORMAT} v{cls.VERSION} artifact")
+                raise ValueError(f"{path}:1: not a {cls.FORMAT} v{cls.VERSION} artifact")
 
-            def header(lineno: int, key: str, parse, choices=None):
+            def header(lineno: int, key: str, parse, write=str, choices=None):
                 line = fh.readline()
                 name, tab, value = line.rstrip("\n").partition("\t")
                 try:
@@ -560,14 +575,18 @@ class NeighborIndex:
                         raise ValueError(f"expected a '#{key}<tab>value' header line")
                     if choices is not None and value not in choices:
                         raise ValueError(f"unknown {key} {value!r}, expected one of {choices}")
-                    return parse(value)
+                    parsed = parse(value)
+                    # other spacing or key order, which save never writes
+                    if write(parsed) != value:
+                        raise ValueError(f"#{key} value not written as save writes it")
+                    return parsed
                 except (ValueError, TypeError) as exc:
                     raise ValueError(f"{path}:{lineno}: {exc}") from None
 
-            measure = header(2, "measure", str, MEASURES)
-            rank_by = header(3, "rank_by", str, RANK_CRITERIA)
-            params = header(4, "params", lambda v: SimilarityParams(**json.loads(v)))
-            items = header(5, "items", _item_names)
+            measure = header(2, "measure", str, choices=MEASURES)
+            rank_by = header(3, "rank_by", str, choices=RANK_CRITERIA)
+            params = header(4, "params", lambda v: SimilarityParams(**json.loads(v)), _params_text)
+            items = header(5, "items", _item_names, _items_text)
             vector_length = params.k if measure in ("pas", "pas_uni") else 0
             # each entry line is split once at its first two tabs: a hit in
             # ``ids`` is an id in canonical form and in range, and ``memo``
@@ -611,17 +630,18 @@ class NeighborIndex:
         if len(selves):
             row = selves[0]
             raise ValueError(f"{path}:{row + 6}: item {targets[row]} is its own neighbor")
-        # save writes the entries by target, which then need no sort
-        ascending = not np.any(targets[1:] < targets[:-1])
-        order = np.arange(len(targets)) if ascending else np.argsort(targets, kind="stable")
-        slot = np.arange(len(order)) - np.searchsorted(targets[order], targets[order])
-        extra = order[slot >= params.n_neighbors]
+        # save writes the entries by target, so they need no sort
+        down = np.flatnonzero(targets[1:] < targets[:-1]) + 1
+        if len(down):
+            row = down[0]
+            raise ValueError(f"{path}:{row + 6}: target {targets[row]} below target {targets[row - 1]} "
+                             "of the line above: entries ascend by target")
+        slot = np.arange(len(targets)) - np.searchsorted(targets, targets)
+        extra = np.flatnonzero(slot >= params.n_neighbors)
         if len(extra):
-            row = extra.min()
+            row = extra[0]
             raise ValueError(f"{path}:{row + 6}: target {targets[row]} has more than "
                              f"n_neighbors={params.n_neighbors} entries")
-        if not ascending:
-            targets, nbrs, values = targets[order], nbrs[order], values[order]
         return cls(measure, params, items, targets, nbrs, values, rank_by=rank_by)
 
 
@@ -704,8 +724,7 @@ def _select(
     key.sort()
     # a target's keys are adjacent; keep the first n_neighbors of each
     kept = np.minimum(per_target, params.n_neighbors)
-    at = np.arange(kept.sum()) + np.repeat(np.cumsum(per_target - kept) - per_target + kept, kept)
-    target, rank_cand = np.divmod(key[at], n_scores * n)
+    target, rank_cand = np.divmod(key[_ranges(np.cumsum(per_target) - per_target, kept)], n_scores * n)
     del key
     rank, cand = np.divmod(rank_cand, n)
     return target, cand, distinct[n_scores - 1 - rank], ranked
@@ -736,7 +755,7 @@ def _selection(
         target, cand, score, ranked = _select(store, params, measure, rank_by)
         union = nums = None
         if measure != "cosine":
-            union = store.gap_union[store._find(store._pair_key(cand, target))]
+            union = store.gap_union[store._find(store.gaps, cand, target)[0]]
             lows = [_bis_low(params.rho, params.ell)]
             if measure in ("pas", "pas_uni"):
                 lows += range(1, params.k + 1)
@@ -791,7 +810,8 @@ def build_neighbor_index(
 
 
 def average_uni_by_gap(
-    store: PairStore, ell: int = 10, n_neighbors: int = 20, w: float = 2.0
+    store: PairStore, ell: int = 10, n_neighbors: int = SimilarityParams.n_neighbors,
+    w: float = SimilarityParams.w,
 ) -> dict[str, list[float]]:
     """Average position-aware similarity per window gap G = k - t, by scaling.
 
@@ -802,7 +822,7 @@ def average_uni_by_gap(
     """
     profile: dict[str, list[float]] = {}
     for scaling in SCALINGS:
-        params = SimilarityParams(ell=ell, rho=0.2, lam=1.0, scaling=scaling, w=w, n_neighbors=n_neighbors)
+        params = SimilarityParams(ell=ell, lam=1.0, scaling=scaling, w=w, n_neighbors=n_neighbors)
         # values[i, t - 1]: entry i at window position t; the store's memo
         # gives every scaling one selection
         values = build_neighbor_index(store, params, "pas_uni").values[:, 1:]

@@ -432,6 +432,29 @@ def command_parsers():
 
 COMMANDS = ["prepare", "build-index", "evaluate", "grid", "sparsity-report", "synth"]
 
+# each command's required options, and what the others resolve to when only
+# those are given
+REQUIRED = {
+    "prepare": ["input", "out"],
+    "build-index": ["dataset", "out"],
+    "evaluate": ["dataset", "index", "out"],
+    "grid": ["dataset", "out"],
+    "sparsity-report": ["dataset", "out"],
+    "synth": ["out"],
+}
+DEFAULTS = {
+    "prepare": dict(delimiter="::", user_col=0, item_col=1, rating_col=2, timestamp_col=3,
+                    filter="rating_equals_5", max_users=20000, seed=0, on_error="raise"),
+    "build-index": dict(measure="pas", ell=10, rho=0.2, lam=0.5, scaling="h_a", w=2.0,
+                        n_neighbors=20, rank_by="bis"),
+    "evaluate": dict(split="test", topk=5, measure=""),
+    "grid": dict(measure="pas", ells=[5, 10, 20, 40], lambdas=[], scalings=[], rho=0.2,
+                 w=2.0, n_neighbors=20, topk=5, rank_by="bis"),
+    "sparsity-report": dict(ell=10, n_neighbors=20, w=2.0),
+    "synth": dict(users=1000, items=200, min_len=10, max_len=30, signal=0.8,
+                  reverse_noise=0.0, seed=0, delimiter="::"),
+}
+
 
 class TestCommandTable:
     def test_every_command_is_covered(self):
@@ -466,26 +489,8 @@ class TestCommandTable:
         index = tmp_path / "pas.idx"
         out = tmp_path / "out"
         paths = {"input": str(raw_log), "dataset": str(dataset_dir), "index": str(index), "out": str(out)}
-        expected = {
-            "prepare": dict(delimiter="::", user_col=0, item_col=1, rating_col=2, timestamp_col=3,
-                            filter="rating_equals_5", max_users=20000, seed=0, on_error="raise"),
-            "build-index": dict(measure="pas", ell=10, rho=0.2, lam=0.5, scaling="h_a", w=2.0,
-                                n_neighbors=20, rank_by="bis"),
-            "evaluate": dict(split="test", topk=5, measure=""),
-            "grid": dict(measure="pas", ells=[5, 10, 20, 40], lambdas=[], scalings=[], rho=0.2,
-                         w=2.0, n_neighbors=20, topk=5, rank_by="bis"),
-            "sparsity-report": dict(ell=10, n_neighbors=20, w=2.0),
-            "synth": dict(users=1000, items=200, min_len=10, max_len=30, signal=0.8,
-                          reverse_noise=0.0, seed=0, delimiter="::"),
-        }[command]
-        required = {
-            "prepare": ["input", "out"],
-            "build-index": ["dataset", "out"],
-            "evaluate": ["dataset", "index", "out"],
-            "grid": ["dataset", "out"],
-            "sparsity-report": ["dataset", "out"],
-            "synth": ["out"],
-        }[command]
+        required = REQUIRED[command]
+        expected = dict(DEFAULTS[command])
         if command == "evaluate":
             assert run("build-index", "--dataset", str(dataset_dir), "--out", str(index), "--ell", "3") == 0
         assert run(command, *(arg for key in required for arg in ("--" + key, paths[key]))) == 0
@@ -494,6 +499,20 @@ class TestCommandTable:
         expected["format_version"] = 1
         # as text, so 2 in place of 2.0 or a list in place of a scalar differs
         assert snapshot.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_names_each_default(self, command):
+        def shown(value):
+            if isinstance(value, list):
+                value = ",".join(map(str, value))
+            return "none" if value == "" else value
+
+        helps = {action.dest: action.help for action in command_parsers()[command]._actions
+                 if action.dest not in ("help", "workers")}
+        assert set(helps) == set(REQUIRED[command]) | set(DEFAULTS[command])
+        for key, text in helps.items():
+            suffix = "(required)" if key in REQUIRED[command] else f"(default: {shown(DEFAULTS[command][key])})"
+            assert text.endswith(" " + suffix), key
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_help_exits_zero(self, command, capsys):

@@ -3,7 +3,8 @@ its memory bound.
 
 ``reference_load`` is the v1 reader that parsed and checked each entry line
 in turn, memoising ids, values and packed vectors, and then ran the array
-checks. The property saves random indexes of all four measures, breaks each
+checks, among them that the entry lines ascend by target as ``save`` writes
+them. The property saves random indexes of all four measures, breaks each
 with one random fault, and requires the same index, to the bit, or the same
 message at the same line. The load memos are a few texts long, so they
 start over between any two lines. Bytes that are not UTF-8 are left out:
@@ -13,6 +14,7 @@ line (``tests/test_similarity.py`` checks both orders).
 """
 import itertools
 import json
+import re
 import tracemalloc
 from unittest import mock
 
@@ -60,7 +62,7 @@ def reference_load(path: str):
     at ``path``, read one entry line at a time."""
     with open(path, encoding="utf-8") as fh:
         if fh.readline().rstrip("\n").split("\t") != ["#pasrec-index", "1"]:
-            raise ValueError(f"{path}: not a pasrec-index v1 artifact")
+            raise ValueError(f"{path}:1: not a pasrec-index v1 artifact")
 
         def header(lineno: int, key: str, parse, choices=None):
             line = fh.readline()
@@ -125,14 +127,18 @@ def reference_load(path: str):
     if len(selves):
         row = selves[0]
         raise ValueError(f"{path}:{row + 6}: item {targets[row]} is its own neighbor")
-    order = np.argsort(targets, kind="stable")
-    slot = np.arange(len(order)) - np.searchsorted(targets[order], targets[order])
-    extra = order[slot >= params.n_neighbors]
+    down = np.flatnonzero(targets[1:] < targets[:-1]) + 1
+    if len(down):
+        row = down[0]
+        raise ValueError(f"{path}:{row + 6}: target {targets[row]} below target {targets[row - 1]} "
+                         "of the line above: entries ascend by target")
+    slot = np.arange(len(targets)) - np.searchsorted(targets, targets)
+    extra = np.flatnonzero(slot >= params.n_neighbors)
     if len(extra):
-        row = extra.min()
+        row = extra[0]
         raise ValueError(f"{path}:{row + 6}: target {targets[row]} has more than "
                          f"n_neighbors={params.n_neighbors} entries")
-    return measure, params, items, rank_by, targets[order], nbrs[order], values[order]
+    return measure, params, items, rank_by, targets, nbrs, values
 
 
 def outcome(read, path):
@@ -251,6 +257,73 @@ class TestLoadAgainstReference:
         with mock.patch.object(similarity, "_MEMO_LIMIT", limit):
             got = outcome(NeighborIndex.load, str(path))
         assert got == outcome(reference_load, str(path))
+
+
+EDITS = ["drop", "repeat", "swap", "move", "field", "respace", "reorder", "cut"]
+
+
+def edit(draw, kind: str, lines: list[str]) -> list[str]:
+    """``lines`` with one edit of the given kind, anywhere in the file; an
+    edit may happen to leave the lines as they were."""
+    lines = list(lines)
+    at = draw(st.integers(0, len(lines) - 1))
+    if kind == "drop":
+        del lines[at]
+    elif kind == "repeat":
+        lines.insert(draw(st.integers(0, len(lines))), lines[at])
+    elif kind == "swap":
+        other = draw(st.integers(0, len(lines) - 1))
+        lines[at], lines[other] = lines[other], lines[at]
+    elif kind == "move":
+        lines.insert(draw(st.integers(0, len(lines) - 1)), lines.pop(at))
+    elif kind == "field":
+        # another field of the same column, a number, or a few characters
+        fields = lines[at].split("\t")
+        column = draw(st.integers(0, len(fields) - 1))
+        seen = sorted({line.split("\t")[column] for line in lines if line.count("\t") >= column})
+        fields[column] = draw(st.one_of(st.sampled_from(seen + ["0", "1", "3", "0.5", "-0.0"]),
+                                        st.text("0123456789.-+e x#[]", max_size=5)))
+        lines[at] = "\t".join(fields)
+    elif kind == "respace":
+        at = draw(st.integers(0, min(4, len(lines) - 1)))
+        spaces = [i for i, char in enumerate(lines[at]) if char == " "]
+        if spaces and draw(st.booleans()):
+            i = draw(st.sampled_from(spaces))
+            lines[at] = lines[at][:i] + lines[at][i + 1:]
+        else:
+            i = draw(st.integers(0, len(lines[at])))
+            lines[at] = lines[at][:i] + " " + lines[at][i:]
+    elif kind == "reorder":
+        # the #params keys in another order
+        params = json.loads(lines[3].split("\t", 1)[1])
+        lines[3] = "#params\t" + json.dumps(dict(draw(st.permutations(list(params.items())))))
+    else:  # cut at a line boundary
+        lines = lines[:draw(st.integers(0, len(lines)))]
+    return lines
+
+
+class TestFixedPoint:
+    """An index that loads is one that ``save`` writes: every edit of a saved
+    index either fails with its ``path:line`` or saves back to the edited
+    bytes."""
+
+    @pytest.mark.parametrize("kind", EDITS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_edited_index_fails_with_location_or_saves_back(self, tmp_path_factory, kind, data):
+        index, _, _ = data.draw(saved_index())
+        folder = tmp_path_factory.mktemp("index")
+        path, again = folder / "index.tsv", folder / "again.tsv"
+        index.save(str(path))
+        lines = edit(data.draw, kind, path.read_text(encoding="utf-8").splitlines())
+        path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+        try:
+            loaded = NeighborIndex.load(str(path))
+        except ValueError as exc:
+            assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc)), str(exc)
+        else:
+            loaded.save(str(again))
+            assert again.read_bytes() == path.read_bytes()
 
 
 def test_reference_reads_what_save_writes(tmp_path):

@@ -404,7 +404,7 @@ class TestNeighborIndex:
         assert index.targets.tolist() == sorted(index.targets.tolist())
 
     @pytest.mark.parametrize("measure", ["bis", "pas"])
-    def test_entry_lines_shuffled_across_targets_load_in_saved_order(self, tmp_path, measure):
+    def test_shuffled_targets_fail_at_first_out_of_order_line(self, tmp_path, measure):
         corpus = random_corpus(random.Random(11), max_users=40, max_items=15, max_len=8)
         params = SimilarityParams(ell=3, lam=0.5, n_neighbors=4)
         index = build_neighbor_index(count_corpus(corpus, ell_max=3), params, measure)
@@ -421,10 +421,14 @@ class TestNeighborIndex:
         shuffled = [by_target[target].pop(0) for target in picks]
         assert len(by_target) > 1 and shuffled != entries
         path.write_text("\n".join(header + shuffled) + "\n")
-        loaded = NeighborIndex.load(str(path))
-        assert loaded == index
-        loaded.save(str(tmp_path / "again.tsv"))
-        assert (tmp_path / "again.tsv").read_text() == text
+        # save writes the entries by target, so the first line whose target
+        # sorts below the one above fails
+        targets = [int(line.split("\t")[0]) for line in shuffled]
+        row = next(row for row in range(1, len(targets)) if targets[row] < targets[row - 1])
+        with pytest.raises(ValueError) as exc:
+            NeighborIndex.load(str(path))
+        assert str(exc.value) == (f"{path}:{row + 6}: target {targets[row]} below target "
+                                  f"{targets[row - 1]} of the line above: entries ascend by target")
 
     @settings(max_examples=30, deadline=None)
     @given(
