@@ -207,13 +207,12 @@ class PairStore:
         return pair, np.concatenate((forward[pair], reverse[pair]))
 
     def _find(self, keys: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(at, found) of each unordered item pair (a, b) in ``keys``, which
-        is ``co`` or ``gaps``: where the pair's key is or would be, and
-        whether it is there. The pair keys take the column's type, so the
-        search casts the queries, not the column. numpy starts the search of
-        a larger key from the last one's result, so the keys are searched in
-        ascending order: for a selection's rows that more than pays for the
-        sort."""
+        """(at, found): where the key of each unordered item pair (a, b) is
+        or would be in ``keys``, ``co`` or ``gaps``, and whether it is there.
+        The keys take the column's type, so the search casts them, not the
+        column, and are searched in ascending order, as numpy starts each
+        search from the last one's result: for a selection's rows that more
+        than pays for the sort."""
         key = (np.minimum(a, b) * self.n_items + np.maximum(a, b)).astype(keys.dtype)
         order = np.argsort(key)
         at = np.empty(len(key), dtype=np.intp)
@@ -412,13 +411,12 @@ def _canonical(parse, write):
 _parse_id, _parse_float = _canonical(int, str), _canonical(float, repr)
 
 
+# the #params and #items header values, as save writes them and load takes them
 def _params_text(params: SimilarityParams) -> str:
-    """The #params header value."""
     return json.dumps(asdict(params), sort_keys=True)
 
 
 def _items_text(items: tuple[str, ...]) -> str:
-    """The #items header value."""
     return json.dumps(list(items))
 
 
