@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# make_session_window is no longer called here: perfbench/tracer.py patches
-# it, and positive_scores, by these names in this module's namespace
+# perfbench/tracer.py patches make_session_window, which is no longer called
+# here, and positive_scores by these names in this module's namespace
 from .domain import MEASURES, SCALINGS, SimilarityParams, make_session_window  # noqa: F401
 from .ingest import Dataset
-from .predictor import positive_scores, rank_of_target
-from .similarity import NeighborIndex, build_neighbor_index, count_pairs
+from .similarity import NeighborIndex, build_neighbor_index, count_pairs, positive_scores
 
 log = logging.getLogger(__name__)
 
@@ -53,6 +52,21 @@ def ndcg_at_k(rank: int, top_k: int) -> float:
 def one_call_at_k(rank: int, top_k: int) -> int:
     """1 if the held-out item made the top-K, else 0."""
     return 1 if rank <= top_k else 0
+
+
+def rank_of_target(scores: np.ndarray, target_pos: np.ndarray, excluded: tuple) -> np.ndarray:
+    """Rank of the item at target_pos[r] among the items of row r of
+    ``scores``, by score descending, then item identifier ascending, so items
+    that score zero rank by identifier. The cells that ``excluded``, a (rows,
+    columns) index, names are left out. Columns must ascend with the item
+    identifier.
+    """
+    target_score = scores[np.arange(len(scores)), target_pos][:, None]
+    scores = scores.copy()
+    scores[excluded] = -np.inf
+    earlier = np.arange(scores.shape[1]) < target_pos[:, None]
+    return 1 + (np.count_nonzero(scores > target_score, axis=1)
+                + np.count_nonzero((scores == target_score) & earlier, axis=1))
 
 
 @dataclass(frozen=True)

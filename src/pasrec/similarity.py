@@ -26,6 +26,8 @@ stored value is one expression evaluated elementwise in float64 on exact
 integer counts, so it is the same float a per-pair loop over the counts
 gives. A per-pair value is read from a built index or from
 ``PairStore.numerators``; ``pasrec.oracle`` recounts it from the sequences.
+``positive_scores`` adds a window's stored values through the index's
+by-neighbor view.
 
 Measures:
   bis      users with gap in [-rho*ell, ell], over the user-set union
@@ -641,6 +643,40 @@ class NeighborIndex:
             raise ValueError(f"{path}:{row + 6}: target {targets[row]} has more than "
                              f"n_neighbors={params.n_neighbors} entries")
         return cls(measure, params, items, targets, nbrs, values, rank_by=rank_by)
+
+
+def positive_scores(
+    row: np.ndarray, nbr: np.ndarray, position: np.ndarray, n_rows: int, index: NeighborIndex
+) -> np.ndarray:
+    """The float64 score of every item of ``index.items`` for each of
+    ``n_rows`` windows, as a [windows x items] matrix in index order: the sum
+    of the stored similarities from the window items among the item's
+    neighbors, 0 if there are none. Element j of the int64 arrays is a window
+    item: ``row[j]`` its window, ``nbr[j]`` its position in ``index.items``
+    and ``position[j]`` its L in 1..k, which only pas and pas_uni read.
+
+    The inverted rows of every window item are gathered at once and added
+    with one ``np.bincount``, which adds in input order. Given the items by
+    window, then window order, each score is the same float as adding the
+    window's items one after another.
+    """
+    starts, targets, values = index.inverted
+    if index.measure in ("pas", "pas_uni"):
+        # column L holds the value at window position L
+        if len(position) and not 1 <= position.min() <= position.max() <= index.params.k:
+            raise ValueError(f"window positions outside 1..{index.params.k}")
+        column = position
+    else:
+        # bis and cosine read column 0
+        column = np.zeros_like(position)
+    counts = starts[nbr + 1] - starts[nbr]
+    # the inverted rows of nbr[j] are starts[nbr[j]] + 0, 1, ..., counts[j] - 1
+    rows = _ranges(starts[nbr], counts)
+    n = len(index.items)
+    # a target appears at most once among one neighbor's rows
+    cells = np.repeat(row * n, counts) + targets[rows]
+    weights = values[rows, np.repeat(column, counts)]
+    return np.bincount(cells, weights, minlength=n_rows * n).reshape(n_rows, n)
 
 
 def _select(

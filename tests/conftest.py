@@ -6,10 +6,10 @@ import pytest
 from hypothesis import settings
 
 from pasrec.domain import MEASURES, UserSequence
+from pasrec.evaluation import rank_of_target
 from pasrec.ingest import Interactions, _intern
 from pasrec.oracle import oracle_bis, oracle_cosine, oracle_pas
-from pasrec.predictor import positive_scores, rank_of_target
-from pasrec.similarity import _uni_low, build_neighbor_index, count_pairs
+from pasrec.similarity import _uni_low, build_neighbor_index, count_pairs, positive_scores
 
 # the default settings, and a failing property prints the
 # @reproduce_failure line that replays it

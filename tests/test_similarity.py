@@ -28,13 +28,13 @@ from conftest import (
 from pasrec.domain import MEASURES, SCALINGS, SimilarityParams, UserSequence, make_session_window
 from pasrec.ingest import build_dataset
 from pasrec.oracle import oracle_bis, oracle_pas, oracle_predict
-from pasrec.predictor import positive_scores
 from pasrec.similarity import (
     RANK_CRITERIA,
     NeighborIndex,
     _bis_low,
     build_neighbor_index,
     count_pairs,
+    positive_scores,
     scale,
 )
 from pasrec.synth import SynthConfig, generate
