@@ -38,6 +38,7 @@ from .evaluation import (
 )
 from .ingest import (
     ColumnSchema,
+    ParseError,
     _escaped,
     build_dataset,
     deduplicate,
@@ -212,7 +213,10 @@ def cmd_prepare(opt: dict) -> None:
     # utf-8-sig drops a byte-order mark, which would join the first user id;
     # a byte that is not UTF-8 reaches the parser, which names its line
     with open(opt["input"], encoding="utf-8-sig", errors="surrogateescape") as fh:
-        table = parse_interactions(fh, schema, on_error=opt["on_error"])
+        try:
+            table = parse_interactions(fh, schema, on_error=opt["on_error"])
+        except ParseError as exc:
+            raise ValueError(f"{opt['input']}:{exc.line_number}: {exc.message}") from None
     n_parsed = len(table)
     table = filter_positive(table, opt["filter"])
     n_positive = len(table)

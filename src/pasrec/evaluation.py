@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# perfbench/tracer.py patches make_session_window, which is no longer called
-# here, and positive_scores by these names in this module's namespace
+# make_session_window is no longer called here: perfbench/tracer.py patches
+# it, and positive_scores, by these names in this module's namespace
 from .domain import MEASURES, SCALINGS, SimilarityParams, make_session_window  # noqa: F401
 from .ingest import Dataset
 from .similarity import NeighborIndex, build_neighbor_index, count_pairs, positive_scores

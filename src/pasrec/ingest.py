@@ -49,11 +49,11 @@ _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 class ParseError(ValueError):
-    """Malformed input line, carrying the 1-based line number."""
+    """Malformed input line, carrying the 1-based line number and the reason."""
 
     def __init__(self, line_number: int, message: str) -> None:
         super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
+        self.line_number, self.message = line_number, message
 
 
 @dataclass(frozen=True)

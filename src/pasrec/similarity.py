@@ -564,6 +564,7 @@ class NeighborIndex:
                 raise ValueError(f"{path}:1: not a {cls.FORMAT} v{cls.VERSION} artifact")
 
             def header(lineno: int, key: str, parse, write=str, choices=None):
+                nonlocal line
                 line = fh.readline()
                 name, tab, value = line.rstrip("\n").partition("\t")
                 try:
@@ -607,6 +608,9 @@ class NeighborIndex:
                 if reason := _entry_error(line, len(items), measure, vector_length):
                     raise ValueError(f"{path}:{len(codes) + 6}: {reason}") from None
                 raise  # not reached: every line refused fails a check
+            # only the last line read, a header or an entry, can lack one
+            if not line.endswith("\n"):
+                raise ValueError(f"{path}:{len(codes) + 5}: line ends without a newline")
         targets, nbrs, codes = (np.array(column, dtype=np.int64) for column in (targets, nbrs, codes))
         rows = memo.rows[:memo.count]
         del memo  # its texts: only their rows are read from here on

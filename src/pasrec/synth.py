@@ -4,8 +4,10 @@ Items are arranged on a hidden ring; each user walks the ring, following the
 planted successor with probability ``signal`` and jumping uniformly at random
 otherwise. Optional ``reverse_noise`` swaps adjacent pairs after the walk,
 which is exactly the kind of ordering noise the reverse factor is meant to
-absorb. Generation is deterministic per seed and per user, so corpora are
-reproducible regardless of how the user loop is scheduled.
+absorb. A walk is never cut short: once its random draws keep landing on
+items it holds, it draws from the items it does not. Generation is
+deterministic per seed and per user, so corpora are reproducible regardless
+of how the user loop is scheduled.
 """
 from __future__ import annotations
 
@@ -45,26 +47,20 @@ class SynthConfig:
 def _walk(
     rng: random.Random, ring_next: list[int], n_items: int, length: int, signal: float
 ) -> list[int]:
-    current = rng.randrange(n_items)
-    seq = [current]
-    used = {current}
+    seq = [rng.randrange(n_items)]
+    used = set(seq)
     while len(seq) < length:
-        nxt = -1
-        if rng.random() < signal:
-            candidate = ring_next[current]
-            if candidate not in used:
-                nxt = candidate
-        if nxt < 0:
+        nxt = ring_next[seq[-1]]
+        if rng.random() >= signal or nxt in used:
             for _ in range(_RESAMPLE_RETRIES):
-                candidate = rng.randrange(n_items)
-                if candidate not in used:
-                    nxt = candidate
+                nxt = rng.randrange(n_items)
+                if nxt not in used:
                     break
             else:
-                break  # catalog effectively exhausted; truncate
+                # the retries drew only used items: draw from the unused ones
+                nxt = rng.choice(sorted(set(range(n_items)) - used))
         seq.append(nxt)
         used.add(nxt)
-        current = nxt
     return seq
 
 

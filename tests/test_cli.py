@@ -2,9 +2,12 @@ import argparse
 import json
 import logging
 import os
+import subprocess
+import sys
 
 import pytest
 
+import pasrec
 from pasrec.cli import build_parser, main
 
 
@@ -70,7 +73,7 @@ class TestPrepare:
         raw.write_text("u1::i1::5::1\nu\t1::a::5::1\nu1::i2::5::2\n")
         assert run("prepare", "--input", str(raw), "--out", str(tmp_path / "d")) == 1
         err = capsys.readouterr().err
-        assert "line 2" in err and "tab or line break" in err
+        assert err.startswith(f"error: {raw}:2: ") and "tab or line break" in err
 
     def test_byte_order_mark_is_not_part_of_the_first_user(self, tmp_path):
         raw = tmp_path / "bom.dat"
@@ -85,7 +88,7 @@ class TestPrepare:
         raw.write_bytes(b"u1::i1::5::1\nu1::i2::5::2\nu\xff::i3::5::3\nu1::i4::5::4\n")
         out = tmp_path / "d"
         assert run("prepare", "--input", str(raw), "--out", str(out)) == 1
-        assert capsys.readouterr().err == "error: line 3: byte 0xff is not valid UTF-8\n"
+        assert capsys.readouterr().err == f"error: {raw}:3: byte 0xff is not valid UTF-8\n"
         assert run("prepare", "--input", str(raw), "--out", str(out), "--on-error", "skip") == 0
         assert (out / "test.tsv").read_text() == "u1\ti4\n"
 
@@ -580,3 +583,20 @@ class TestListFlags:
         err = capsys.readouterr().err
         assert f"argument {flag}: expected {expected}, got '{value}'" in err
         assert "_csv" not in err
+
+
+def test_module_runs_as_a_program(tmp_path):
+    src = os.path.dirname(os.path.dirname(pasrec.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def program(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "pasrec.cli", "-q", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+
+    done = program("synth", "--out", "raw.dat", "--users", "4", "--items", "8", "--min-len", "3",
+                   "--max-len", "5")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert len((tmp_path / "raw.dat").read_text().splitlines()) >= 12
+    failed = program("synth", "--out", "bad.dat", "--users", "0", "--items", "8")
+    assert failed.returncode == 1
+    assert failed.stderr.startswith("error: ")

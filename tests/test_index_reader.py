@@ -110,6 +110,10 @@ def reference_load(path: str):
             nbrs.append(nbr)
             values.append(value)
             rows.append(row)
+        fh.seek(0)
+        text = fh.read()
+        if not text.endswith("\n"):
+            raise ValueError(f"{path}:{text.count(chr(10)) + 1}: line ends without a newline")
     flat = np.fromiter(itertools.chain.from_iterable(rows), np.float64, len(rows) * vector_length)
     targets, nbrs = np.array(targets, dtype=np.int64), np.array(nbrs, dtype=np.int64)
     values = np.column_stack((np.array(values, dtype=np.float64), flat.reshape(len(rows), vector_length)))
@@ -259,12 +263,12 @@ class TestLoadAgainstReference:
         assert got == outcome(reference_load, str(path))
 
 
-EDITS = ["drop", "repeat", "swap", "move", "field", "respace", "reorder", "cut"]
+EDITS = ["drop", "repeat", "swap", "move", "field", "respace", "reorder", "cut", "cut_byte"]
 
 
-def edit(draw, kind: str, lines: list[str]) -> list[str]:
-    """``lines`` with one edit of the given kind, anywhere in the file; an
-    edit may happen to leave the lines as they were."""
+def edit(draw, kind: str, lines: list[str]) -> str:
+    """The text of ``lines`` with one edit of the given kind, anywhere in the
+    file; an edit may happen to leave the text as it was."""
     lines = list(lines)
     at = draw(st.integers(0, len(lines) - 1))
     if kind == "drop":
@@ -297,9 +301,11 @@ def edit(draw, kind: str, lines: list[str]) -> list[str]:
         # the #params keys in another order
         params = json.loads(lines[3].split("\t", 1)[1])
         lines[3] = "#params\t" + json.dumps(dict(draw(st.permutations(list(params.items())))))
-    else:  # cut at a line boundary
+    elif kind == "cut":  # at a line boundary
         lines = lines[:draw(st.integers(0, len(lines)))]
-    return lines
+    text = "".join(line + "\n" for line in lines)
+    # cut_byte: the file cut by its last byte, the newline of its last line
+    return text[:-1] if kind == "cut_byte" else text
 
 
 class TestFixedPoint:
@@ -315,8 +321,7 @@ class TestFixedPoint:
         folder = tmp_path_factory.mktemp("index")
         path, again = folder / "index.tsv", folder / "again.tsv"
         index.save(str(path))
-        lines = edit(data.draw, kind, path.read_text(encoding="utf-8").splitlines())
-        path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+        path.write_bytes(edit(data.draw, kind, path.read_text(encoding="utf-8").splitlines()).encode("utf-8"))
         try:
             loaded = NeighborIndex.load(str(path))
         except ValueError as exc:

@@ -666,13 +666,23 @@ class TestNeighborIndex:
                                        index.values.tolist())
         ]
 
-    def test_last_line_without_newline_loads(self, tmp_path, toy_corpus):
+    def test_last_line_without_newline_fails_at_its_line(self, tmp_path, toy_corpus):
         index = build_neighbor_index(count_corpus(toy_corpus, ell_max=2),
                                      SimilarityParams(ell=2), "pas")
         path = tmp_path / "index.tsv"
         index.save(str(path))
         path.write_text(path.read_text().removesuffix("\n"))
-        assert NeighborIndex.load(str(path)) == index
+        lineno = len(path.read_text().splitlines())
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: line ends without a newline$"):
+            NeighborIndex.load(str(path))
+
+    def test_items_line_without_newline_fails_at_its_line(self, tmp_path):
+        path = tmp_path / "index.tsv"
+        NeighborIndex("bis", SimilarityParams(ell=2), ("a", "b"), np.zeros(0, dtype=np.int64),
+                      np.zeros(0, dtype=np.int64), np.zeros((0, 1))).save(str(path))
+        path.write_text(path.read_text().removesuffix("\n"))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:5: line ends without a newline$"):
+            NeighborIndex.load(str(path))
 
     def test_blank_line_after_last_entry_fails_at_its_line(self, tmp_path, toy_corpus):
         index = build_neighbor_index(count_corpus(toy_corpus, ell_max=2),
@@ -762,12 +772,13 @@ class TestNeighborIndex:
             NeighborIndex.load(str(path))
 
     @pytest.mark.parametrize("lineno, edit, byte", [
+        (1, lambda line: b"\xff" + line[1:], 0xff),
         (5, lambda line: line.replace(b'"a"', b'"a\xff"'), 0xff),
         (8, lambda line: line + b"\xff", 0xff),
         (8, lambda line: line.replace(b"\t", b"\xc3\t", 1), 0xc3),
         # past the first block that the text reader decodes
         (2006, lambda line: line + b"\xff", 0xff),
-    ], ids=["header-line", "entry-line", "cut-two-byte-sequence", "after-2000-lines"])
+    ], ids=["magic-line", "header-line", "entry-line", "cut-two-byte-sequence", "after-2000-lines"])
     def test_load_rejects_byte_not_utf8_with_location(self, tmp_path, toy_corpus, lineno, edit, byte):
         index = build_neighbor_index(count_corpus(toy_corpus, ell_max=2),
                                      SimilarityParams(ell=2, lam=0.0), "bis")

@@ -38,6 +38,14 @@ class TestGenerate:
             assert 3 <= len(items) <= 12
             assert len(set(items)) == len(items)
 
+    def test_walk_that_uses_up_the_catalog_is_not_cut_short(self):
+        # each walk holds the whole catalog, so a late step may draw only
+        # used items in all its retries
+        config = SynthConfig(n_users=300, n_items=20, seq_length_range=(20, 20), seed=1)
+        by_user = sequences_by_user(generate(config))
+        assert len(by_user) == 300
+        assert all(len(set(items)) == len(items) == 20 for items in by_user.values())
+
     def test_zero_signal_still_valid_and_deterministic(self):
         config = SynthConfig(n_users=15, n_items=30, seq_length_range=(3, 6), signal=0.0, seed=9)
         records = generate(config)
