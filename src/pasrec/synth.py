@@ -47,11 +47,11 @@ class SynthConfig:
 def _walk(
     rng: random.Random, ring_next: list[int], n_items: int, length: int, signal: float
 ) -> list[int]:
-    seq = [rng.randrange(n_items)]
-    used = set(seq)
+    nxt = rng.randrange(n_items)
+    seq, used = [nxt], {nxt}
     while len(seq) < length:
-        nxt = ring_next[seq[-1]]
-        if rng.random() >= signal or nxt in used:
+        # nxt is the last item of the walk until the planted successor is read
+        if rng.random() >= signal or (nxt := ring_next[nxt]) in used:
             for _ in range(_RESAMPLE_RETRIES):
                 nxt = rng.randrange(n_items)
                 if nxt not in used:
