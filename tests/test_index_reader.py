@@ -113,7 +113,8 @@ def reference_load(path: str):
         fh.seek(0)
         text = fh.read()
         if not text.endswith("\n"):
-            raise ValueError(f"{path}:{text.count(chr(10)) + 1}: line ends without a newline")
+            lineno = text.count("\n") + 1
+            raise ValueError(f"{path}:{lineno}: line ends without a newline")
     flat = np.fromiter(itertools.chain.from_iterable(rows), np.float64, len(rows) * vector_length)
     targets, nbrs = np.array(targets, dtype=np.int64), np.array(nbrs, dtype=np.int64)
     values = np.column_stack((np.array(values, dtype=np.float64), flat.reshape(len(rows), vector_length)))
