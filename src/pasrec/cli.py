@@ -241,11 +241,14 @@ def cmd_build_index(opt: dict) -> None:
     started = time.perf_counter()
     store = count_pairs(dataset.item_universe, dataset.train_codes, dataset.train_offsets, params.ell)
     index = build_neighbor_index(store, params, opt["measure"], rank_by=opt["rank_by"])
+    band_pairs = len(store.gaps)
+    # the store and its selection memo are not held through the save
+    del store
     index.save(opt["out"])
     elapsed = time.perf_counter() - started
     log.info(
         "index written to %s: %d pairs in gap band, %d neighbor entries, %.1fs build",
-        opt["out"], len(store.gaps), len(index.targets), elapsed,
+        opt["out"], band_pairs, len(index.targets), elapsed,
     )
 
 

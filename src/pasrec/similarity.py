@@ -354,48 +354,37 @@ def count_pairs(catalog: Sequence[str], codes: np.ndarray, offsets: np.ndarray, 
 
 
 _BLOCK_LINES = 8192  # index lines save formats at a time
+_PARSE_BATCH = 256  # new value-and-vector texts load parses at a time
 _MEMO_LIMIT = 1 << 16  # texts a load memo holds before it starts over
 
 
-class _Rows(dict):
-    """The value-and-vector texts of index entry lines, each mapped to its
-    row of ``rows``, a float64 [rows x width] buffer. A text is parsed once,
-    into the next row; its float texts go through the memo ``floats``,
-    which holds canonical ones only. Both memos start over at _MEMO_LIMIT
-    texts, so an index that seldom repeats a text loads in bounded memory,
-    and ``rows`` keeps every row. Looking up a text that is not a value and
-    a vector of ``width - 1`` canonical floats raises ValueError."""
-
-    def __init__(self, width: int):
-        super().__init__()
-        self.rows = np.empty((256, width))
-        self.count = 0
-        self.floats: dict[str, float] = {}
-
-    def __missing__(self, text: str) -> int:
-        value, tab, vector = text.rstrip("\n").partition("\t")
-        # a tab in the vector lands in a cell, which no float is written as
-        cells = [value, *vector.split(",")] if vector else [value]
-        if not tab or len(cells) != self.rows.shape[1]:
-            raise ValueError(f"{len(cells)} values in a row of {self.rows.shape[1]}")
-        try:
-            row = list(map(self.floats.__getitem__, cells))
-        except KeyError:
-            # a text not seen yet: parse and check every cell of the row
-            row = list(map(float, cells))
-            if list(map(repr, row)) != cells:
-                raise ValueError("non-canonical number") from None
-            if len(self.floats) >= _MEMO_LIMIT:
-                self.floats.clear()
-            self.floats.update(zip(cells, row))
-        if self.count == len(self.rows):
-            self.rows = np.concatenate((self.rows, np.empty_like(self.rows)))
-        self.rows[self.count] = row
-        if len(self) >= _MEMO_LIMIT:
-            self.clear()
-        code = self[text] = self.count
-        self.count += 1
-        return code
+def _parse_rows(texts: list[str], width: int, floats: dict[str, float]) -> np.ndarray:
+    """The value-and-vector texts of index entry lines, the fields after the
+    ids, as a float64 [texts x width] array. The texts are joined and split
+    into cells at once, and taken only if the cells, formatted back as
+    ``save`` writes a row, give the joined text again and each is a
+    canonical float, so a batch that holds a text ``_entry_error`` refuses
+    raises ValueError. New float texts are parsed once and kept in the memo
+    ``floats``, which holds canonical ones only and starts over at
+    _MEMO_LIMIT texts."""
+    text = "".join(texts)
+    # only the file's last line can end without a newline; load checks it
+    if texts and not text.endswith("\n"):
+        text += "\n"
+    # "\t\n" ends a row with no vector
+    cells = text.replace("\t\n", "\n").replace("\t", ",").replace("\n", ",").split(",")[:-1]
+    row_format = "%s\t" + ",".join(["%s"] * (width - 1)) + "\n"
+    if len(cells) != len(texts) * width or row_format * len(texts) % tuple(cells) != text:
+        raise ValueError(f"rows not of {width} values as save writes them")
+    new = set(cells).difference(floats)
+    parsed = dict(zip(new, map(float, new)))
+    if list(map(repr, parsed.values())) != list(parsed):
+        raise ValueError("non-canonical number")
+    floats.update(parsed)
+    rows = np.fromiter(map(floats.__getitem__, cells), np.float64, len(cells)).reshape(len(texts), width)
+    if len(floats) >= _MEMO_LIMIT:
+        floats.clear()
+    return rows
 
 
 def _canonical(parse, write):
@@ -520,9 +509,12 @@ class NeighborIndex:
         """Write the index to ``path`` as format v1 text. The lines go to a
         new file beside ``path``, which replaces ``path`` once complete: v1
         holds no entry count, so a file cut at a line boundary would load."""
-        values = np.asarray(self.values, dtype=np.float64)
+        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        # each row of values as one bytes key, so -0.0 stays apart from 0.0
+        row_keys = values.view(np.dtype((np.void, values.itemsize * values.shape[1]))).ravel()
         names = np.array([str(item) for item in range(len(self.items))], dtype=object)
-        line = "%s\t%s\t%s\t" + ",".join(["%s"] * (values.shape[1] - 1)) + "\n"
+        # the value-and-vector text of a row, the last two fields of a line
+        row_format = "%s\t" + ",".join(["%s"] * (values.shape[1] - 1)) + "\n"
         # not tempfile, whose files only their owner may read: the index
         # keeps the permissions that the umask gives a new file
         partial = f"{path}.{os.urandom(4).hex()}.partial"
@@ -536,14 +528,18 @@ class NeighborIndex:
                 fh.write(f"#items\t{_items_text(self.items)}\n")
                 for start in range(0, len(self.targets), _BLOCK_LINES):
                     block = slice(start, start + _BLOCK_LINES)
-                    # the values are ratios of small counts and repeat heavily:
-                    # repr each distinct float of the block once, keyed by its
-                    # bits so -0.0 stays apart from 0.0
-                    bits, cell = np.unique(values[block].view(np.int64), return_inverse=True)
+                    # the values are ratios of small counts and repeat
+                    # heavily, whole rows too: the text of each distinct row
+                    # of the block is made once, from the repr of each
+                    # distinct float of those rows, keyed by its bits
+                    code: dict[bytes, int] = {}
+                    row = [code.setdefault(key, len(code)) for key in row_keys[block].tolist()]
+                    bits, cell = np.unique(np.frombuffer(b"".join(code), dtype=np.int64), return_inverse=True)
                     texts = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-                    cells = np.column_stack((names[self.targets[block]], names[self.nbrs[block]],
-                                             texts[cell.reshape(values[block].shape)]))
-                    fh.write(line * len(cells) % tuple(cells.ravel().tolist()))
+                    rows = np.array((row_format * len(code) % tuple(texts[cell].tolist())).split("\n"),
+                                    dtype=object)
+                    cells = np.column_stack((names[self.targets[block]], names[self.nbrs[block]], rows[row]))
+                    fh.write("%s\t%s\t%s\n" * len(cells) % tuple(cells.ravel().tolist()))
             os.replace(partial, path)
         except BaseException:
             os.unlink(partial)
@@ -555,8 +551,10 @@ class NeighborIndex:
         fails as ``path:line: reason`` at its first bad line. A file that
         loads is one that ``save`` writes: it saves back to the same bytes."""
         # a byte that is not UTF-8 reads as a lone surrogate, which no check
-        # takes, and each line names its own bad bytes before any other fault
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        # takes, and each line names its own bad bytes before any other fault;
+        # only "\n" ends a line, so a "\r", which save never writes, stays in
+        # its line and fails a check there
+        with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
             magic = fh.readline()
             if reason := _escaped(magic):
                 raise ValueError(f"{path}:1: {reason}")
@@ -591,20 +589,48 @@ class NeighborIndex:
             vector_length = params.k if measure in ("pas", "pas_uni") else 0
             # each entry line is split once at its first two tabs: a hit in
             # ``ids`` is an id in canonical form and in range, and ``memo``
-            # parses each distinct value-and-vector text once. This takes
-            # exactly the lines ``_entry_error`` takes, so a valid index takes
-            # no per-line check, and the first line refused is the first bad
-            # line: only it is checked again, for the reason
+            # gives each distinct value-and-vector text the next row code at
+            # its first line, where it joins ``new``, the texts that
+            # ``_parse_rows`` parses a batch at a time. This takes exactly
+            # the lines ``_entry_error`` takes, so a valid index takes no
+            # per-line check. The first bad line is the first line of a new
+            # text that a batch refuses, else the line refused: only it is
+            # checked again, for the reason
             ids = {str(item): item for item in range(len(items))}
-            memo = _Rows(1 + vector_length)
+            memo: dict[str, int] = {}
+            floats: dict[str, float] = {}
+            new: list[str] = []
+            batches = []
             targets, nbrs, codes = [], [], []
+            n_rows = 0
+
+            def parse_new():
+                batches.append(_parse_rows(new, 1 + vector_length, floats))
+                new.clear()
+
             try:
                 for line in fh:
                     target, nbr, rest = line.split("\t", 2)
                     targets.append(ids[target])
                     nbrs.append(ids[nbr])
-                    codes.append(memo[rest])
+                    code = memo.setdefault(rest, n_rows)
+                    codes.append(code)
+                    if code == n_rows:
+                        n_rows += 1
+                        new.append(rest)
+                        if len(memo) >= _MEMO_LIMIT:
+                            memo.clear()
+                        if len(new) == _PARSE_BATCH:
+                            parse_new()
+                parse_new()
             except (KeyError, ValueError):
+                at = 0
+                for code, text in enumerate(new, n_rows - len(new)):
+                    # the first line of the text, whose ids were taken
+                    at = codes.index(code, at)
+                    if reason := _entry_error(f"{targets[at]}\t{nbrs[at]}\t{text}", len(items), measure,
+                                              vector_length):
+                        raise ValueError(f"{path}:{at + 6}: {reason}") from None
                 if reason := _entry_error(line, len(items), measure, vector_length):
                     raise ValueError(f"{path}:{len(codes) + 6}: {reason}") from None
                 raise  # not reached: every line refused fails a check
@@ -612,8 +638,9 @@ class NeighborIndex:
             if not line.endswith("\n"):
                 raise ValueError(f"{path}:{len(codes) + 5}: line ends without a newline")
         targets, nbrs, codes = (np.array(column, dtype=np.int64) for column in (targets, nbrs, codes))
-        rows = memo.rows[:memo.count]
-        del memo  # its texts: only their rows are read from here on
+        del memo, floats  # only the rows are read from here on
+        rows = np.concatenate(batches)
+        del batches
         # scoring needs finite values and no measure is negative; a share may
         # round an ulp above 1, so there is no upper bound. The distinct rows
         # are checked, and the first line holding a bad one fails
@@ -683,6 +710,41 @@ def positive_scores(
     return np.bincount(cells, weights, minlength=n_rows * n).reshape(n_rows, n)
 
 
+_BUCKETS_PER_SCORE = 64  # rank table buckets per distinct score
+
+
+def _dense_rank(distinct: np.ndarray, score: np.ndarray, out: np.ndarray) -> None:
+    """Write to the int64 ``out`` the rank of each score among the ascending
+    ``distinct`` scores, largest first: len(distinct) - 1 minus its
+    ``np.searchsorted`` index. Every score is one of ``distinct``, and none
+    is negative.
+
+    [0, max(top score, 1)] is cut into _BUCKETS_PER_SCORE buckets per
+    distinct score, but no more than one per 8 scores, so the table of
+    buckets stays an eighth of ``out`` however many scores are distinct. A
+    score's bucket is one float product, cast, so a row lands in the bucket
+    of its distinct score; a bucket that holds one distinct score gives the
+    rank from a table, and only the rows of shared buckets are searched.
+    The buckets are computed into ``out``.
+    """
+    n_buckets = max(min(_BUCKETS_PER_SCORE * len(distinct), len(score) // 8), 1)
+    scale = n_buckets / distinct.max(initial=1.0)
+    bucket = np.minimum((distinct * scale).astype(np.int64), n_buckets - 1)
+    # the buckets ascend with the scores: a score is alone in its bucket
+    # where the buckets on either side of it in ``bucket`` differ from it
+    edge = np.diff(bucket, prepend=-1, append=n_buckets) != 0
+    single = edge[:-1] & edge[1:]
+    # the rank of the one distinct score in a bucket, -1 in a shared one
+    table = np.full(n_buckets, -1, dtype=np.int64)
+    table[bucket[single]] = np.arange(len(distinct) - 1, -1, -1)[single]
+    np.multiply(score, scale, out=out, casting="unsafe")
+    # 'clip' takes the top bucket for a product of n_buckets, as
+    # np.minimum does above; take reads each index before it writes there
+    np.take(table, out, out=out, mode="clip")
+    shared = np.flatnonzero(out < 0)
+    out[shared] = len(distinct) - 1 - np.searchsorted(distinct, score[shared])
+
+
 def _select(
     store: PairStore, params: SimilarityParams, measure: str, rank_by: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -692,8 +754,8 @@ def _select(
     counts the candidate rows, one per direction of each candidate pair.
 
     Each candidate row is one int64 key packing its target, the dense rank
-    of its score among the distinct scores, largest first, and its
-    candidate. One in-place sort of the keys orders the rows, and the first
+    of its score among the distinct scores, largest first (``_dense_rank``),
+    and its candidate. One in-place sort of the keys orders the rows, and the first
     n_neighbors keys of each target decode into the kept rows, each score
     read back from the distinct scores. A ValueError names the sizes when
     n_items**2 * distinct scores does not fit in int64.
@@ -743,20 +805,19 @@ def _select(
             f"selection keys n_items**2 * distinct scores overflow int64 "
             f"(n_items={n}, distinct scores={n_scores})"
         )
-    # (target * n_scores + rank) * n + candidate, built in place one
-    # direction at a time; lo and hi may be int32, so every product is
-    # taken in the int64 key
+    # (target * n_scores + rank) * n + candidate, built in place from the
+    # ranks one direction at a time; lo and hi may be int32, so every
+    # product is taken in the int64 key
     key = np.empty(ranked, dtype=np.int64)
+    _dense_rank(distinct, score, key)
+    # only the keys are held through the rest of the build and the sort
+    del score
     for rows, to, by in ((slice(0, len(lo)), hi, lo), (slice(len(lo), ranked), lo, hi)):
         part = key[rows]
-        part[...] = to
-        part *= n_scores
-        part += n_scores - 1
-        part -= np.searchsorted(distinct, score[rows])
+        part += np.multiply(to, n_scores, dtype=np.int64)
         part *= n
         part += by
-    # only the keys are held through the sort
-    del score, lo, hi, to, by, part
+    del lo, hi, to, by, part
     # the (target, candidate) pairs are distinct, so the keys are too and an
     # unstable sort gives the one order
     key.sort()

@@ -16,6 +16,7 @@ import itertools
 import json
 import re
 import tracemalloc
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -60,7 +61,7 @@ def reference_item_names(text: str) -> tuple[str, ...]:
 def reference_load(path: str):
     """(measure, params, items, rank_by, targets, nbrs, values) of the index
     at ``path``, read one entry line at a time."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="\n") as fh:
         if fh.readline().rstrip("\n").split("\t") != ["#pasrec-index", "1"]:
             raise ValueError(f"{path}:1: not a pasrec-index v1 artifact")
 
@@ -264,7 +265,7 @@ class TestLoadAgainstReference:
         assert got == outcome(reference_load, str(path))
 
 
-EDITS = ["drop", "repeat", "swap", "move", "field", "respace", "reorder", "cut", "cut_byte"]
+EDITS = ["drop", "repeat", "swap", "move", "field", "respace", "reorder", "cut", "cut_byte", "crlf"]
 
 
 def edit(draw, kind: str, lines: list[str]) -> str:
@@ -304,7 +305,10 @@ def edit(draw, kind: str, lines: list[str]) -> str:
         lines[3] = "#params\t" + json.dumps(dict(draw(st.permutations(list(params.items())))))
     elif kind == "cut":  # at a line boundary
         lines = lines[:draw(st.integers(0, len(lines)))]
-    text = "".join(line + "\n" for line in lines)
+    ends = ["\n"] * len(lines)
+    if kind == "crlf":  # one line ended as on Windows or classic Mac OS
+        ends[at] = draw(st.sampled_from(["\r\n", "\r"]))
+    text = "".join(map(str.__add__, lines, ends))
     # cut_byte: the file cut by its last byte, the newline of its last line
     return text[:-1] if kind == "cut_byte" else text
 
@@ -339,6 +343,50 @@ def test_reference_reads_what_save_writes(tmp_path):
     path = str(tmp_path / "index.tsv")
     index.save(path)
     assert outcome(reference_load, path) == outcome(lambda _: index, path)
+
+
+def reference_save_text(index: NeighborIndex) -> str:
+    """The v1 text of ``index``, written one value at a time."""
+    lines = ["#pasrec-index\t1\n", f"#measure\t{index.measure}\n", f"#rank_by\t{index.rank_by}\n",
+             f"#params\t{json.dumps(asdict(index.params), sort_keys=True)}\n",
+             f"#items\t{json.dumps(list(index.items))}\n"]
+    for t, n, (v, *vector) in zip(index.targets.tolist(), index.nbrs.tolist(), index.values.tolist()):
+        lines.append(f"{t}\t{n}\t{v!r}\t{','.join(map(repr, vector))}\n")
+    return "".join(lines)
+
+
+# floats that are easy to write wrong: -0.0 beside 0.0, the smallest
+# subnormal and one ulp above 1
+SPECIAL = [0.0, -0.0, 5e-324, 1.0000000000000002]
+
+
+@st.composite
+def index_of_repeated_rows(draw):
+    """A random index whose entries draw their rows from a few, so rows
+    repeat within and across save's blocks."""
+    measure = draw(st.sampled_from(MEASURES))
+    n_items = draw(st.integers(2, 7))
+    params = SimilarityParams(ell=draw(st.integers(1, 3)), n_neighbors=n_items - 1)
+    width = 1 + (params.k if measure in ("pas", "pas_uni") else 0)
+    pool = [[SPECIAL[(row + column) % 4] for column in range(width)] for row in range(4)]
+    pool += draw(st.lists(st.lists(value_cells, min_size=width, max_size=width), max_size=4))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n_items - 1), st.integers(0, n_items - 1)),
+                          max_size=25))
+    rows = [draw(st.sampled_from(pool)) for _ in pairs]
+    return NeighborIndex(measure, params, tuple(f"i{n}" for n in range(n_items)),
+                         np.array([target for target, _ in pairs], dtype=np.int64),
+                         np.array([nbr for _, nbr in pairs], dtype=np.int64),
+                         np.array(rows, dtype=np.float64).reshape(len(pairs), width),
+                         rank_by=draw(st.sampled_from(RANK_CRITERIA)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(index=index_of_repeated_rows(), block_lines=st.integers(1, 5))
+def test_save_writes_each_value_as_its_repr(tmp_path_factory, index, block_lines):
+    path = tmp_path_factory.mktemp("index") / "index.tsv"
+    with mock.patch.object(similarity, "_BLOCK_LINES", block_lines):
+        index.save(str(path))
+    assert path.read_bytes() == reference_save_text(index).encode("utf-8")
 
 
 class TestBoundedMemory:
