@@ -755,10 +755,10 @@ def _select(
 
     Each candidate row is one int64 key packing its target, the dense rank
     of its score among the distinct scores, largest first (``_dense_rank``),
-    and its candidate. One in-place sort of the keys orders the rows, and the first
-    n_neighbors keys of each target decode into the kept rows, each score
-    read back from the distinct scores. A ValueError names the sizes when
-    n_items**2 * distinct scores does not fit in int64.
+    and its candidate. One in-place sort of the keys orders the rows, and
+    the first n_neighbors keys of each target decode into the kept rows,
+    each score read back from the distinct scores. A ValueError names the
+    sizes when n_items**2 * distinct scores does not fit in int64.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
@@ -807,7 +807,7 @@ def _select(
         )
     # (target * n_scores + rank) * n + candidate, built in place from the
     # ranks one direction at a time; lo and hi may be int32, so every
-    # product is taken in the int64 key
+    # product is taken in int64
     key = np.empty(ranked, dtype=np.int64)
     _dense_rank(distinct, score, key)
     # only the keys are held through the rest of the build and the sort
