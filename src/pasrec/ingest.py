@@ -536,21 +536,26 @@ def _split_codes(
 ) -> tuple[np.ndarray, np.ndarray, str | None]:
     """The user and item codes of each line of a split file before its first
     malformed line, and that line's ``path:line`` error, or None. A line is
-    malformed when it holds a byte that is not UTF-8 or does not hold two
-    tab-separated fields. ``users`` and ``items`` give the codes, and take
-    each new name."""
+    malformed when it holds a byte that is not UTF-8, a carriage return or
+    other than two tab-separated fields. Only "\n" ends a line, so a "\r",
+    which ``save_dataset`` never writes, stays in its line and is named
+    there. ``users`` and ``items`` give the codes, and take each new name."""
     columns: list[list[np.ndarray]] = [[np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]]
     error = None
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
         for start, block in _blocks(fh):
             text = "".join(block)
             tabs = _counts(block, "\t")
             bad = tabs != 1
             if not text.isascii() and _ESCAPED_BYTE.search(text):
                 bad |= np.array([_ESCAPED_BYTE.search(line) is not None for line in block])
+            if "\r" in text:
+                bad |= _counts(block, "\r") > 0
             if bad.any():
                 row = int(np.argmax(bad))
-                reason = _escaped(block[row]) or f"expected 2 tab-separated fields, got {tabs[row] + 1}"
+                line = block[row]
+                reason = _escaped(line) or ("carriage return in line" if "\r" in line
+                                            else f"expected 2 tab-separated fields, got {tabs[row] + 1}")
                 error = f"{path}:{start + row}: {reason}"
                 text = "".join(block[:row])
             # a line read from a file ends in its one newline (the last line

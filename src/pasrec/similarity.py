@@ -125,6 +125,7 @@ def _numerators(
     return nums
 
 
+@dataclass(eq=False)
 class PairStore:
     """Gap histograms and co-occurrence counts for a training corpus, as
     integer columns. Pair keys (``co``, ``gaps``) take the narrower of int32
@@ -144,40 +145,27 @@ class PairStore:
                 gap stored, min(ell_max, longest sequence - 1), and one more,
                 so its negation, the directed view for (hi -> lo), fits too
     hist_users  users of each histogram entry
+    ell_max     the widest |gap| a histogram may hold
 
     Histograms are restricted to |gap| <= ell_max; co-occurrence counts and
     per-item user counts are exact regardless of the band, which keeps the
     union denominators and the cosine baseline exact for every pair.
 
     ``last_selection`` is a one-slot memo of ``_selection``: the last neighbor
-    selection with its fold, keyed on the inputs the selection reads.
+    selection with its fold, keyed on ``_select``'s arguments.
     """
 
-    def __init__(
-        self,
-        items: tuple[str, ...],
-        item_users: np.ndarray,
-        co: np.ndarray,
-        co_users: np.ndarray,
-        gaps: np.ndarray,
-        starts: np.ndarray,
-        hist_gap: np.ndarray,
-        hist_users: np.ndarray,
-        ell_max: int,
-    ) -> None:
-        self.items = items
-        self.item_users = item_users
-        self.co = co
-        self.co_users = co_users
-        self.gaps = gaps
-        lo, hi = np.divmod(gaps, len(items))
-        self.gap_union = (item_users[lo] + item_users[hi]
-                          - co_users[np.searchsorted(co, gaps)]).astype(co_users.dtype)
-        self.starts = starts
-        self.hist_gap = hist_gap
-        self.hist_users = hist_users
-        self.ell_max = ell_max
-        self.last_selection: tuple | None = None
+    items: tuple[str, ...]
+    item_users: np.ndarray
+    co: np.ndarray
+    co_users: np.ndarray
+    gaps: np.ndarray
+    gap_union: np.ndarray
+    starts: np.ndarray
+    hist_gap: np.ndarray
+    hist_users: np.ndarray
+    ell_max: int
+    last_selection: tuple | None = None
 
     @property
     def n_items(self) -> int:
@@ -280,7 +268,8 @@ def count_pairs(catalog: Sequence[str], codes: np.ndarray, offsets: np.ndarray, 
     (pair*(2*ell_max + 1) + gap + ell_max, d <= ell_max), each buffer in the
     narrower of int32 and int64 that holds its largest key, and ``_counted``
     counts each by an in-place sort; the sorted histogram keys then split
-    into the entry columns in one linear pass.
+    into the entry columns in one linear pass, and one search of ``co``
+    gives each histogram pair's co-occurrence count for ``gap_union``.
     """
     if ell_max < 1:
         raise ValueError(f"ell_max must be >= 1, got {ell_max}")
@@ -342,8 +331,10 @@ def count_pairs(catalog: Sequence[str], codes: np.ndarray, offsets: np.ndarray, 
     gaps = pair[starts].astype(pair_type)
     starts = np.append(starts, len(pair)).astype(_int_type(len(pair)))
     del pair
+    lo, hi = np.divmod(gaps, n)
+    gap_union = (item_users[lo] + item_users[hi] - co_users[np.searchsorted(co, gaps)]).astype(count_type)
 
-    store = PairStore(items, item_users, co, co_users, gaps, starts, hist_gap, hist_users, ell_max)
+    store = PairStore(items, item_users, co, co_users, gaps, gap_union, starts, hist_gap, hist_users, ell_max)
     log.info(
         "counted %d sequences: %d items, %d co-occurring pairs, %d within gap band %d; "
         "%d pair occurrences sorted as %s keys (%.1f MB) into a %.1f MB store",
@@ -746,12 +737,18 @@ def _dense_rank(distinct: np.ndarray, score: np.ndarray, out: np.ndarray) -> Non
 
 
 def _select(
-    store: PairStore, params: SimilarityParams, measure: str, rank_by: str
+    store: PairStore, ell: int | None, rho: float | None, lam: float | None, n_neighbors: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """(target, candidate, ranking score, ranked) of the top n_neighbors
     candidates per target, in index row order: target ascending, then score
     descending (equal floats tie), then candidate ascending. ``ranked``
     counts the candidate rows, one per direction of each candidate pair.
+
+    With ``ell`` None the candidates are the co-occurring pairs, ranked by
+    cosine; else the pairs with a histogram entry in [-ell, ell], as in a
+    store banded at ell, ranked by bis at ``rho`` if ``lam`` is None, else
+    by the value at t = k at that lam, whose bound h(0) + 1 is 1 under
+    every scaling.
 
     Each candidate row is one int64 key packing its target, the dense rank
     of its score among the distinct scores, largest first (``_dense_rank``),
@@ -760,39 +757,22 @@ def _select(
     each score read back from the distinct scores. A ValueError names the
     sizes when n_items**2 * distinct scores does not fit in int64.
     """
-    if measure not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
-    if rank_by not in RANK_CRITERIA:
-        raise ValueError(f"unknown rank criterion {rank_by!r}")
-    if store.ell_max < params.ell:
-        raise ValueError(f"store gap band {store.ell_max} narrower than ell={params.ell}")
-
     n = store.n_items
-    if measure == "cosine":
+    if ell is None:
         lo, hi = np.divmod(store.co, n)
         users = store.item_users
         score = np.tile(store.co_users / np.sqrt(users[lo] * users[hi]), 2)
     else:
-        # the candidates are the pairs with a histogram entry in [-ell, ell]:
-        # those of a store banded at ell, however wide this store's band is;
         # every bound is above -ell, as rho < 1
-        ell = params.ell
-        lows = [_bis_low(params.rho, ell)]
-        # pas_uni, and pas ranked by its largest value, rank at t = k
-        by_uni = measure == "pas_uni" or (measure == "pas" and rank_by == "max_t")
-        if by_uni:
-            lows.append(_uni_low(params.k, params.k, params.scaling, params.w))
+        lows = [_bis_low(rho, ell)] + ([] if lam is None else [1])
         pair, nums = store._band_fold(ell, lows)
         lo, hi = np.divmod(store.gaps[pair], n)
         union = store.gap_union[pair]
         del pair
         # nums[0] the rows lo -> hi, nums[1] the rows hi -> lo, each over union
         nums = nums.reshape(2, len(lo), len(lows))
-        if by_uni:
-            lam = 1.0 if measure == "pas_uni" else params.lam
-            score = _combine(nums[..., 0], nums[..., 1], lam, union).ravel()
-        else:
-            score = (nums[..., 0] / union).ravel()
+        score = (nums[..., 0] / union if lam is None
+                 else _combine(nums[..., 0], nums[..., 1], lam, union)).ravel()
         del nums, union  # not held through the sort below
     # both directions of every candidate pair: row r is lo[r] -> hi[r], row
     # r + len(lo) the reverse
@@ -822,7 +802,7 @@ def _select(
     # unstable sort gives the one order
     key.sort()
     # a target's keys are adjacent; keep the first n_neighbors of each
-    kept = np.minimum(per_target, params.n_neighbors)
+    kept = np.minimum(per_target, n_neighbors)
     target, rank_cand = np.divmod(key[_ranges(np.cumsum(per_target) - per_target, kept)], n_scores * n)
     del key
     rank, cand = np.divmod(rank_cand, n)
@@ -834,36 +814,49 @@ def _selection(
 ) -> tuple[tuple[np.ndarray | None, ...], int]:
     """((target, candidate, ranking score, union, numerators), ranked) of
     ``_select``'s rows and count of candidate rows. Column 0 of the
-    numerators counts the gaps in [bis_low, ell] and, for pas and pas_uni,
-    column j the gaps in [j, ell] for j = 1..k; union and numerators are
-    None for cosine. The fold, ``PairStore.numerators``, reads only the
-    histogram entries of the selected rows.
+    numerators counts the gaps in [bis_low, ell] and, once pas or pas_uni
+    has read them, column j the gaps in [j, ell] for j = 1..k; union and
+    numerators are None for cosine. The fold, ``PairStore.numerators``,
+    reads only the histogram entries of the selected rows.
 
-    Every ``_uni_low`` lies in [1, k], so these columns serve every scaling
-    and w. The selection reads neither scaling nor w (pas_uni and max_t rank
-    at h(0) = 0), and lam only when pas ranks by max_t, so the store keeps
-    the last selection keyed on what it does read: the builds of one ell
-    share one selection and one fold. The arrays are read-only, as the
+    ``_select``'s arguments are derived here once: ell, rho and lam None
+    for cosine, lam 1 for pas_uni, ``params.lam`` for pas ranked by max_t,
+    and None for bis and for pas ranked by bis. The store keeps the last
+    selection keyed on exactly these arguments, with the widest fold made
+    for it. Every ``_uni_low`` lies in [1, k], so the columns serve every
+    scaling and w: the builds of one ell share one selection, bis with pas
+    ranked by bis, and pas_uni with pas ranked by max_t at lam 1. bis folds
+    column 0 alone, as the k more bounds slow a lone bis build by a tenth,
+    so a pas build after it folds again. The arrays are read-only, as the
     indexes built from them share them.
     """
-    key = (measure, rank_by, params.ell, params.rho, params.n_neighbors,
-           params.lam if measure == "pas" and rank_by == "max_t" else None)
+    if measure not in MEASURES:
+        raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
+    if rank_by not in RANK_CRITERIA:
+        raise ValueError(f"unknown rank criterion {rank_by!r}")
+    if store.ell_max < params.ell:
+        raise ValueError(f"store gap band {store.ell_max} narrower than ell={params.ell}")
+    if measure == "cosine":
+        key = (None, None, None, params.n_neighbors)
+    else:
+        lam = 1.0 if measure == "pas_uni" else params.lam if measure == "pas" and rank_by == "max_t" else None
+        key = (params.ell, params.rho, lam, params.n_neighbors)
     if store.last_selection is None or store.last_selection[0] != key:
         # free the old selection before making the new one
         store.last_selection = None
-        target, cand, score, ranked = _select(store, params, measure, rank_by)
-        union = nums = None
-        if measure != "cosine":
-            union = store.gap_union[store._find(store.gaps, cand, target)[0]]
-            lows = [_bis_low(params.rho, params.ell)]
-            if measure in ("pas", "pas_uni"):
-                lows += range(1, params.k + 1)
-            nums = store.numerators(cand, target, params.ell, lows)
-        arrays = (target, cand, score, union, nums)
-        for array in arrays:
-            if array is not None:
-                array.flags.writeable = False
-        store.last_selection = (key, arrays, ranked)
+        target, cand, score, ranked = _select(store, *key)
+        union = None if measure == "cosine" else store.gap_union[store._find(store.gaps, cand, target)[0]]
+        store.last_selection = (key, (target, cand, score, union, None), ranked)
+    (target, cand, score, union, nums), ranked = store.last_selection[1:]
+    # the numerator columns this measure reads, folded when the memo lacks them
+    width = {"cosine": 0, "bis": 1}.get(measure, 1 + params.k)
+    if width > (0 if nums is None else nums.shape[1]):
+        lows = [_bis_low(params.rho, params.ell), *range(1, params.k + 1)]
+        nums = store.numerators(cand, target, params.ell, lows[:width])
+        store.last_selection = (key, (target, cand, score, union, nums), ranked)
+    for array in store.last_selection[1]:
+        if array is not None:
+            array.flags.writeable = False
     return store.last_selection[1:]
 
 
@@ -885,7 +878,7 @@ def build_neighbor_index(
 
     Every candidate pair is folded once per direction to rank, and the
     selected entries once more at every bound a vector can read. The store
-    keeps both for the next build with the same selection inputs, which then
+    keeps both for the next build that makes the same selection, which then
     only gathers its columns and combines them.
     """
     (target, cand, score, union, nums), ranked = _selection(store, params, measure, rank_by)

@@ -355,6 +355,21 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: byte 0xff is not valid UTF-8$"):
             load_dataset(str(tmp_path))
 
+    @pytest.mark.parametrize("name", ["train.tsv", "valid.tsv", "test.tsv"])
+    @pytest.mark.parametrize("edit, line", [
+        (lambda lines: [row + b"\r" for row in lines], 1),
+        (lambda lines: [lines[0], lines[1] + b"\rb", *lines[2:]], 2),
+    ], ids=["crlf-endings", "cr-inside-a-line"])
+    def test_load_rejects_carriage_return_at_its_physical_line(self, tmp_path, name, edit, line):
+        # save_dataset never writes a "\r"; read as a line break, one would
+        # load CRLF endings or move the line numbers below it
+        records = [rec(u, i, 5, ts) for u in ("u1", "u2") for ts, i in enumerate("abcd")]
+        save_dataset(build_dataset(table(*records)), str(tmp_path))
+        path = tmp_path / name
+        path.write_bytes(b"".join(row + b"\n" for row in edit(path.read_bytes().splitlines())))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: carriage return in line$"):
+            load_dataset(str(tmp_path))
+
     @pytest.mark.parametrize("name", ["valid.tsv", "test.tsv"])
     def test_load_rejects_repeated_held_out_user_with_location(self, tmp_path, name):
         records = [rec(u, i, 5, ts) for u in ("u1", "u2") for ts, i in enumerate("abcd")]

@@ -83,8 +83,11 @@ def reference_load_dataset(in_dir):
     """The dataset in ``in_dir``, read line by line into a dict per user."""
     def read_split(split):
         path = in_dir / SPLIT_FILES[split]
-        with open(path, encoding="utf-8") as fh:
+        # only "\n" ends a line, and save_dataset writes no "\r"
+        with open(path, encoding="utf-8", newline="\n") as fh:
             for lineno, line in enumerate(fh, start=1):
+                if "\r" in line:
+                    raise ValueError(f"{path}:{lineno}: carriage return in line")
                 fields = line.rstrip("\n").split("\t")
                 if len(fields) != 2:
                     raise ValueError(f"{path}:{lineno}: expected 2 tab-separated fields, got {len(fields)}")
@@ -216,7 +219,7 @@ class TestParseAgainstReference:
 well_formed_lines = st.tuples(st.sampled_from(["u1", "u2", "u3", "u4"]),
                               st.sampled_from(["a", "b", "c", "d", "e"])).map("\t".join)
 split_lines = st.one_of(well_formed_lines,
-                        st.sampled_from(["u1", "u1\ta\tx", "", "\t", "u\rv\ta", "u1\ta b", "é\ta"]))
+                        st.sampled_from(["u1", "u1\ta\tx", "", "\t", "u\rv\ta", "u1\ta\r", "u1\ta b", "é\ta"]))
 
 
 def write_split(path, lines, last_newline):
@@ -255,11 +258,13 @@ class TestLoadAgainstReference:
         rows=st.lists(st.tuples(st.sampled_from(["u1", "u2", "u3", "u4"]), st.sampled_from("abcdefg")),
                       min_size=1, max_size=12),
         name=st.sampled_from(sorted(SPLIT_FILES.values())),
-        edit=st.sampled_from(["drop", "repeat", "move", "item", "add"]), data=st.data(), block=st.integers(1, 5),
+        edit=st.sampled_from(["drop", "repeat", "move", "item", "add", "cr"]), data=st.data(),
+        block=st.integers(1, 5),
     )
     def test_edited_dataset_same_dataset_or_first_error(self, tmp_path_factory, rows, name, edit, data, block):
         # the split files of a built dataset, one line of one file dropped,
-        # repeated, moved or given another item, or a line added
+        # repeated, moved, given another item or a carriage return, or a
+        # line added
         out = tmp_path_factory.mktemp("edited")
         users, items = map(list, zip(*rows))
         table = Interactions.from_ids(users, items, [5] * len(rows), range(len(rows)))
@@ -267,6 +272,11 @@ class TestLoadAgainstReference:
         lines = (out / name).read_text().splitlines()
         if edit == "add":
             lines.insert(data.draw(st.integers(0, len(lines))), data.draw(well_formed_lines))
+        elif edit == "cr" and lines:
+            # anywhere in the line, its end included: a CRLF ending
+            at = data.draw(st.integers(0, len(lines) - 1))
+            cut = data.draw(st.integers(0, len(lines[at])))
+            lines[at] = lines[at][:cut] + "\r" + lines[at][cut:]
         elif lines:
             line = lines.pop(data.draw(st.integers(0, len(lines) - 1)))
             if edit == "item":

@@ -931,7 +931,8 @@ class TestSelectionMemo:
                 build_neighbor_index(store, SimilarityParams(ell=ell, scaling=scaling), "pas")
         assert len(calls) == 2
         # the one slot holds the last selection only
-        assert store.last_selection[0][2] == 4
+        build_neighbor_index(store, SimilarityParams(ell=4, scaling="h_c", w=3.0), "pas")
+        assert len(calls) == 2
         # pas ranked by max_t reads lam; bis ranking and a new n_neighbors select again
         build_neighbor_index(store, SimilarityParams(ell=4, lam=0.5), "pas", rank_by="max_t")
         build_neighbor_index(store, SimilarityParams(ell=4, lam=0.5, w=3.0), "pas", rank_by="max_t")
@@ -947,6 +948,69 @@ class TestSelectionMemo:
             index.nbrs[0] = 2
         with pytest.raises(ValueError, match="read-only"):
             index.values[0, 0] = 1.0
+
+    @pytest.mark.parametrize("pas_rank_by, lam, measure", [("bis", 0.5, "bis"), ("max_t", 1.0, "pas_uni")],
+                             ids=["bis-and-pas-by-bis", "pas_uni-and-pas-by-max_t-at-lam-1"])
+    @pytest.mark.parametrize("rank_by", RANK_CRITERIA)
+    @pytest.mark.parametrize("pas_first", [True, False], ids=["pas-first", "pas-second"])
+    def test_measures_of_one_ranking_share_one_selection(self, monkeypatch, pas_rank_by, lam, measure,
+                                                         rank_by, pas_first):
+        # bis ranks as pas by bis does, and pas_uni as pas by max_t at lam 1;
+        # neither reads rank_by, and no ranking reads the scaling
+        calls = []
+        real = similarity._select
+        monkeypatch.setattr(similarity, "_select", lambda *args: calls.append(args) or real(*args))
+        corpus = random_corpus(random.Random(41))
+        store = count_corpus(corpus, ell_max=4)
+        builds = [(SimilarityParams(ell=3, lam=lam), "pas", pas_rank_by),
+                  (SimilarityParams(ell=3, lam=0.3, scaling="h_b"), measure, rank_by)]
+        for params, build_measure, build_rank_by in builds if pas_first else builds[::-1]:
+            index = build_neighbor_index(store, params, build_measure, rank_by=build_rank_by)
+            assert index == build_neighbor_index(count_corpus(corpus, ell_max=4), params, build_measure,
+                                                 rank_by=build_rank_by)
+        assert [args[0] is store for args in calls].count(True) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), builds=st.lists(st.tuples(
+        st.sampled_from(MEASURES), st.sampled_from(RANK_CRITERIA), st.sampled_from([2, 3]),
+        st.sampled_from([0.2, 0.5]), st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from(SCALINGS),
+        st.sampled_from([2.0, 3.0]), st.sampled_from([2, 4])), min_size=1, max_size=12))
+    def test_interleaved_builds_equal_fresh_ones(self, seed, builds):
+        # builds of every measure and criterion in any order on one store,
+        # each against the same build on a store of its own
+        corpus = random_corpus(random.Random(seed), max_users=30, max_items=15, max_len=10)
+        store = count_corpus(corpus, ell_max=3)
+        for measure, rank_by, ell, rho, lam, scaling, w, n in builds:
+            params = SimilarityParams(ell=ell, rho=rho, lam=lam, scaling=scaling, w=w, n_neighbors=n)
+            assert build_neighbor_index(store, params, measure, rank_by=rank_by) == \
+                build_neighbor_index(count_corpus(corpus, ell_max=3), params, measure, rank_by=rank_by)
+
+
+class TestBuildArguments:
+    @pytest.fixture(params=[False, True], ids=["fresh-store", "store-with-a-selection"])
+    def store(self, request, monkeypatch):
+        store = count_corpus(random_corpus(random.Random(43)), ell_max=3)
+        if request.param:
+            build_neighbor_index(store, SimilarityParams(ell=3), "pas")
+        # every check runs before the store is read
+        monkeypatch.setattr(similarity.PairStore, "_band_fold", lambda *args: pytest.fail("_band_fold ran"))
+        monkeypatch.setattr(similarity.PairStore, "numerators", lambda *args: pytest.fail("numerators ran"))
+        return store
+
+    def test_unknown_measure(self, store):
+        message = f"unknown measure 'jaccard', expected one of {MEASURES}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_neighbor_index(store, SimilarityParams(ell=3), "jaccard")
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_unknown_rank_criterion(self, store, measure):
+        with pytest.raises(ValueError, match="^unknown rank criterion 'min_t'$"):
+            build_neighbor_index(store, SimilarityParams(ell=3), measure, rank_by="min_t")
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_store_band_narrower_than_ell(self, store, measure):
+        with pytest.raises(ValueError, match="^store gap band 3 narrower than ell=4$"):
+            build_neighbor_index(store, SimilarityParams(ell=4), measure)
 
 
 @pytest.fixture(scope="module")
