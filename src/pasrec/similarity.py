@@ -26,8 +26,6 @@ stored value is one expression evaluated elementwise in float64 on exact
 integer counts, so it is the same float a per-pair loop over the counts
 gives. A per-pair value is read from a built index or from
 ``PairStore.numerators``; ``pasrec.oracle`` recounts it from the sequences.
-``positive_scores`` adds a window's stored values through the index's
-by-neighbor view.
 
 Measures:
   bis      users with gap in [-rho*ell, ell], over the user-set union
@@ -79,10 +77,15 @@ def scale(x: float, scaling: str, w: float) -> float:
     raise ValueError(f"unknown scaling {scaling!r}")
 
 
-def _combine(n_bis, n_uni, lam: float, union):
-    # one shared expression, elementwise on integer counts, so ranking
-    # scores and stored values are bit-identical
-    return ((1.0 - lam) * n_bis + lam * n_uni) / union
+def _combine(n_bis, n_uni, lam: float, union, out=None):
+    """((1 - lam) * n_bis + lam * n_uni) / union, elementwise on integer
+    counts, written into ``out`` if given. The one expression for ranking
+    scores and stored values, so they are bit-identical."""
+    out = np.multiply(lam, n_uni, out=out)
+    # a + b is b + a in IEEE arithmetic
+    out += (1.0 - lam) * n_bis
+    out /= union
+    return out
 
 
 def _bis_low(rho: float, ell: int) -> int:
@@ -97,8 +100,11 @@ def _uni_low(k: int, t: int, scaling: str, w: float) -> int:
 
 
 def _ranges(begin: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The ranges begin[i]:begin[i] + counts[i], laid end to end."""
-    return np.arange(counts.sum()) + np.repeat(begin - np.cumsum(counts) + counts, counts)
+    """The ranges begin[i]:begin[i] + counts[i], laid end to end, as int64."""
+    # np.cumsum takes a narrower integer type to int64
+    ranges = np.repeat(begin - np.cumsum(counts) + counts, counts)
+    ranges += np.arange(len(ranges))
+    return ranges
 
 
 def _numerators(
@@ -473,16 +479,6 @@ class NeighborIndex:
             rows[target].append((nbr, value, tuple(vector)))
         return rows
 
-    @functools.cached_property
-    def inverted(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The entries grouped by neighbor, ``(starts, targets, values)``: rows
-        starts[j]:starts[j + 1] name neighbor j, and row r holds an entry of
-        item targets[r] with values[r] its row of ``self.values``.
-        """
-        order = np.argsort(self.nbrs, kind="stable")
-        starts = np.searchsorted(self.nbrs[order], np.arange(len(self.items) + 1))
-        return starts, self.targets[order], self.values[order]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NeighborIndex):
             return NotImplemented
@@ -667,40 +663,6 @@ class NeighborIndex:
         return cls(measure, params, items, targets, nbrs, values, rank_by=rank_by)
 
 
-def positive_scores(
-    row: np.ndarray, nbr: np.ndarray, position: np.ndarray, n_rows: int, index: NeighborIndex
-) -> np.ndarray:
-    """The float64 score of every item of ``index.items`` for each of
-    ``n_rows`` windows, as a [windows x items] matrix in index order: the sum
-    of the stored similarities from the window items among the item's
-    neighbors, 0 if there are none. Element j of the int64 arrays is a window
-    item: ``row[j]`` its window, ``nbr[j]`` its position in ``index.items``
-    and ``position[j]`` its L in 1..k, which only pas and pas_uni read.
-
-    The inverted rows of every window item are gathered at once and added
-    with one ``np.bincount``, which adds in input order. Given the items by
-    window, then window order, each score is the same float as adding the
-    window's items one after another.
-    """
-    starts, targets, values = index.inverted
-    if index.measure in ("pas", "pas_uni"):
-        # column L holds the value at window position L
-        if len(position) and not 1 <= position.min() <= position.max() <= index.params.k:
-            raise ValueError(f"window positions outside 1..{index.params.k}")
-        column = position
-    else:
-        # bis and cosine read column 0
-        column = np.zeros_like(position)
-    counts = starts[nbr + 1] - starts[nbr]
-    # the inverted rows of nbr[j] are starts[nbr[j]] + 0, 1, ..., counts[j] - 1
-    rows = _ranges(starts[nbr], counts)
-    n = len(index.items)
-    # a target appears at most once among one neighbor's rows
-    cells = np.repeat(row * n, counts) + targets[rows]
-    weights = values[rows, np.repeat(column, counts)]
-    return np.bincount(cells, weights, minlength=n_rows * n).reshape(n_rows, n)
-
-
 _BUCKETS_PER_SCORE = 64  # rank table buckets per distinct score
 
 
@@ -879,20 +841,23 @@ def build_neighbor_index(
     Every candidate pair is folded once per direction to rank, and the
     selected entries once more at every bound a vector can read. The store
     keeps both for the next build that makes the same selection, which then
-    only gathers its columns and combines them.
+    only combines the columns it reads, each written in place into the one
+    column-major ``values`` array.
     """
     (target, cand, score, union, nums), ranked = _selection(store, params, measure, rank_by)
     if measure == "cosine":
         values = score[:, None]
     else:
-        columns = [0]
-        if measure in ("pas", "pas_uni"):
-            # column j counts the gaps in [j, ell]
-            columns += [_uni_low(params.k, t, params.scaling, params.w) for t in range(1, params.k + 1)]
+        # one array, column 0 bis and column t the value at window position
+        # t, each written in place; column-major, so each column is contiguous
+        vector = measure in ("pas", "pas_uni")
+        values = np.empty((len(target), 1 + params.k * vector), order="F")
+        np.divide(nums[:, 0], union, out=values[:, 0])
         lam = 1.0 if measure == "pas_uni" else params.lam
-        nums = nums[:, columns]
-        values = np.column_stack((nums[:, 0] / union,
-                                  _combine(nums[:, :1], nums[:, 1:], lam, union[:, None])))
+        for t in range(1, values.shape[1]):
+            # column j of nums counts the gaps in [j, ell]
+            _combine(nums[:, 0], nums[:, _uni_low(params.k, t, params.scaling, params.w)], lam, union,
+                     out=values[:, t])
 
     log.info(
         "built %s index: %d items, %d neighbor entries from %d candidate rows ranked",
@@ -911,13 +876,16 @@ def average_uni_by_gap(
     threshold h(0) = 0 makes the ranking identical for every scaling; the
     averages then show how fast each scaled variant decays as the query item
     sits further from the prediction point.
+
+    One pas_uni index at h_a holds every value the three read: its column t
+    divides numerator column k - t + 1, the gaps in [k - t + 1, ell], by the
+    union, so each numerator column appears once. Each column is summed
+    once, and the gap G of a scaling reads the column of its bound
+    _uni_low(k, k - G): the same floats as summing that scaling's own index.
     """
-    profile: dict[str, list[float]] = {}
-    for scaling in SCALINGS:
-        params = SimilarityParams(ell=ell, lam=1.0, scaling=scaling, w=w, n_neighbors=n_neighbors)
-        # values[i, t - 1]: entry i at window position t; the store's memo
-        # gives every scaling one selection
-        values = build_neighbor_index(store, params, "pas_uni").values[:, 1:]
-        profile[scaling] = [math.fsum(values[:, ell - gap - 1].tolist()) / len(values) if len(values) else 0.0
-                            for gap in range(ell)]
-    return profile
+    params = SimilarityParams(ell=ell, lam=1.0, scaling="h_a", w=w, n_neighbors=n_neighbors)
+    values = build_neighbor_index(store, params, "pas_uni").values
+    # means[k - j] averages the values of numerator column j
+    means = [math.fsum(values[:, t].tolist()) / len(values) if len(values) else 0.0 for t in range(1, ell + 1)]
+    return {scaling: [means[ell - _uni_low(ell, ell - gap, scaling, w)] for gap in range(ell)]
+            for scaling in SCALINGS}

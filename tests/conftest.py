@@ -6,10 +6,10 @@ import pytest
 from hypothesis import settings
 
 from pasrec.domain import MEASURES, UserSequence
-from pasrec.evaluation import rank_of_target
+from pasrec.evaluation import positive_scores, rank_of_target, window_terms
 from pasrec.ingest import Interactions, _intern
 from pasrec.oracle import oracle_bis, oracle_cosine, oracle_pas
-from pasrec.similarity import _uni_low, build_neighbor_index, count_pairs, positive_scores
+from pasrec.similarity import _uni_low, build_neighbor_index, count_pairs
 
 # the default settings, and a failing property prints the
 # @reproduce_failure line that replays it
@@ -156,14 +156,16 @@ def gap_histogram(store, i_from, i_to) -> dict[int, int]:
 
 
 def window_scores(windows, index) -> np.ndarray:
-    """``positive_scores`` of the ``SessionWindow``s ``windows``, encoded as
-    its int64 arguments: the row, index position and L of each window item
-    the index holds, in window order. The scorer checks L against the
-    index's k."""
+    """``positive_scores`` of the ``SessionWindow``s ``windows`` over the
+    index's items, from the terms ``window_terms`` makes of their int64
+    encoding: the row, index position and L of each window item the index
+    holds, in window order. The terms check L against the index's k."""
     held = [(r, index.item_index[item], window.window_position[item])
             for r, window in enumerate(windows) for item in window.items if item in index.item_index]
     row, nbr, position = np.array(held, dtype=np.int64).reshape(-1, 3).T
-    return positive_scores(row, nbr, position, len(windows), index)
+    n = len(index.items)
+    cells, value_at = window_terms(index, np.arange(n), n, len(windows))(row, nbr, position)
+    return positive_scores(cells, value_at, index.values, len(windows), n)
 
 
 def predicted_score(window, target, index) -> float:
@@ -173,21 +175,27 @@ def predicted_score(window, target, index) -> float:
 
 
 def universe_scores(window, index, universe) -> np.ndarray:
-    """``positive_scores`` read out over ``universe``, 0 outside the index."""
-    scores = window_scores([window], index)[0]
-    return np.array([scores[index.item_index[c]] if c in index.item_index else 0.0
-                     for c in universe])
+    """``positive_scores`` of ``window`` over ``universe``, ascending item
+    names that hold every window and index item, with its terms made in
+    universe columns as ``evaluate`` makes them in catalog columns; 0
+    outside the index."""
+    column = {item: pos for pos, item in enumerate(universe)}
+    lift = np.array([column[item] for item in index.items], dtype=np.int64)
+    code, position = np.array([(column[item], window.window_position[item]) for item in window.items],
+                              dtype=np.int64).reshape(-1, 2).T
+    cells, value_at = window_terms(index, lift, len(universe), 1)(np.zeros_like(code), code, position)
+    return positive_scores(cells, value_at, index.values, 1, len(universe))[0]
 
 
 def rank_in_row(scores, target_pos, excluded_pos) -> int:
-    """``rank_of_target`` over the one row ``scores``."""
-    rows = np.zeros(len(excluded_pos), dtype=np.int64)
-    return int(rank_of_target(scores[None], np.array([target_pos]), (rows, excluded_pos))[0])
+    """``rank_of_target`` over the one row ``scores``, which it leaves as it is."""
+    return int(rank_of_target(scores[None].copy(), np.array([target_pos]),
+                              np.array(excluded_pos, dtype=np.int64))[0])
 
 
 def reference_score(window, target, index):
-    """Walks the target's own neighbor row, independently of the inverted
-    view that ``positive_scores`` reads.
+    """Walks the target's own neighbor row, independently of the terms
+    that ``window_terms`` makes by neighbor.
     """
     tgt = index.item_index.get(target)
     if tgt is None:

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import pasrec.evaluation as evaluation
 from conftest import count_corpus, interactions, random_corpus, rank_in_row, reference_score, universe_scores
-from pasrec.domain import SimilarityParams, UserSequence, make_session_window
+from pasrec.domain import MEASURES, SCALINGS, SimilarityParams, UserSequence, make_session_window
 from pasrec.evaluation import (
     ConfigMismatchError,
     evaluate,
@@ -21,7 +22,8 @@ from pasrec.evaluation import (
 )
 from pasrec.cli import main
 from pasrec.ingest import Dataset, Interactions, build_dataset, load_dataset
-from pasrec.similarity import NeighborIndex, build_neighbor_index, count_pairs
+from pasrec.similarity import RANK_CRITERIA, NeighborIndex, build_neighbor_index, count_pairs
+from pasrec.synth import SynthConfig, generate
 
 
 class TestMetrics:
@@ -276,8 +278,10 @@ class TestArrayPath:
         block_scorer = evaluation.positive_scores
 
         def recorded(*args):
-            blocks.append(block_scorer(*args))
-            return blocks[-1]
+            scores = block_scorer(*args)
+            # rank_of_target ranks the block in place
+            blocks.append(scores.copy())
+            return scores
 
         with mock.patch.object(evaluation, "_BLOCK_CELLS", block_rows * len(dataset.item_universe)), \
                 mock.patch.object(evaluation, "positive_scores", recorded):
@@ -286,8 +290,9 @@ class TestArrayPath:
         assert (result.ndcg, result.one_call) == TestBlockRanking.reference(dataset, index, split, top_k)
         assert len(blocks) == -(-len(dataset.test) // block_rows)
 
-        # each block row holds the reference scores of its user's window
-        # and ranks the user's candidates in the brute-force order
+        # each block row holds, over the catalog, the reference scores of
+        # its user's window and ranks the user's candidates in the
+        # brute-force order
         scores = np.concatenate(blocks)
         train = {seq.user: seq.items for seq in dataset.sequences}
         held_out = dataset.validation if split == "validation" else dataset.test
@@ -297,12 +302,11 @@ class TestArrayPath:
             history = train[user] + ((dataset.validation[user],) if split == "test" else ())
             window = make_session_window(UserSequence.from_items(user, history), params.k)
             want = {c: reference_score(window, c, index) for c in universe}
-            assert row.tolist() == [want[c] for c in index.items]
-            lifted = np.array([row[index.item_index[c]] if c in index.item_index else 0.0 for c in universe])
+            assert row.tolist() == [want[c] for c in universe]
             known = [pos for pos, c in enumerate(universe) if c in history]
             candidates = sorted(set(universe) - set(history), key=lambda c: (-want[c], c))
             for position, item in enumerate(candidates, start=1):
-                assert rank_in_row(lifted, universe.index(item), known) == position
+                assert rank_in_row(row, universe.index(item), known) == position
 
 
 class TestRankOfTarget:
@@ -393,6 +397,112 @@ class TestGridSearch:
         assert len(expand_grid("bis")) == 4
         assert len(expand_grid("cosine")) == 4
         assert len(expand_grid("pas_uni")) == 12
+
+
+# ell orders: ascending, descending, repeated, interleaved, or any
+ell_orders = st.one_of(
+    st.sampled_from([(2, 3, 4), (4, 3, 2), (3, 3), (3, 2, 3)]),
+    st.lists(st.integers(2, 4), min_size=1, max_size=4).map(tuple),
+)
+
+
+class TestPlanSharing:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_grid_rows_equal_evaluations_of_fresh_indexes(self, data):
+        corpus = {f"u{n:02d}": " ".join(items) for n, items in enumerate(data.draw(held_out_corpora))}
+        dataset = build_dataset(records(*corpus.items()))
+        measure, rank_by = data.draw(st.sampled_from(MEASURES)), data.draw(st.sampled_from(RANK_CRITERIA))
+        grid = expand_grid(
+            measure, ells=data.draw(ell_orders),
+            lambdas=tuple(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=1, unique=True))),
+            scalings=tuple(data.draw(st.lists(st.sampled_from(SCALINGS), min_size=1, unique=True))),
+            n_neighbors=data.draw(st.integers(1, 4)))
+        top_k = data.draw(st.integers(1, 5))
+        result = grid_search(dataset, grid, top_k=top_k, rank_by=rank_by)
+
+        def fresh(measure, params):
+            store = count_pairs(dataset.item_universe, dataset.train_codes, dataset.train_offsets, params.ell)
+            return build_neighbor_index(store, params, measure, rank_by=rank_by)
+
+        assert list(result.validation) == [evaluate(dataset, fresh(*config), "validation", top_k=top_k)
+                                           for config in grid]
+        assert result.test == evaluate(dataset, fresh(result.best_measure, result.best_params), "test",
+                                       top_k=top_k)
+
+    @pytest.mark.parametrize("measure, rank_by, lambdas, ells, runs", [
+        # pas ranked by bis: one selection per ell, whatever lam and scaling
+        ("pas", "bis", (0.0, 0.5), (2, 3, 3, 2), 3),
+        # ranked by max_t, the selection reads lam, and two lams may or may
+        # not select alike
+        ("pas", "max_t", (0.0, 0.5, 1.0), (2, 3), None),
+        ("pas_uni", "bis", None, (3, 2, 3), 3),
+        ("bis", "max_t", None, (2, 2, 3), 2),
+        # cosine selects alike at every ell, but the window is k long
+        ("cosine", "bis", None, (2, 2, 3), 2),
+    ])
+    def test_one_plan_per_run_of_configurations_sharing_a_selection(self, monkeypatch, measure, rank_by,
+                                                                   lambdas, ells, runs):
+        dataset = TestGridSearch().make_dataset()
+        grid = expand_grid(measure, ells=ells, lambdas=lambdas)
+        store = count_pairs(dataset.item_universe, dataset.train_codes, dataset.train_offsets, max(ells))
+        selections = [(params.k, index.targets.tobytes(), index.nbrs.tobytes()) for params, index in (
+            (params, build_neighbor_index(store, params, measure, rank_by=rank_by)) for _, params in grid)]
+        # consecutive configurations with the same k, targets and neighbors
+        # make one run
+        assert runs in (None, 1 + sum(a != b for a, b in zip(selections, selections[1:])))
+        runs = 1 + sum(a != b for a, b in zip(selections, selections[1:]))
+        made = []
+        real = evaluation.make_plan
+        monkeypatch.setattr(evaluation, "make_plan",
+                            lambda dataset, index, split: made.append(split) or real(dataset, index, split))
+        grid_search(dataset, grid, rank_by=rank_by)
+        assert made == ["validation"] * runs + ["test"]
+
+    def test_a_plan_serves_the_indexes_it_reads_alike(self, tmp_path):
+        dataset = TestGridSearch().make_dataset()
+        store = count_pairs(dataset.item_universe, dataset.train_codes, dataset.train_offsets, 3)
+        index = build_neighbor_index(store, SimilarityParams(ell=3), "pas")
+        plan = evaluation.make_plan(dataset, index, "validation")
+        assert plan.serves(build_neighbor_index(store, SimilarityParams(ell=3, lam=0.2, scaling="h_c"), "pas"))
+        # a loaded index holds its values row by row, a built one column by column
+        index.save(str(tmp_path / "pas.idx"))
+        loaded = NeighborIndex.load(str(tmp_path / "pas.idx"))
+        assert loaded == index
+        # another window, value column, neighbor set or value layout each
+        # takes a plan of its own
+        for other in (build_neighbor_index(store, SimilarityParams(ell=2), "pas"),
+                      build_neighbor_index(store, SimilarityParams(ell=3), "bis"),
+                      build_neighbor_index(store, SimilarityParams(ell=3, n_neighbors=2), "pas"),
+                      loaded):
+            assert not plan.serves(other)
+        assert evaluate(dataset, loaded, "validation") == evaluate(dataset, index, "validation")
+
+    def test_grid_peak_holds_one_index_beside_the_winner(self, monkeypatch):
+        dataset = build_dataset(generate(SynthConfig(
+            n_users=300, n_items=400, seq_length_range=(15, 40), signal=0.8, reverse_noise=0.1, seed=0)))
+        # every candidate is kept, so the indexes are large beside a block
+        grid = expand_grid("pas", ells=(5, 10), lambdas=(0.5,), n_neighbors=400)
+        store = count_pairs(dataset.item_universe, dataset.train_codes, dataset.train_offsets, 10)
+        largest = build_neighbor_index(store, grid[-1][1], "pas").values.nbytes
+        # the count is made before the measured part
+        monkeypatch.setattr(evaluation, "count_pairs", lambda *args: store)
+        # a first search, so the measured one allocates nothing for the first time
+        grid_search(dataset, grid)
+        store.last_selection = None
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            grid_search(dataset, grid)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # the largest index's values are one unit; the search holds the
+        # selection, its plan, the winner and the index it ranks, and peaks
+        # at 3.8 units on this corpus. Building the three indexes of a
+        # selection before ranking them through one plan peaks at 5.4
+        assert peak <= 4.5 * largest
 
 
 def test_report_tsv_layout(tmp_path, hit_and_miss_dataset):

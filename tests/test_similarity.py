@@ -26,6 +26,7 @@ from conftest import (
     window_scores,
 )
 from pasrec.domain import MEASURES, SCALINGS, SimilarityParams, UserSequence, make_session_window
+from pasrec.evaluation import window_terms
 from pasrec.ingest import build_dataset
 from pasrec.oracle import oracle_bis, oracle_pas, oracle_predict
 from pasrec.similarity import (
@@ -34,7 +35,6 @@ from pasrec.similarity import (
     _bis_low,
     build_neighbor_index,
     count_pairs,
-    positive_scores,
     scale,
 )
 from pasrec.synth import SynthConfig, generate
@@ -303,10 +303,11 @@ class TestPasUni:
         assert index.values.shape[1] == 1 + 2
         with pytest.raises(ValueError, match=r"outside 1\.\.2"):
             window_scores([make_session_window(toy_corpus[0], 3)], index)
+        terms = window_terms(index, np.arange(len(index.items)), len(index.items), 1)
         for position in (0, 3):
             row, nbr = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
             with pytest.raises(ValueError, match=r"outside 1\.\.2"):
-                positive_scores(row, nbr, np.array([position]), 1, index)
+                terms(row, nbr, np.array([position]))
 
 
 class TestPas:
@@ -1071,6 +1072,23 @@ class TestBuildMemory:
         # build that holds a packed key beside its argsort, inverse and
         # gathers peaks above 10 units on this corpus
         assert peak <= 8 * (2 * candidates * 8)
+
+    @pytest.mark.parametrize("measure", ["pas", "pas_uni"])
+    def test_build_from_a_memoized_selection_writes_its_values_in_place(self, store, measure):
+        build_neighbor_index(store, SimilarityParams(ell=10, scaling="h_a"), measure)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            index = build_neighbor_index(store, SimilarityParams(ell=10, scaling="h_b"), measure)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # the index's values are one unit; a build that gathers the
+        # numerator columns it reads into a copy and stacks the values
+        # beside it peaks at 2.5 units on this corpus, one that writes each
+        # column in place at 1.2
+        assert peak <= 1.5 * index.values.nbytes
 
 
 @pytest.fixture(scope="module")
