@@ -118,13 +118,16 @@ def window_terms(index: NeighborIndex, lift: np.ndarray, n_columns: int, n_rows:
     pas and pas_uni read, and returns (cells, value_at), each in the
     narrower of int32 and int64 that holds it. A window item adds one term
     per entry that has it as neighbor, in entry order within the item; the
-    entries are grouped by neighbor once, here, so a call only gathers. A
-    column with no index item has no entry.
+    entries are grouped by neighbor column once, here, so a call only
+    gathers. A column with no index item has no entry.
     """
     cell_type, value_type = _int_type(n_rows * n_columns), _int_type(index.values.size)
-    order = np.argsort(index.nbrs, kind="stable")
+    # grouped by the neighbor's catalog column, not its index position: the
+    # two orders differ where the index lists items out of catalog order
+    nbr_column = lift[index.nbrs]
+    order = np.argsort(nbr_column, kind="stable")
     # each column's entries are first[c]:first[c] + degree[c] of ``order``
-    degree = np.bincount(lift[index.nbrs], minlength=n_columns)
+    degree = np.bincount(nbr_column, minlength=n_columns)
     first = np.cumsum(degree) - degree
     target_column = lift[index.targets[order]].astype(cell_type)
     # the steps between rows and between columns in ravel(order="A")
@@ -166,11 +169,11 @@ class Block:
     value_at: np.ndarray
 
 
-def _layout(index: NeighborIndex) -> tuple[tuple[int, ...], bool, bool]:
-    """What a plan's value positions depend on: the shape of ``values``,
-    whether it is column-major, and whether the window position picks the
-    column."""
-    return index.values.shape, index.values.flags.f_contiguous, index.measure in ("pas", "pas_uni")
+def _layout(index: NeighborIndex) -> tuple[tuple[int, ...], bool]:
+    """What a plan's value positions depend on: the shape of ``values`` and
+    whether it is column-major. Only pas and pas_uni hold more than one
+    column, so the shape also says whether the window position picks one."""
+    return index.values.shape, index.values.flags.f_contiguous
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +189,7 @@ class ScoringPlan:
     targets: np.ndarray
     nbrs: np.ndarray
     k: int
-    layout: tuple[tuple[int, ...], bool, bool]
+    layout: tuple[tuple[int, ...], bool]
     n_columns: int
     n_skipped: int
     blocks: tuple[Block, ...]

@@ -100,11 +100,8 @@ def _uni_low(k: int, t: int, scaling: str, w: float) -> int:
 
 
 def _ranges(begin: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The ranges begin[i]:begin[i] + counts[i], laid end to end, as int64."""
-    # np.cumsum takes a narrower integer type to int64
-    ranges = np.repeat(begin - np.cumsum(counts) + counts, counts)
-    ranges += np.arange(len(ranges))
-    return ranges
+    """The ranges begin[i]:begin[i] + counts[i], laid end to end."""
+    return np.arange(counts.sum()) + np.repeat(begin - np.cumsum(counts) + counts, counts)
 
 
 def _numerators(

@@ -478,6 +478,22 @@ class TestPlanSharing:
             assert not plan.serves(other)
         assert evaluate(dataset, loaded, "validation") == evaluate(dataset, index, "validation")
 
+    @pytest.mark.parametrize("measure", MEASURES)
+    @pytest.mark.parametrize("split", ["validation", "test"])
+    def test_index_items_out_of_catalog_order_evaluate_alike(self, measure, split):
+        dataset = TestGridSearch().make_dataset()
+        store = count_pairs(dataset.item_universe, dataset.train_codes, dataset.train_offsets, 3)
+        index = build_neighbor_index(store, SimilarityParams(ell=3), measure)
+        assert index.items == dataset.item_universe
+        # the same entries, with the items listed in reverse and renumbered,
+        # sorted by their new target as a loaded index is
+        position = np.arange(len(index.items))[::-1]
+        targets, nbrs = position[index.targets], position[index.nbrs]
+        order = np.argsort(targets, kind="stable")
+        permuted = NeighborIndex(measure, index.params, index.items[::-1], targets[order], nbrs[order],
+                                 index.values[order], rank_by=index.rank_by)
+        assert evaluate(dataset, permuted, split) == evaluate(dataset, index, split)
+
     def test_grid_peak_holds_one_index_beside_the_winner(self, monkeypatch):
         dataset = build_dataset(generate(SynthConfig(
             n_users=300, n_items=400, seq_length_range=(15, 40), signal=0.8, reverse_noise=0.1, seed=0)))
